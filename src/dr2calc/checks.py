@@ -25,7 +25,7 @@ class CheckResult:
     details: str
 
 
-def check_surfaces(system: Optional[solver.ParamSystem] = None) -> CheckResult:
+def check_surfaces() -> CheckResult:
     by_family = {s.family: s for s in surfaces.builtin_surfaces()}
     bad = []
     for fam, a, b, want in surfaces.DISPLAYED_INTERSECTIONS:
@@ -63,7 +63,7 @@ def check_solver(system: Optional[solver.ParamSystem] = None) -> CheckResult:
     )
 
 
-def check_pushforward(system=None) -> CheckResult:
+def check_pushforward() -> CheckResult:
     c = dr2_class(D)
     expected = m21.pushforward_class_formula(D)
     ok = (
@@ -79,7 +79,7 @@ def check_pushforward(system=None) -> CheckResult:
     return CheckResult("pushforward", ok, details)
 
 
-def check_chi_pipeline(system=None) -> CheckResult:
+def check_chi_pipeline() -> CheckResult:
     ok = m21.chi_pullback_pipeline(D) == m21.pushforward_class_formula(D)
     return CheckResult(
         "chi-pipeline",
@@ -90,7 +90,7 @@ def check_chi_pipeline(system=None) -> CheckResult:
     )
 
 
-def check_psi3(system=None) -> CheckResult:
+def check_psi3() -> CheckResult:
     got = m21.psi_cubed_intersection(D)
     want = (D * D - 1) * (3 * D * D - 7) / 5760
     ok = got == want and got(2) == Fraction(1, 384)
@@ -101,7 +101,7 @@ def check_psi3(system=None) -> CheckResult:
     )
 
 
-def check_pencil_count(system=None) -> CheckResult:
+def check_pencil_count() -> CheckResult:
     bad = [
         g
         for g in range(1, 101)
@@ -115,7 +115,7 @@ def check_pencil_count(system=None) -> CheckResult:
     )
 
 
-def check_hac(system=None) -> CheckResult:
+def check_hac() -> CheckResult:
     report = ct.verify_hac()
     rows = report.decorated
     extras = (
@@ -135,7 +135,7 @@ def check_hac(system=None) -> CheckResult:
     )
 
 
-def check_ci_obstruction(system=None) -> CheckResult:
+def check_ci_obstruction() -> CheckResult:
     rng = random.Random(20250817)
     for trial in range(1000):
         a = cones.EffectiveDivisorPattern(
@@ -164,7 +164,7 @@ def check_ci_obstruction(system=None) -> CheckResult:
     )
 
 
-def check_cone_decomposition(system=None) -> CheckResult:
+def check_cone_decomposition() -> CheckResult:
     try:
         cones.cone_decomposition(D)
     except ArithmeticError as exc:
@@ -191,7 +191,7 @@ def check_cone_decomposition(system=None) -> CheckResult:
 
 
 def check_nonextremality(
-    system=None, strata_table: Optional[cones.StrataTable] = None
+    strata_table: Optional[cones.StrataTable] = None,
 ) -> CheckResult:
     report = cones.nonextremality_check(strata_table)
     positive = all(w > 0 for w in report.weights.values())
@@ -209,7 +209,7 @@ def check_nonextremality(
     )
 
 
-def check_nonpolynomiality(system=None) -> CheckResult:
+def check_nonpolynomiality() -> CheckResult:
     report = cones.nonpolynomiality_witness(4)
     ok = (
         report.interpolant == PolyQ((-2, 0, 2))
@@ -244,17 +244,14 @@ CHECKS: Dict[str, Callable[..., CheckResult]] = {
 def run_checks(
     only: Optional[Sequence[str]] = None,
     strata_table: Optional[cones.StrataTable] = None,
-    system: Optional[solver.ParamSystem] = None,
 ) -> List[CheckResult]:
     names = list(CHECKS) if not only else list(only)
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
         raise KeyError(f"unknown check name(s): {unknown}; valid: {list(CHECKS)}")
-    results = []
-    for name in names:
-        fn = CHECKS[name]
-        if name == "nonextremality":
-            results.append(fn(system=system, strata_table=strata_table))
-        else:
-            results.append(fn(system=system))
-    return results
+    return [
+        CHECKS[name](strata_table=strata_table)
+        if name == "nonextremality"
+        else CHECKS[name]()
+        for name in names
+    ]

@@ -21,7 +21,9 @@ with the symmetric combination psi1^2+psi2^2 fused into a single coordinate
 (psi1-psi2)(10psi1+10psi2-2d11-12d12-d0) = 0).  A reduced echelon form of the
 relations, with pivots forced onto the seven non-basis coordinates, is
 precomputed once at import; every reduction then goes through that table, so
-two expressions differing by a relation reduce identically.
+two expressions differing by a relation reduce identically.  The table and
+the reduction loop live in ``QuotientReducer``, which the compact-type ring
+of ``ct`` builds from its own relations and basis.
 
 A ``TautClass2`` is the 14-vector of coefficients in this basis, each entry a
 polynomial in the cover degree d.  A ``DivisorM22`` is the 6-vector of divisor
@@ -31,10 +33,10 @@ coefficients.  All values are immutable; every operation is a pure function.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 from .linalg import reduced_echelon
-from .polyq import PolyLike, PolyQ, Scalar, as_poly
+from .polyq import PolyLike, PolyQ, PolyVector, as_poly
 
 GENERATORS = ("psi1", "psi2", "d0", "d2", "d11", "d12")
 PSI1, PSI2, D0, D2, D11, D12 = range(6)
@@ -144,172 +146,125 @@ def _build_relations() -> Tuple[Expr, ...]:
 RELATIONS: Tuple[Expr, ...] = _build_relations()
 
 # ---------------------------------------------------------------------------
-# Reduction table.
-#
-# Coordinates: the 21 monomials, except that (psi1^2, psi2^2) is traded for
-# the pair (s, t) = (symmetric, antisymmetric) combination.  A class with
-# monomial coefficients c1 on psi1^2 and c2 on psi2^2 has s-coordinate
-# (c1+c2)/2 and t-coordinate (c1-c2)/2.
-# ---------------------------------------------------------------------------
-
-_SQ1 = mono(PSI1, PSI1)
-_SQ2 = mono(PSI2, PSI2)
-_S_COORD = "s"
-_T_COORD = "t"
-
-_COORDS: Tuple[object, ...] = (_S_COORD, _T_COORD) + tuple(
-    m for m in MONOMIALS if m not in (_SQ1, _SQ2)
-)
-_COORD_INDEX = {c: k for k, c in enumerate(_COORDS)}
-
-_BASIS_COORDS = (_S_COORD,) + tuple(
-    slots[0] for k, slots in enumerate(BASIS_MONOMIALS) if k != FUSED_SLOT
-)
-_NONBASIS_COORDS = tuple(c for c in _COORDS if c not in _BASIS_COORDS)
-
-# Slot index of each basis coordinate (the fused slot belongs to "s").
-_SLOT_OF_COORD = {_S_COORD: FUSED_SLOT}
-for _k, _slots in enumerate(BASIS_MONOMIALS):
-    if _k != FUSED_SLOT:
-        _SLOT_OF_COORD[_slots[0]] = _k
-
-
-def _expr_to_coords(expr: Mapping[Monomial, Fraction]) -> list:
-    vec = [Fraction(0)] * len(_COORDS)
-    for m, c in expr.items():
-        c = Fraction(c)
-        if m == _SQ1:
-            vec[_COORD_INDEX[_S_COORD]] += c / 2
-            vec[_COORD_INDEX[_T_COORD]] += c / 2
-        elif m == _SQ2:
-            vec[_COORD_INDEX[_S_COORD]] += c / 2
-            vec[_COORD_INDEX[_T_COORD]] -= c / 2
-        else:
-            vec[_COORD_INDEX[m]] += c
-    return vec
-
-
-def _build_rewrite() -> Dict[object, Tuple[Fraction, ...]]:
-    rows = []
-    for rel in RELATIONS:
-        rows.append(_expr_to_coords({m: c.constant_value() for m, c in rel.items()}))
-    order = [_COORD_INDEX[c] for c in _NONBASIS_COORDS] + [
-        _COORD_INDEX[c] for c in _BASIS_COORDS
-    ]
-    entries = reduced_echelon(rows, order)
-    if len(entries) != 7:
-        raise AssertionError(f"relation span has rank {len(entries)}, expected 7")
-    pivot_cols = {col for col, _ in entries}
-    expected = {_COORD_INDEX[c] for c in _NONBASIS_COORDS}
-    if pivot_cols != expected:
-        raise AssertionError("relation pivots missed a non-basis coordinate")
-    rewrite: Dict[object, Tuple[Fraction, ...]] = {}
-    for col, row in entries:
-        out = [Fraction(0)] * 14
-        for k, val in enumerate(row):
-            if k == col or val == 0:
-                continue
-            coord = _COORDS[k]
-            out[_SLOT_OF_COORD[coord]] -= val
-        rewrite[_COORDS[col]] = tuple(out)
-    return rewrite
-
-
-_REWRITE = _build_rewrite()
-
-
-# ---------------------------------------------------------------------------
 # Class vectors.
 # ---------------------------------------------------------------------------
 
 
-class TautClass2:
+class TautClass2(PolyVector):
     """A degree-2 tautological class: 14 polynomial coefficients in the basis."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[PolyLike]):
-        cs = tuple(as_poly(c) for c in coeffs)
-        if len(cs) != 14:
-            raise ValueError(f"expected 14 coefficients, got {len(cs)}")
-        self.coeffs: Tuple[PolyQ, ...] = cs
-
-    @classmethod
-    def zero(cls) -> "TautClass2":
-        return cls((PolyQ(),) * 14)
-
-    @classmethod
-    def unit(cls, slot: int) -> "TautClass2":
-        cs = [PolyQ()] * 14
-        cs[slot] = PolyQ((1,))
-        return cls(cs)
-
-    def __add__(self, other: "TautClass2") -> "TautClass2":
-        return TautClass2(a + b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __sub__(self, other: "TautClass2") -> "TautClass2":
-        return TautClass2(a - b for a, b in zip(self.coeffs, other.coeffs))
-
-    def scale(self, factor: PolyLike) -> "TautClass2":
-        f = as_poly(factor)
-        return TautClass2(f * c for c in self.coeffs)
-
-    def eval_at(self, x: Scalar) -> "TautClass2":
-        return TautClass2(PolyQ.const(c(x)) for c in self.coeffs)
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TautClass2):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def to_json_dict(self) -> Dict[str, list]:
-        return {name: c.to_strings() for name, c in zip(BASIS_NAMES, self.coeffs)}
+    __slots__ = ()
+    names = BASIS_NAMES
 
     @classmethod
     def from_json_dict(cls, data: Mapping[str, Sequence[str]]) -> "TautClass2":
-        return cls(PolyQ.from_strings(data.get(name, ())) for name in BASIS_NAMES)
-
-    def __repr__(self) -> str:
-        terms = ", ".join(
-            f"{name}: {c}" for name, c in zip(BASIS_NAMES, self.coeffs) if c
-        )
-        return f"TautClass2({terms or '0'})"
+        return cls(PolyQ.from_strings(data.get(name, ())) for name in cls.names)
 
 
-class DivisorM22:
+class DivisorM22(PolyVector):
     """A divisor class: 6 coefficients on (psi1, psi2, d0, d2, d11, d12)."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[PolyLike]):
-        cs = tuple(as_poly(c) for c in coeffs)
-        if len(cs) != 6:
-            raise ValueError(f"expected 6 coefficients, got {len(cs)}")
-        self.coeffs: Tuple[PolyQ, ...] = cs
+    __slots__ = ()
+    names = GENERATORS
 
     @classmethod
     def generator(cls, index: int) -> "DivisorM22":
-        return cls(_unit(index))
+        return cls.unit(index)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DivisorM22):
-            return NotImplemented
-        return self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash(self.coeffs)
+# ---------------------------------------------------------------------------
+# Reduction onto a quotient basis.
+# ---------------------------------------------------------------------------
 
-    def __repr__(self) -> str:
-        terms = ", ".join(
-            f"{g}: {c}" for g, c in zip(GENERATORS, self.coeffs) if c
+
+class QuotientReducer:
+    """Reduces formal combinations of the 21 monomials to a quotient basis.
+
+    Built from data: the vector class of the quotient, its relations, its
+    basis (the monomials paired against each slot), the rank the relations
+    must have, and the monomials killed outright.  Exactly one slot pairs two
+    monomials m1, m2; its basis element is m1 + m2.  Internally a class
+    c1 m1 + c2 m2 has the symmetric coordinate s = (c1+c2)/2 on that slot
+    and the antisymmetric coordinate t = (c1-c2)/2, which, like every other
+    non-basis monomial, is rewritten in the basis.  The rewrite rows come
+    from one reduced echelon form of the relations with pivots forced onto
+    the non-basis coordinates, so two expressions differing by a relation
+    reduce identically.
+    """
+
+    def __init__(
+        self,
+        vector_cls: type,
+        relations: Sequence[Expr],
+        basis: Sequence[Tuple[Monomial, ...]],
+        rank: int,
+        killed: frozenset = frozenset(),
+    ):
+        self.vector_cls = vector_cls
+        (self.fused_slot,) = [k for k, slots in enumerate(basis) if len(slots) == 2]
+        m1, m2 = basis[self.fused_slot]
+        self.fused_sign = {m1: 1, m2: -1}
+        self.slot_of = {slots[0]: k for k, slots in enumerate(basis) if len(slots) == 1}
+        coords = ("s", "t") + tuple(
+            m for m in MONOMIALS if m not in (m1, m2) and m not in killed
         )
-        return f"DivisorM22({terms or '0'})"
+        index = {c: k for k, c in enumerate(coords)}
+        basis_cols = {index[m]: k for m, k in self.slot_of.items()}
+        basis_cols[index["s"]] = self.fused_slot
+        nonbasis = [k for k in range(len(coords)) if k not in basis_cols]
+
+        rows = []
+        for rel in relations:
+            vec = [Fraction(0)] * len(coords)
+            for m, c in rel.items():
+                if m in killed:
+                    continue
+                c = c.constant_value()
+                if m in self.fused_sign:
+                    vec[index["s"]] += c / 2
+                    vec[index["t"]] += self.fused_sign[m] * c / 2
+                else:
+                    vec[index[m]] += c
+            rows.append(vec)
+        entries = reduced_echelon(rows, nonbasis + list(basis_cols))
+        if len(entries) != rank:
+            raise AssertionError(f"relation span has rank {len(entries)}, expected {rank}")
+        if {col for col, _ in entries} != set(nonbasis):
+            raise AssertionError("relation pivots missed a non-basis coordinate")
+        # Sparse rewrite row of each non-basis coordinate; killed ones are empty.
+        self.rewrite = {m: () for m in killed}
+        for col, row in entries:
+            self.rewrite[coords[col]] = tuple(
+                (basis_cols[k], -val) for k, val in enumerate(row) if k != col and val != 0
+            )
+
+    def __call__(self, expr: Mapping[Monomial, PolyLike]) -> PolyVector:
+        fused, fused_sign = self.fused_slot, self.fused_sign
+        slot_of, rewrite = self.slot_of, self.rewrite
+        out = [PolyQ()] * self.vector_cls.dim
+        t_coeff = PolyQ()
+        for m, raw in expr.items():
+            m = mono(*m)
+            c = as_poly(raw)
+            if c.is_zero():
+                continue
+            if m in fused_sign:
+                half = c / 2
+                out[fused] = out[fused] + half
+                t_coeff = t_coeff + half if fused_sign[m] > 0 else t_coeff - half
+            elif m in slot_of:
+                slot = slot_of[m]
+                out[slot] = out[slot] + c
+            else:
+                for slot, val in rewrite[m]:
+                    out[slot] = out[slot] + c * val
+        if not t_coeff.is_zero():
+            for slot, val in rewrite["t"]:
+                out[slot] = out[slot] + t_coeff * val
+        return self.vector_cls(out)
+
+
+_REDUCER = QuotientReducer(TautClass2, RELATIONS, BASIS_MONOMIALS, rank=7)
 
 
 def reduce_to_basis(expr: Mapping[Monomial, PolyLike]) -> TautClass2:
@@ -319,31 +274,7 @@ def reduce_to_basis(expr: Mapping[Monomial, PolyLike]) -> TautClass2:
     differing by a relation reduce to the same vector.  The empty expression
     reduces to zero.
     """
-    out = [PolyQ()] * 14
-    t_coeff = PolyQ()
-    for m, raw in expr.items():
-        m = mono(*m)
-        c = as_poly(raw)
-        if c.is_zero():
-            continue
-        if m == _SQ1:
-            out[FUSED_SLOT] = out[FUSED_SLOT] + c / 2
-            t_coeff = t_coeff + c / 2
-        elif m == _SQ2:
-            out[FUSED_SLOT] = out[FUSED_SLOT] + c / 2
-            t_coeff = t_coeff - c / 2
-        elif m in _SLOT_OF_COORD:
-            slot = _SLOT_OF_COORD[m]
-            out[slot] = out[slot] + c
-        else:
-            for slot, val in enumerate(_REWRITE[m]):
-                if val != 0:
-                    out[slot] = out[slot] + c * val
-    if not t_coeff.is_zero():
-        for slot, val in enumerate(_REWRITE[_T_COORD]):
-            if val != 0:
-                out[slot] = out[slot] + t_coeff * val
-    return TautClass2(out)
+    return _REDUCER(expr)
 
 
 def multiply_divisors(a: DivisorM22, b: DivisorM22) -> TautClass2:

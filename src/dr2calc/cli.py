@@ -325,8 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
         if only:
             p.add_argument("--only", default=None, help="run a single named check")
         p.add_argument("--emit", choices=("json", "md"), default="json")
-        if name == "equations":
-            p.add_argument("--list", action="store_true", help="list all rows (default)")
         p.set_defaults(func=func)
         return p
 

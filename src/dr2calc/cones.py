@@ -26,10 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
-from .chow import DivisorM22, TautClass2, dr2_class, multiply_divisors
+from .chow import GENERATORS, DivisorM22, TautClass2, dr2_class, multiply_divisors
 from .polyq import D, PolyLike, PolyQ, as_poly, poly_interpolate
-
-PATTERN_NAMES = ("psi1", "psi2", "d0", "d2", "d11", "d12")
 
 
 @dataclass(frozen=True)
@@ -45,7 +43,7 @@ class EffectiveDivisorPattern:
     d12: Fraction
 
     def __post_init__(self):
-        for name in PATTERN_NAMES:
+        for name in GENERATORS:
             value = getattr(self, name)
             if value < 0:
                 raise ValueError(

@@ -16,8 +16,8 @@ on compact type:
     (psi1-psi2) d11 = (psi1-psi2) d12
 
 As in the full ring, an echelon form of the relations with pivots forced
-onto the ten non-basis coordinates is precomputed once; reductions are then
-table lookups.
+onto the ten non-basis coordinates is precomputed once, by the same
+``chow.QuotientReducer``; reductions are then table lookups.
 
 The pull-back of the zero section of the universal Jacobian along the
 section [C, p1, p2] -> O_C(d p1 - d p2) is half the square of an explicit
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Iterable, Mapping, Optional, Tuple
 
 from .chow import (
     BASIS_MONOMIALS,
@@ -54,12 +54,13 @@ from .chow import (
     Expr,
     Monomial,
     MONOMIALS,
+    QuotientReducer,
     TautClass2,
+    _unit,
     expand_product,
     mono,
 )
-from .linalg import reduced_echelon
-from .polyq import PolyLike, PolyQ, Scalar, as_poly
+from .polyq import PolyLike, PolyQ, PolyVector, as_poly
 
 CT_BASIS_NAMES = (
     "(psi1+psi2)d11",
@@ -70,186 +71,78 @@ CT_BASIS_NAMES = (
 )
 
 
-class CtClass:
+class CtClass(PolyVector):
     """A degree-2 class on the compact-type locus: 5 polynomial coefficients."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[PolyLike]):
-        cs = tuple(as_poly(c) for c in coeffs)
-        if len(cs) != 5:
-            raise ValueError(f"expected 5 coefficients, got {len(cs)}")
-        self.coeffs: Tuple[PolyQ, ...] = cs
-
-    @classmethod
-    def zero(cls) -> "CtClass":
-        return cls((PolyQ(),) * 5)
-
-    @classmethod
-    def unit(cls, slot: int) -> "CtClass":
-        cs = [PolyQ()] * 5
-        cs[slot] = PolyQ((1,))
-        return cls(cs)
-
-    def __add__(self, other: "CtClass") -> "CtClass":
-        return CtClass(a + b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __sub__(self, other: "CtClass") -> "CtClass":
-        return CtClass(a - b for a, b in zip(self.coeffs, other.coeffs))
-
-    def scale(self, factor: PolyLike) -> "CtClass":
-        f = as_poly(factor)
-        return CtClass(f * c for c in self.coeffs)
-
-    def eval_at(self, x: Scalar) -> "CtClass":
-        return CtClass(PolyQ.const(c(x)) for c in self.coeffs)
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CtClass):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def to_json_dict(self) -> Dict[str, list]:
-        return {n: c.to_strings() for n, c in zip(CT_BASIS_NAMES, self.coeffs)}
-
-    def __repr__(self) -> str:
-        terms = ", ".join(
-            f"{n}: {c}" for n, c in zip(CT_BASIS_NAMES, self.coeffs) if c
-        )
-        return f"CtClass({terms or '0'})"
-
-
-def _unit6(index: int) -> Tuple[int, ...]:
-    v = [0] * 6
-    v[index] = 1
-    return tuple(v)
+    __slots__ = ()
+    names = CT_BASIS_NAMES
 
 
 def _drop_d0(expr: Expr) -> Expr:
     return {m: c for m, c in expr.items() if D0 not in m}
 
 
+def _weighted_sum(parts: Iterable[Tuple[Expr, Fraction]]) -> Expr:
+    out: Expr = {}
+    for part, weight in parts:
+        for m, c in part.items():
+            out[m] = out.get(m, PolyQ()) + c * weight
+    return out
+
+
 def _build_ct_relations() -> Tuple[Expr, ...]:
-    half = Fraction(1, 2)
-    psi1, psi2 = _unit6(PSI1), _unit6(PSI2)
-    d2, d11, d12 = _unit6(D2), _unit6(D11), _unit6(D12)
-    restricted = tuple(
-        _drop_d0(rel) for rel in RELATIONS
-    )
+    psi1, psi2 = _unit(PSI1), _unit(PSI2)
+    d2, d11, d12 = _unit(D2), _unit(D11), _unit(D12)
+    restricted = tuple(_drop_d0(rel) for rel in RELATIONS)
     # psi1 psi2 - (3/2)(psi1^2 + psi2^2) + (9/10)(psi1+psi2) d11
     #           + (2/5)(psi1+psi2) d12 = 0
     psi_sum = (1, 1, 0, 0, 0, 0)
-    rel_cross: Expr = {}
-    for part, weight in (
-        (expand_product(psi1, psi2), Fraction(1)),
-        (expand_product(psi1, psi1), Fraction(-3, 2)),
-        (expand_product(psi2, psi2), Fraction(-3, 2)),
-        (expand_product(psi_sum, _unit6(D11)), Fraction(9, 10)),
-        (expand_product(psi_sum, _unit6(D12)), Fraction(2, 5)),
-    ):
-        for m, c in part.items():
-            rel_cross[m] = rel_cross.get(m, PolyQ()) + c * weight
+    rel_cross = _weighted_sum(
+        (
+            (expand_product(psi1, psi2), Fraction(1)),
+            (expand_product(psi1, psi1), Fraction(-3, 2)),
+            (expand_product(psi2, psi2), Fraction(-3, 2)),
+            (expand_product(psi_sum, d11), Fraction(9, 10)),
+            (expand_product(psi_sum, d12), Fraction(2, 5)),
+        )
+    )
+
     # psi_i^2 - (7/10) psi_i (d11 + d12) + (7/10) d12 d2 + d2^2 = 0
-    def rel_square(i) -> Expr:
-        psi_i = _unit6(i)
-        out: Expr = {}
-        for part, weight in (
-            (expand_product(psi_i, psi_i), Fraction(1)),
-            (expand_product(psi_i, _unit6(D11)), Fraction(-7, 10)),
-            (expand_product(psi_i, _unit6(D12)), Fraction(-7, 10)),
-            (expand_product(_unit6(D12), d2), Fraction(7, 10)),
-            (expand_product(d2, d2), Fraction(1)),
-        ):
-            for m, c in part.items():
-                out[m] = out.get(m, PolyQ()) + c * weight
-        return out
+    def rel_square(psi_i) -> Expr:
+        return _weighted_sum(
+            (
+                (expand_product(psi_i, psi_i), Fraction(1)),
+                (expand_product(psi_i, d11), Fraction(-7, 10)),
+                (expand_product(psi_i, d12), Fraction(-7, 10)),
+                (expand_product(d12, d2), Fraction(7, 10)),
+                (expand_product(d2, d2), Fraction(1)),
+            )
+        )
 
     # (psi1 - psi2)(d11 - d12) = 0
     psi_diff = (1, -1, 0, 0, 0, 0)
     d11_minus_d12 = (0, 0, 0, 0, 1, -1)
     rel_swap = expand_product(psi_diff, d11_minus_d12)
-    return restricted + (rel_cross, rel_square(PSI1), rel_square(PSI2), rel_swap)
+    return restricted + (rel_cross, rel_square(psi1), rel_square(psi2), rel_swap)
 
 
 #: The eleven compact-type relation expressions (rank 10).
 CT_RELATIONS: Tuple[Expr, ...] = _build_ct_relations()
 
-# Coordinates: the 15 monomials avoiding d0, with (psi1*d11, psi2*d11)
-# traded for the symmetric/antisymmetric pair (u, v).
-_M_P1D11 = mono(PSI1, D11)
-_M_P2D11 = mono(PSI2, D11)
-_U_COORD = "u"
-_V_COORD = "v"
-
-_CT_MONOMIALS = tuple(m for m in MONOMIALS if D0 not in m)
-_CT_COORDS: Tuple[object, ...] = (_U_COORD, _V_COORD) + tuple(
-    m for m in _CT_MONOMIALS if m not in (_M_P1D11, _M_P2D11)
+# The fused slot pairs psi1*d11 with psi2*d11; monomials with a d0 factor die.
+_CT_REDUCER = QuotientReducer(
+    CtClass,
+    CT_RELATIONS,
+    (
+        (mono(PSI1, D11), mono(PSI2, D11)),
+        (mono(PSI1, D12),),
+        (mono(PSI2, D12),),
+        (mono(D2, D2),),
+        (mono(D12, D2),),
+    ),
+    rank=10,
+    killed=frozenset(m for m in MONOMIALS if D0 in m),
 )
-_CT_INDEX = {c: k for k, c in enumerate(_CT_COORDS)}
-
-_CT_BASIS_COORDS = (
-    _U_COORD,
-    mono(PSI1, D12),
-    mono(PSI2, D12),
-    mono(D2, D2),
-    mono(D12, D2),
-)
-_CT_NONBASIS = tuple(c for c in _CT_COORDS if c not in _CT_BASIS_COORDS)
-_CT_SLOT = {c: k for k, c in enumerate(_CT_BASIS_COORDS)}
-
-
-def _ct_expr_to_coords(expr: Mapping[Monomial, Fraction]) -> list:
-    vec = [Fraction(0)] * len(_CT_COORDS)
-    for m, c in expr.items():
-        if D0 in m:
-            continue  # d0 vanishes on compact type
-        c = Fraction(c)
-        if m == _M_P1D11:
-            vec[_CT_INDEX[_U_COORD]] += c / 2
-            vec[_CT_INDEX[_V_COORD]] += c / 2
-        elif m == _M_P2D11:
-            vec[_CT_INDEX[_U_COORD]] += c / 2
-            vec[_CT_INDEX[_V_COORD]] -= c / 2
-        else:
-            vec[_CT_INDEX[m]] += c
-    return vec
-
-
-def _build_ct_rewrite() -> Dict[object, Tuple[Fraction, ...]]:
-    rows = []
-    for rel in CT_RELATIONS:
-        rows.append(
-            _ct_expr_to_coords({m: c.constant_value() for m, c in rel.items()})
-        )
-    order = [_CT_INDEX[c] for c in _CT_NONBASIS] + [
-        _CT_INDEX[c] for c in _CT_BASIS_COORDS
-    ]
-    entries = reduced_echelon(rows, order)
-    if len(entries) != 10:
-        raise AssertionError(
-            f"compact-type relation span has rank {len(entries)}, expected 10"
-        )
-    pivot_cols = {col for col, _ in entries}
-    if pivot_cols != {_CT_INDEX[c] for c in _CT_NONBASIS}:
-        raise AssertionError("compact-type pivots missed a non-basis coordinate")
-    rewrite: Dict[object, Tuple[Fraction, ...]] = {}
-    for col, row in entries:
-        out = [Fraction(0)] * 5
-        for k, val in enumerate(row):
-            if k == col or val == 0:
-                continue
-            out[_CT_SLOT[_CT_COORDS[k]]] -= val
-        rewrite[_CT_COORDS[col]] = tuple(out)
-    return rewrite
-
-
-_CT_REWRITE = _build_ct_rewrite()
 
 
 def reduce_ct(expr: Mapping[Monomial, PolyLike]) -> CtClass:
@@ -258,32 +151,7 @@ def reduce_ct(expr: Mapping[Monomial, PolyLike]) -> CtClass:
     Monomials involving d0 are killed outright; the rest go through the
     precomputed relation table.  Linear.
     """
-    out = [PolyQ()] * 5
-    v_coeff = PolyQ()
-    for m, raw in expr.items():
-        m = mono(*m)
-        if D0 in m:
-            continue
-        c = as_poly(raw)
-        if c.is_zero():
-            continue
-        if m == _M_P1D11:
-            out[0] = out[0] + c / 2
-            v_coeff = v_coeff + c / 2
-        elif m == _M_P2D11:
-            out[0] = out[0] + c / 2
-            v_coeff = v_coeff - c / 2
-        elif m in _CT_SLOT:
-            out[_CT_SLOT[m]] = out[_CT_SLOT[m]] + c
-        else:
-            for slot, val in enumerate(_CT_REWRITE[m]):
-                if val != 0:
-                    out[slot] = out[slot] + c * val
-    if not v_coeff.is_zero():
-        for slot, val in enumerate(_CT_REWRITE[_V_COORD]):
-            if val != 0:
-                out[slot] = out[slot] + v_coeff * val
-    return CtClass(out)
+    return _CT_REDUCER(expr)
 
 
 def restrict_to_ct(c: TautClass2) -> CtClass:
@@ -306,10 +174,9 @@ def hain_class(d: PolyLike) -> CtClass:
     d^4 ( (1/4)(psi1+psi2)(d12-d11) - d2^2 - (7/10) d12*d2 ).
     """
     half_d2 = as_poly(d) * as_poly(d) / 2
-    divisor = [PolyQ()] * 6
+    divisor = [PolyQ()] * 6  # the three d2 terms cancel
     divisor[PSI1] = half_d2
     divisor[PSI2] = half_d2
-    divisor[D2] = -half_d2 - half_d2 + 2 * half_d2  # the d2 terms cancel
     divisor[D11] = -half_d2
     square = expand_product(divisor, divisor)
     return reduce_ct({m: c / 2 for m, c in square.items()})

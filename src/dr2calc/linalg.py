@@ -1,8 +1,9 @@
 """Exact dense linear algebra over Fraction for small systems.
 
-Everything here is plain Gaussian elimination.  Exact arithmetic needs no
-numerical pivoting, so pivots are chosen as the first nonzero entry in row
-order; output is therefore deterministic across runs and platforms.
+Everything here is one Gauss-Jordan kernel, ``_gauss_jordan``, with short
+wrappers around it.  Exact arithmetic needs no numerical pivoting, so pivots
+are chosen as the first nonzero entry in row order; output is therefore
+deterministic across runs and platforms.
 """
 
 from __future__ import annotations
@@ -29,31 +30,44 @@ class InconsistentSystemError(LinearSystemError):
         super().__init__(message or f"system is inconsistent at row {row_index}")
 
 
-def _copy(rows: Sequence[Sequence[Fraction]]) -> List[Row]:
-    return [[Fraction(x) for x in row] for row in rows]
+def _gauss_jordan(
+    rows: Sequence[Sequence[Fraction]], column_order: Optional[Sequence[int]] = None
+) -> Tuple[List[int], List[Row]]:
+    """Gauss-Jordan elimination on a copy of the rows: the one kernel.
+
+    Columns are tried in ``column_order`` (default: left to right); the pivot
+    row is the first not-yet-pivoted row that is nonzero there.  Returns the
+    pivot columns and the reduced rows: row i < len(pivots) is 1 at
+    pivots[i] and 0 at every other pivot; the rows after them are zero on
+    every column tried.
+    """
+    m = [[Fraction(x) for x in row] for row in rows]
+    if column_order is None:
+        column_order = range(len(m[0]) if m else 0)
+    pivots: List[int] = []
+    for col in column_order:
+        r = len(pivots)
+        if r == len(m):
+            break
+        pick = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if pick is None:
+            continue
+        m[r], m[pick] = m[pick], m[r]
+        lead = m[r][col]
+        if lead != 1:
+            m[r] = [x / lead for x in m[r]]
+        prow = m[r]
+        for i in range(len(m)):
+            if i != r and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], prow)]
+        pivots.append(col)
+    return pivots, m
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of the matrix, by forward elimination on a copy."""
-    m = _copy(rows)
-    if not m:
-        return 0
-    ncols = len(m[0])
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][col]
-        for i in range(len(m)):
-            if i != r and m[i][col] != 0:
-                f = m[i][col] / inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == len(m):
-            break
-    return r
+    """Rank of the matrix."""
+    return len(_gauss_jordan(rows)[0])
 
 
 def solve_unique(
@@ -67,39 +81,17 @@ def solve_unique(
     """
     if len(rows) != len(rhs):
         raise ValueError("row/rhs length mismatch")
-    m = _copy(rows)
-    b = [Fraction(x) for x in rhs]
-    if not m:
+    if not rows:
         raise UnderdeterminedSystemError("empty system")
-    ncols = len(m[0])
-
-    # Forward elimination, tracking pivot positions.
-    pivots: List[Tuple[int, int]] = []  # (row, col) in the reduced matrix
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        b[r], b[pivot] = b[pivot], b[r]
-        inv = m[r][col]
-        for i in range(len(m)):
-            if i != r and m[i][col] != 0:
-                f = m[i][col] / inv
-                m[i] = [a - f * c for a, c in zip(m[i], m[r])]
-                b[i] -= f * b[r]
-        pivots.append((r, col))
-        r += 1
-        if r == len(m):
-            break
+    ncols = len(rows[0])
+    pivots, m = _gauss_jordan(
+        [list(row) + [b] for row, b in zip(rows, rhs)], range(ncols)
+    )
     if len(pivots) < ncols:
-        raise UnderdeterminedSystemError(
-            f"rank {len(pivots)} < {ncols} unknowns"
-        )
-
+        raise UnderdeterminedSystemError(f"rank {len(pivots)} < {ncols} unknowns")
     solution = [Fraction(0)] * ncols
-    for prow, pcol in pivots:
-        solution[pcol] = b[prow] / m[prow][pcol]
+    for prow, pcol in zip(m, pivots):
+        solution[pcol] = prow[-1]
 
     # Verify against the original rows so the offending index is meaningful.
     for k, (row, target) in enumerate(zip(rows, rhs)):
@@ -116,29 +108,17 @@ def row_dependencies(
 
     Processing rows in order, the first maximal independent subset is kept;
     each remaining row is returned as ``(index, combo)`` where
-    ``rows[index] == sum(combo[k] * rows[k] for k)`` over independent rows.
+    ``rows[index] == sum(combo[k] * rows[k] for k)`` over earlier kept rows.
+    Read off the reduced echelon form of the transpose: its pivot columns
+    are the kept rows, and every other column holds the combination.
     """
-    basis: List[Tuple[Row, Dict[int, Fraction]]] = []  # (vector, expansion)
-    out: List[Tuple[int, Dict[int, Fraction]]] = []
-    for idx, raw in enumerate(rows):
-        vec = [Fraction(x) for x in raw]
-        expansion: Dict[int, Fraction] = {idx: Fraction(1)}
-        for bvec, bexp in basis:
-            lead = next((c for c in range(len(bvec)) if bvec[c] != 0), None)
-            if lead is None or vec[lead] == 0:
-                continue
-            f = vec[lead] / bvec[lead]
-            vec = [a - f * b for a, b in zip(vec, bvec)]
-            for k, v in bexp.items():
-                expansion[k] = expansion.get(k, Fraction(0)) - f * v
-        if any(x != 0 for x in vec):
-            basis.append((vec, expansion))
-        else:
-            combo = {
-                k: -v for k, v in expansion.items() if k != idx and v != 0
-            }
-            out.append((idx, combo))
-    return out
+    pivots, m = _gauss_jordan([list(col) for col in zip(*rows)])
+    kept = set(pivots)
+    return [
+        (idx, {pivots[i]: m[i][idx] for i in range(len(pivots)) if m[i][idx] != 0})
+        for idx in range(len(rows))
+        if idx not in kept
+    ]
 
 
 def reduced_echelon(
@@ -149,23 +129,7 @@ def reduced_echelon(
     Returns ``(pivot_col, row)`` pairs where each row is normalized to 1 at
     its pivot and zero at every other pivot column.
     """
-    remaining = _copy(rows)
-    entries: List[Tuple[int, Row]] = []
-    for col in column_order:
-        pick = next((i for i, r in enumerate(remaining) if r[col] != 0), None)
-        if pick is None:
-            continue
-        row = remaining.pop(pick)
-        row = [x / row[col] for x in row]
-        for i, other in enumerate(remaining):
-            if other[col] != 0:
-                f = other[col]
-                remaining[i] = [a - f * b for a, b in zip(other, row)]
-        for j, (pcol, prow) in enumerate(entries):
-            if prow[col] != 0:
-                f = prow[col]
-                entries[j] = (pcol, [a - f * b for a, b in zip(prow, row)])
-        entries.append((col, row))
-    if any(any(x != 0 for x in r) for r in remaining):
+    pivots, m = _gauss_jordan(rows, column_order)
+    if any(any(x != 0 for x in r) for r in m[len(pivots):]):
         raise LinearSystemError("column order did not sweep all pivots")
-    return entries
+    return list(zip(pivots, m))

@@ -16,24 +16,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .chow import TautClass2, swap_markings
-from .polyq import PolyQ, PolyLike, Scalar, as_poly
+from .polyq import PolyQ, PolyLike, PolyVector, as_poly
 
 M21_NAMES = ("psi", "d0", "d1")
 
 
-class DivisorM21:
+class DivisorM21(PolyVector):
     """A divisor class on the 1-pointed space: coefficients on (psi, d0, d1)."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[PolyLike]):
-        cs = tuple(as_poly(c) for c in coeffs)
-        if len(cs) != 3:
-            raise ValueError(f"expected 3 coefficients, got {len(cs)}")
-        self.coeffs: Tuple[PolyQ, ...] = cs
+    __slots__ = ()
+    names = M21_NAMES
 
     @property
     def psi(self) -> PolyQ:
@@ -46,37 +41,6 @@ class DivisorM21:
     @property
     def d1(self) -> PolyQ:
         return self.coeffs[2]
-
-    def __add__(self, other: "DivisorM21") -> "DivisorM21":
-        return DivisorM21(a + b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __sub__(self, other: "DivisorM21") -> "DivisorM21":
-        return DivisorM21(a - b for a, b in zip(self.coeffs, other.coeffs))
-
-    def scale(self, factor: PolyLike) -> "DivisorM21":
-        f = as_poly(factor)
-        return DivisorM21(f * c for c in self.coeffs)
-
-    def eval_at(self, x: Scalar) -> "DivisorM21":
-        return DivisorM21(PolyQ.const(c(x)) for c in self.coeffs)
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DivisorM21):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def to_json_dict(self) -> Dict[str, list]:
-        return {n: c.to_strings() for n, c in zip(M21_NAMES, self.coeffs)}
-
-    def __repr__(self) -> str:
-        terms = ", ".join(f"{n}: {c}" for n, c in zip(M21_NAMES, self.coeffs) if c)
-        return f"DivisorM21({terms or '0'})"
 
 
 #: lambda = (1/10) d0 + (1/5) d1 (the Hodge class in this basis).

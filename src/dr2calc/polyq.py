@@ -11,12 +11,15 @@ package overflow 64 bits on adversarial inputs.
 
 Serialization: a rational renders as ``"p/q"`` (or ``"p"`` when q = 1); a
 polynomial renders as the ascending list of such strings.
+
+``PolyVector`` is the one coefficient-vector type: every class or divisor in
+the package is a fixed-length vector of such polynomials on a named basis.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Dict, Iterable, Sequence, Tuple, Union
 
 Rational = Fraction
 
@@ -218,3 +221,68 @@ def poly_interpolate(samples: Iterable[Tuple[Scalar, Scalar]]) -> PolyQ:
             basis = basis * PolyQ((-xs[k - 1], 1))
         poly = poly + basis * c
     return poly
+
+
+class PolyVector:
+    """Immutable coefficient vector on a fixed named basis.
+
+    Subclasses set ``names``; the length ``dim`` follows from it.  Entries
+    are polynomials in d.  Vectors of different subclasses never compare
+    equal, and every operation returns a vector of the receiver's class.
+    """
+
+    __slots__ = ("coeffs",)
+
+    names: Tuple[str, ...] = ()
+    dim = 0
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.dim = len(cls.names)
+
+    def __init__(self, coeffs: Iterable[PolyLike]):
+        cs = tuple(as_poly(c) for c in coeffs)
+        if len(cs) != self.dim:
+            raise ValueError(f"expected {self.dim} coefficients, got {len(cs)}")
+        self.coeffs: Tuple[PolyQ, ...] = cs
+
+    @classmethod
+    def zero(cls):
+        return cls((PolyQ(),) * cls.dim)
+
+    @classmethod
+    def unit(cls, slot: int):
+        cs = [PolyQ()] * cls.dim
+        cs[slot] = PolyQ((1,))
+        return cls(cs)
+
+    def __add__(self, other):
+        return type(self)(a + b for a, b in zip(self.coeffs, other.coeffs))
+
+    def __sub__(self, other):
+        return type(self)(a - b for a, b in zip(self.coeffs, other.coeffs))
+
+    def scale(self, factor: PolyLike):
+        f = as_poly(factor)
+        return type(self)(f * c for c in self.coeffs)
+
+    def eval_at(self, x: Scalar):
+        return type(self)(PolyQ.const(c(x)) for c in self.coeffs)
+
+    def is_zero(self) -> bool:
+        return all(c.is_zero() for c in self.coeffs)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def to_json_dict(self) -> Dict[str, list]:
+        return {n: c.to_strings() for n, c in zip(self.names, self.coeffs)}
+
+    def __repr__(self) -> str:
+        terms = ", ".join(f"{n}: {c}" for n, c in zip(self.names, self.coeffs) if c)
+        return f"{type(self).__name__}({terms or '0'})"

@@ -1,0 +1,79 @@
+"""Golden outputs: CLI reports and demos behave exactly as recorded.
+
+Each CLI report's ``outputs`` object is compared, through the digest defined
+in ``perfbench/outputs.py``, with the copy recorded in
+``perfbench/golden.json``; that file is only read here.  Left out for
+speed: the full ``verify`` run, and ``class`` at degrees other than a few,
+since every ``class`` call re-solves the 16-row system.  The ``perfbench``
+workloads draw those keys and check them against the same file.
+"""
+
+import contextlib
+import importlib.util
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from dr2calc import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load_outputs_module():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_outputs", ROOT / "perfbench" / "outputs.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+OUTPUTS = _load_outputs_module()
+GOLDEN = OUTPUTS.load_golden()
+CLASS_DEGREES = {"symbolic", "1", "2", "1000000"}
+
+
+def _covered(key):
+    words = key.split()
+    if key == "verify":
+        return False
+    return words[0] != "class" or words[-1] in CLASS_DEGREES
+
+
+KEYS = sorted(k for k in GOLDEN if _covered(k))
+
+
+def test_golden_key_selection():
+    left_out = set(GOLDEN) - set(KEYS)
+    assert "verify" in left_out
+    assert all(k == "verify" or k.startswith("class ") for k in left_out)
+    assert {k for k in KEYS if k.startswith("class ")} == {
+        f"class --d {d}" for d in CLASS_DEGREES
+    }
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_cli_outputs_match_golden(key):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(key.split() + ["--emit", "json"])
+    problem = OUTPUTS.check_cli(key, "json", code, buf.getvalue().encode("utf-8"), GOLDEN)
+    assert problem is None, problem
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+def test_demo_runs(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout

@@ -107,3 +107,24 @@ def test_string_roundtrip():
     p = PolyQ(("-1/2", "0", "3"))
     assert p.to_strings() == ["-1/2", "0", "3"]
     assert PolyQ.from_strings(p.to_strings()) == p
+
+
+def test_vector_subclasses_stay_type_distinct():
+    from dr2calc import CtClass, DivisorM21, DivisorM22, TautClass2
+
+    classes = (TautClass2, DivisorM22, CtClass, DivisorM21)
+    assert [cls.dim for cls in classes] == [14, 6, 5, 3]
+    for cls in classes:
+        zero, unit = cls.zero(), cls.unit(0)
+        assert zero == cls([0] * cls.dim) and zero.is_zero()
+        assert type(unit + unit) is cls and type(unit.scale(D)) is cls
+        assert type(unit.eval_at(2)) is cls and (unit - unit) == zero
+        assert repr(zero) == f"{cls.__name__}(0)"
+        assert repr(unit) == f"{cls.__name__}({cls.names[0]}: 1)"
+        assert unit.to_json_dict()[cls.names[0]] == ["1"]
+        for other in classes:
+            if other is not cls:
+                assert zero != other.zero() and unit != other.unit(0)
+                assert zero.__eq__(other.zero()) is NotImplemented
+        with pytest.raises(ValueError):
+            cls([0] * (cls.dim + 1))
