@@ -108,10 +108,20 @@ DECOMPOSITION_WEIGHTS: Dict[str, Fraction] = {
 StrataTable = Dict[str, TautClass2]
 
 
+def _rational(name: str, index: int, value) -> Fraction:
+    """A strata-table entry: a "p/q" string, never a JSON number or null."""
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"stratum {name!r} entry {index} must be a 'p/q' string, got {value!r}")
+
+
 def load_strata_table(path: str) -> StrataTable:
     """Load a strata table: a JSON map from strata names to 14-entry arrays
-    of rational strings in the class basis.  Shape is validated; the values
-    themselves are the caller's responsibility."""
+    of rational strings in the class basis.  Shape and the "p/q" form of each
+    entry are validated; the values themselves are the caller's responsibility."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
@@ -122,7 +132,7 @@ def load_strata_table(path: str) -> StrataTable:
             raise ValueError(
                 f"stratum {name!r} must be a 14-entry coefficient array"
             )
-        table[name] = TautClass2(PolyQ.from_strings((s,)) for s in entry)
+        table[name] = TautClass2(_rational(name, i, s) for i, s in enumerate(entry))
     missing = [s for s in REQUIRED_STRATA if s not in table]
     if missing:
         raise ValueError(f"strata table is missing {missing}")

@@ -57,10 +57,11 @@ from .chow import (
     QuotientReducer,
     TautClass2,
     _unit,
+    dr2_class,
     expand_product,
     mono,
 )
-from .polyq import PolyLike, PolyQ, PolyVector, as_poly
+from .polyq import D, PolyLike, PolyQ, PolyVector, as_poly
 
 CT_BASIS_NAMES = (
     "(psi1+psi2)d11",
@@ -203,9 +204,6 @@ def derive_decorated_rows() -> DecoratedRows:
     x = d22, y = d11|; the redundant d^2-coefficient match and full
     re-substitution guard against transcription slips.
     """
-    from .chow import dr2_class
-    from .polyq import D
-
     e5 = CtClass.unit(4)
 
     hain = hain_class(D)
@@ -282,9 +280,6 @@ class HacReport:
 def verify_hac(d: Optional[PolyLike] = None) -> HacReport:
     """Check that Hain class minus restricted class equals
     d22 + (2d^2-1) d11| + (d^2 - 6/5) d12*d2, symbolically by default."""
-    from .chow import dr2_class
-    from .polyq import D
-
     dd = as_poly(d) if d is not None else D
     d2sq = dd * dd
     hain = hain_class(dd)

@@ -98,7 +98,7 @@ class PolyQ:
         return acc
 
     def __add__(self, other) -> "PolyQ":
-        other = _coerce(other)
+        other = as_poly(other)
         n = max(len(self.coeffs), len(other.coeffs))
         return PolyQ(
             (self.coefficient(k) + other.coefficient(k) for k in range(n))
@@ -110,13 +110,13 @@ class PolyQ:
         return PolyQ((-c for c in self.coeffs))
 
     def __sub__(self, other) -> "PolyQ":
-        return self + (-_coerce(other))
+        return self + (-as_poly(other))
 
     def __rsub__(self, other) -> "PolyQ":
-        return _coerce(other) + (-self)
+        return as_poly(other) + (-self)
 
     def __mul__(self, other) -> "PolyQ":
-        other = _coerce(other)
+        other = as_poly(other)
         if not self.coeffs or not other.coeffs:
             return PolyQ()
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -182,15 +182,11 @@ D = PolyQ((0, 1))
 PolyLike = Union[PolyQ, Scalar]
 
 
-def _coerce(value) -> PolyQ:
+def as_poly(value: Union[PolyQ, Scalar]) -> PolyQ:
+    """Lift an int/Fraction to a constant polynomial; pass PolyQ through."""
     if isinstance(value, PolyQ):
         return value
     return PolyQ.const(value)
-
-
-def as_poly(value: Union[PolyQ, Scalar]) -> PolyQ:
-    """Lift an int/Fraction to a constant polynomial; pass PolyQ through."""
-    return _coerce(value)
 
 
 def poly_eval(p: PolyQ, x: Scalar) -> Fraction:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -192,3 +196,57 @@ def test_corrupted_fixture_fails_solver_check(capsys):
     assert result.name == "solver"
     assert not result.passed
     assert "inconsistent" in result.details
+
+
+@pytest.mark.parametrize("argv", [["solve"], ["class", "--d", "2"]])
+def test_inconsistent_system_fails_with_message(capsys, monkeypatch, argv):
+    from dr2calc import solver
+    from dr2calc.surfaces import EquationRow
+
+    system = solver.full_system()
+    r0 = system.rows[0]
+    rows = (EquationRow(r0.coefficients, r0.rhs + 1, r0.label, r0.kind, r0.provenance),)
+    corrupted = solver.ParamSystem(rows=rows + tuple(system.rows[1:]))
+    monkeypatch.setattr(solver, "full_system", lambda: corrupted)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{argv[0]} failed: ")
+
+
+def test_unreadable_strata_table_is_a_usage_error(capsys, tmp_path):
+    zero_row = ["0"] * 14
+    doc = {"d11|": zero_row, "d01|": zero_row, "d0|": zero_row, "d00": zero_row}
+    cases = {
+        "absent.json": None,
+        "invalid.json": "{not json",
+        "short.json": json.dumps(dict(doc, d00=zero_row[:13])),
+        "irrational.json": json.dumps(dict(doc, d00=zero_row[:13] + ["pi"])),
+    }
+    for name, text in cases.items():
+        path = tmp_path / name
+        if text is not None:
+            path.write_text(text)
+        for argv in (["cone", "--d", "3"], ["verify", "--only", "nonextremality"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--strata-table", str(path)])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert name in captured.err
+
+
+def test_module_entry_point_rejects_bad_arguments():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+    )
+    for argv in (["class", "--d", "x"], ["verify", "--only", "no-such-check"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "dr2calc.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""

@@ -133,6 +133,12 @@ def test_strata_table_loading(tmp_path):
     missing.write_text(json.dumps({"d11|": zero_row}))
     with pytest.raises(ValueError):
         load_strata_table(str(missing))
+    # entries must be "p/q" strings: a JSON float or null names its place
+    for value in (0.1, None):
+        entry = tmp_path / "entry.json"
+        entry.write_text(json.dumps(dict(doc, d00=["0"] * 13 + [value])))
+        with pytest.raises(ValueError, match=r"'d00' entry 13"):
+            load_strata_table(str(entry))
 
 
 def test_fiber_counts():

@@ -2,7 +2,8 @@
 
 Each CLI report's ``outputs`` object is compared, through the digest defined
 in ``perfbench/outputs.py``, with the copy recorded in
-``perfbench/golden.json``; that file is only read here.  Left out for
+``perfbench/golden.json``; that file is only read here.  The markdown
+rendering of each key is run too and checked by exit code.  Left out for
 speed: the full ``verify`` run, and ``class`` at degrees other than a few,
 since every ``class`` call re-solves the 16-row system.  The ``perfbench``
 workloads draw those keys and check them against the same file.
@@ -56,12 +57,16 @@ def test_golden_key_selection():
     }
 
 
-@pytest.mark.parametrize("key", KEYS)
-def test_cli_outputs_match_golden(key):
+@pytest.mark.parametrize(
+    "key, emit",
+    [pytest.param(k, "json", id=k) for k in KEYS]
+    + [pytest.param(k, "md", id=f"{k} --emit md") for k in KEYS],
+)
+def test_cli_outputs_match_golden(key, emit):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        code = cli.main(key.split() + ["--emit", "json"])
-    problem = OUTPUTS.check_cli(key, "json", code, buf.getvalue().encode("utf-8"), GOLDEN)
+        code = cli.main(key.split() + ["--emit", emit])
+    problem = OUTPUTS.check_cli(key, emit, code, buf.getvalue().encode("utf-8"), GOLDEN)
     assert problem is None, problem
 
 
