@@ -25,6 +25,13 @@ two expressions differing by a relation reduce identically.  The table and
 the reduction loop live in ``QuotientReducer``, which the compact-type ring
 of ``ct`` builds from its own relations and basis.
 
+Products of divisors skip the formal expansion.  At import the reducer
+rewrites each of the 21 monomials once; scaled by the common denominator of
+those rewrites, they form a 6x6 table of sparse integer rows.  A product
+clears each factor's denominators, convolves the integer coefficient lists
+of every nonzero pair of generators, adds the result into the 14 slots along
+the pair's table row, and divides by one denominator at the end.
+
 A ``TautClass2`` is the 14-vector of coefficients in this basis, each entry a
 polynomial in the cover degree d.  A ``DivisorM22`` is the 6-vector of divisor
 coefficients.  All values are immutable; every operation is a pure function.
@@ -32,6 +39,7 @@ coefficients.  All values are immutable; every operation is a pure function.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Dict, Mapping, Sequence, Tuple
 
@@ -277,9 +285,58 @@ def reduce_to_basis(expr: Mapping[Monomial, PolyLike]) -> TautClass2:
     return _REDUCER(expr)
 
 
+def _build_product_table() -> Tuple[Tuple[Tuple[Tuple[int, int], ...], ...], int]:
+    """The reduced class of every generator product, over one denominator.
+
+    Entry (i, j) lists the nonzero (slot, n) of den * [mono(i, j)], where
+    den is the least common denominator of all 21 reduced monomials.
+    """
+    reduced = {m: _REDUCER({m: 1}).coeffs for m in MONOMIALS}
+    den = math.lcm(*(c.denominator for cs in reduced.values() for p in cs for c in p.coeffs))
+    rows = {
+        m: tuple((slot, (p.constant_value() * den).numerator) for slot, p in enumerate(cs) if p)
+        for m, cs in reduced.items()
+    }
+    return tuple(tuple(rows[mono(i, j)] for j in range(6)) for i in range(6)), den
+
+
+_PRODUCT_TABLE, _PRODUCT_DEN = _build_product_table()
+
+
+def _integer_coeffs(v: DivisorM22) -> Tuple[list, int]:
+    """Integer coefficient lists of v's entries and their common denominator."""
+    den = math.lcm(*(c.denominator for p in v.coeffs for c in p.coeffs))
+    return [[c.numerator * (den // c.denominator) for c in p.coeffs] for p in v.coeffs], den
+
+
 def multiply_divisors(a: DivisorM22, b: DivisorM22) -> TautClass2:
-    """Product of two divisor classes, reduced to the 14-basis."""
-    return reduce_to_basis(expand_product(a.coeffs, b.coeffs))
+    """Product of two divisor classes, reduced to the 14-basis.
+
+    Equals ``reduce_to_basis(expand_product(a.coeffs, b.coeffs))``, computed
+    through the product table in integers: constants are coefficient lists
+    of length one, polynomials in d longer ones, and both take this path.
+    """
+    int_a, den_a = _integer_coeffs(a)
+    int_b, den_b = _integer_coeffs(b)
+    acc: list = [[] for _ in range(TautClass2.dim)]
+    for ai, row in zip(int_a, _PRODUCT_TABLE):
+        if not ai:
+            continue
+        for bj, entry in zip(int_b, row):
+            if not bj or not entry:
+                continue
+            conv = [0] * (len(ai) + len(bj) - 1)
+            for p, x in enumerate(ai):
+                for q, y in enumerate(bj):
+                    conv[p + q] += x * y
+            for slot, weight in entry:
+                out = acc[slot]
+                if len(out) < len(conv):
+                    out.extend([0] * (len(conv) - len(out)))
+                for k, c in enumerate(conv):
+                    out[k] += weight * c
+    den = den_a * den_b * _PRODUCT_DEN
+    return TautClass2(PolyQ([Fraction(n, den) for n in out]) for out in acc)
 
 
 def dr2_class(d: PolyLike) -> TautClass2:

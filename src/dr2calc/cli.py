@@ -237,10 +237,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    degree_help = {_degree: "integer >= 1 or 'symbolic'", _numeric_degree: "integer >= 1"}
+
     def add(name, func, degree=None, strata=False, only=False):
         p = sub.add_parser(name)
         if degree:
-            p.add_argument("--d", required=True, type=degree, help="integer >= 1 or 'symbolic'")
+            p.add_argument("--d", required=True, type=degree, help=degree_help[degree])
         if strata:
             p.add_argument("--strata-table", default=None, help="path to a strata JSON table")
         if only:

@@ -61,7 +61,8 @@ def ci_obstruction(
 ) -> Fraction:
     """Coefficient of psi1^2 + psi2^2 in the product of the two divisors.
 
-    Computed by the full product-and-reduce route; it always equals
+    Read off the full reduced product, computed through the product table
+    of ``chow.multiply_divisors``; it always equals
     (1/2)(a_psi1 b_psi1 + a_psi2 b_psi2), hence is non-negative.
     """
     product = multiply_divisors(a.to_divisor(), b.to_divisor())
@@ -119,13 +120,19 @@ def _rational(name: str, index: int, value) -> Fraction:
 
 
 def load_strata_table(path: str) -> StrataTable:
-    """Load a strata table: a JSON map from strata names to 14-entry arrays
-    of rational strings in the class basis.  Shape and the "p/q" form of each
-    entry are validated; the values themselves are the caller's responsibility."""
+    """Load a strata table: a JSON map from the names in ``REQUIRED_STRATA``
+    to 14-entry arrays of rational strings in the class basis.  Missing or
+    unknown names, the shape and the "p/q" form of each entry are validated;
+    the values themselves are the caller's responsibility."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ValueError("strata table must be a JSON object")
+    unknown = [name for name in raw if name not in REQUIRED_STRATA]
+    if unknown:
+        raise ValueError(
+            f"strata table has unknown strata {unknown}; expected {list(REQUIRED_STRATA)}"
+        )
     table: StrataTable = {}
     for name, entry in raw.items():
         if not isinstance(entry, list) or len(entry) != 14:

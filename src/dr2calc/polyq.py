@@ -52,7 +52,7 @@ class PolyQ:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Union[Scalar, str]] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: Tuple[Fraction, ...] = tuple(cs)

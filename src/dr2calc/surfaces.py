@@ -16,7 +16,6 @@ symmetry rows and the three push-forward rows this gives the full system of
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -136,6 +135,10 @@ def _fixture_bytes() -> Dict[str, bytes]:
 
 def fixture_checksums() -> Dict[str, str]:
     """SHA-256 of each shipped fixture file, keyed by file name."""
+    # Imported here: hashlib loads OpenSSL, about 3.6 MiB of resident memory
+    # and a few milliseconds, which only JSON reports need.
+    import hashlib
+
     return {
         name: hashlib.sha256(blob).hexdigest()
         for name, blob in _fixture_bytes().items()

@@ -14,7 +14,10 @@ from dr2calc.chow import (
     PSI1,
     RELATIONS,
     TautClass2,
+    _PRODUCT_DEN,
+    _PRODUCT_TABLE,
     dr2_class,
+    expand_product,
     mono,
     multiply_divisors,
     reduce_to_basis,
@@ -217,6 +220,69 @@ def test_multiply_with_polynomial_coefficients():
     # bilinearity over polynomials: evaluating after equals evaluating before
     a3 = DivisorM22([c(3) for c in a.coeffs])
     assert prod.eval_at(3) == multiply_divisors(a3, a3)
+
+
+def test_product_table_entries_are_reduced_monomials():
+    # 60 = lcm of the denominators 2, 5, 10, 12 and 20 in the reduced squares
+    assert _PRODUCT_DEN == 60
+    for i in range(6):
+        for j in range(6):
+            entry = _PRODUCT_TABLE[i][j]
+            assert entry == _PRODUCT_TABLE[j][i]
+            coeffs = [0] * 14
+            for slot, n in entry:
+                assert type(n) is int and n != 0
+                coeffs[slot] = F(n, _PRODUCT_DEN)
+            assert TautClass2(coeffs) == reduce_to_basis({mono(i, j): 1})
+
+
+def _random_entry(rng, kind):
+    if kind == "wide":
+        return F(rng.randint(-10**9, 10**9), rng.randint(1, 10**9))
+    if kind == "poly" and rng.random() < 0.6:
+        degree = rng.randint(0, 4)
+        return PolyQ([F(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(degree + 1)])
+    return F(rng.randint(-9, 9), rng.randint(1, 12))
+
+
+def _kernel_pairs():
+    """Seeded factor pairs: the zero vector and single generators against
+    each other, then signed Fractions with denominators up to 10^9 and
+    polynomial entries of degree 0-4 mixed with constants."""
+    rng = random.Random(2026)
+    special = [DivisorM22.zero()] + [DivisorM22.generator(k) for k in range(6)]
+    vectors = []
+    for kind in ("small", "wide", "poly"):
+        for _ in range(15):
+            vectors.append(
+                DivisorM22(_random_entry(rng, kind) if rng.random() < 0.8 else 0 for _ in range(6))
+            )
+    pairs = [(a, b) for a in special for b in special]
+    pairs += [(rng.choice(special), v) for v in vectors]
+    pairs += [(rng.choice(vectors), rng.choice(vectors)) for _ in range(60)]
+    return pairs
+
+
+def test_multiply_divisors_matches_expand_and_reduce():
+    for a, b in _kernel_pairs():
+        got = multiply_divisors(a, b)
+        assert type(got) is TautClass2
+        assert all(type(c) is F for p in got.coeffs for c in p.coeffs)
+        assert got == reduce_to_basis(expand_product(a.coeffs, b.coeffs))
+
+
+def test_multiply_divisors_is_commutative_and_bilinear():
+    rng = random.Random(2027)
+    pairs = _kernel_pairs()
+    for (a, b), (c, _) in zip(pairs, pairs[1:]):
+        ab = multiply_divisors(a, b)
+        assert ab == multiply_divisors(b, a)
+        alpha = _random_entry(rng, "poly")
+        beta = _random_entry(rng, "wide")
+        combo = a.scale(alpha) + c.scale(beta)
+        want = ab.scale(alpha) + multiply_divisors(c, b).scale(beta)
+        assert multiply_divisors(combo, b) == want
+        assert multiply_divisors(b, combo) == want
 
 
 def test_dr2_class_values():

@@ -222,6 +222,7 @@ def test_unreadable_strata_table_is_a_usage_error(capsys, tmp_path):
         "invalid.json": "{not json",
         "short.json": json.dumps(dict(doc, d00=zero_row[:13])),
         "irrational.json": json.dumps(dict(doc, d00=zero_row[:13] + ["pi"])),
+        "unknown.json": json.dumps(dict(doc, d11=zero_row)),
     }
     for name, text in cases.items():
         path = tmp_path / name
@@ -234,6 +235,26 @@ def test_unreadable_strata_table_is_a_usage_error(capsys, tmp_path):
             captured = capsys.readouterr()
             assert captured.out == ""
             assert name in captured.err
+
+
+def test_degree_help_names_the_accepted_values(capsys):
+    for command, text in (
+        ("class", "integer >= 1 or 'symbolic'"),
+        ("pushforward", "integer >= 1 or 'symbolic'"),
+        ("ct", "integer >= 1 or 'symbolic'"),
+        ("cone", "integer >= 1 or 'symbolic'"),
+        ("cone-m21", "integer >= 1"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        help_lines = [ln.split(None, 2)[2] for ln in out.splitlines() if ln.strip().startswith("--d D")]
+        assert help_lines == [text]
+    with pytest.raises(SystemExit) as exc:
+        main(["cone-m21", "--d", "symbolic"])
+    assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_module_entry_point_rejects_bad_arguments():

@@ -133,6 +133,11 @@ def test_strata_table_loading(tmp_path):
     missing.write_text(json.dumps({"d11|": zero_row}))
     with pytest.raises(ValueError):
         load_strata_table(str(missing))
+    # an unknown name, such as "d11" for "d11|", is named, never ignored
+    unknown = tmp_path / "unknown.json"
+    unknown.write_text(json.dumps(dict(doc, d11=zero_row)))
+    with pytest.raises(ValueError, match=r"\['d11'\].*'d11\|', 'd01\|', 'd0\|', 'd00'"):
+        load_strata_table(str(unknown))
     # entries must be "p/q" strings: a JSON float or null names its place
     for value in (0.1, None):
         entry = tmp_path / "entry.json"

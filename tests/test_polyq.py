@@ -35,6 +35,22 @@ def test_zero_polynomial():
     assert PolyQ((0, 0, 0)) == z  # trailing zeros stripped
 
 
+def test_int_str_and_fraction_inputs_normalise_alike():
+    forms = (
+        (1, -2, 0, 3, 0, 0),
+        ("1", "-2", "0/7", "3", "0", "-0"),
+        (Fraction(1), Fraction(-4, 2), Fraction(0), Fraction(6, 2), Fraction(0), Fraction(0)),
+        (Fraction(1), "-2", 0, Fraction(3), "0", Fraction(0)),
+    )
+    polys = [PolyQ(f) for f in forms]
+    for p in polys:
+        assert p.coeffs == (Fraction(1), Fraction(-2), Fraction(0), Fraction(3))
+        assert all(type(c) is Fraction for c in p.coeffs)
+        assert p == polys[0] and hash(p) == hash(polys[0])
+    assert PolyQ((0, "0", Fraction(0))).coeffs == ()
+    assert PolyQ((Fraction(1, 2), "2/4", 0)).coeffs == (Fraction(1, 2), Fraction(1, 2))
+
+
 def test_eval_simple():
     p = D**4 - 1
     assert poly_eval(p, 2) == 15
