@@ -20,17 +20,15 @@ with the symmetric combination psi1^2+psi2^2 fused into a single coordinate
 (the antisymmetric combination psi1^2-psi2^2 is eliminated by the relation
 (psi1-psi2)(10psi1+10psi2-2d11-12d12-d0) = 0).  A reduced echelon form of the
 relations, with pivots forced onto the seven non-basis coordinates, is
-precomputed once at import; every reduction then goes through that table, so
-two expressions differing by a relation reduce identically.  The table and
-the reduction loop live in ``QuotientReducer``, which the compact-type ring
-of ``ct`` builds from its own relations and basis.
-
-Products of divisors skip the formal expansion.  At import the reducer
-rewrites each of the 21 monomials once; scaled by the common denominator of
-those rewrites, they form a 6x6 table of sparse integer rows.  A product
-clears each factor's denominators, convolves the integer coefficient lists
-of every nonzero pair of generators, adds the result into the 14 slots along
-the pair's table row, and divides by one denominator at the end.
+computed once at import and turned into a table: the class of each of the 21
+monomials, as integers over one common denominator (60).  Reductions and
+divisor products both go through that table, so two expressions differing by
+a relation reduce identically.  A reduction clears the denominators of its
+coefficients; a product clears each factor's and convolves the integer
+coefficient lists of every nonzero pair of generators.  Both add the results
+along table rows and divide once at the end.  The table and the two kernels
+live in ``QuotientReducer``, which the compact-type ring of ``ct`` builds
+from its own relations and basis.
 
 A ``TautClass2`` is the 14-vector of coefficients in this basis, each entry a
 polynomial in the cover degree d.  A ``DivisorM22`` is the 6-vector of divisor
@@ -60,13 +58,6 @@ def mono(i: int, j: int) -> Monomial:
 MONOMIALS: Tuple[Monomial, ...] = tuple(
     (i, j) for i in range(6) for j in range(i, 6)
 )
-
-
-def monomial_name(m: Monomial) -> str:
-    i, j = m
-    if i == j:
-        return f"{GENERATORS[i]}sq"
-    return f"{GENERATORS[i]}{GENERATORS[j]}"
 
 
 # Basis slot order; names are the wire format used by the JSON emitters.
@@ -191,13 +182,18 @@ class QuotientReducer:
     Built from data: the vector class of the quotient, its relations, its
     basis (the monomials paired against each slot), the rank the relations
     must have, and the monomials killed outright.  Exactly one slot pairs two
-    monomials m1, m2; its basis element is m1 + m2.  Internally a class
-    c1 m1 + c2 m2 has the symmetric coordinate s = (c1+c2)/2 on that slot
-    and the antisymmetric coordinate t = (c1-c2)/2, which, like every other
-    non-basis monomial, is rewritten in the basis.  The rewrite rows come
-    from one reduced echelon form of the relations with pivots forced onto
-    the non-basis coordinates, so two expressions differing by a relation
-    reduce identically.
+    monomials m1, m2; its basis element is m1 + m2, and the antisymmetric
+    combination m1 - m2 is, like every other non-basis monomial, rewritten in
+    the basis.  The rewrites come from one reduced echelon form of the
+    relations with pivots forced onto the non-basis coordinates, so two
+    expressions differing by a relation reduce identically.
+
+    The class of every monomial is kept over one common denominator ``den``:
+    ``rows[m]`` lists the nonzero ``(slot, n)`` of den * [m], and is empty
+    for a killed monomial; ``table[i][j]`` is ``rows[mono(i, j)]``, laid out
+    by generator pair for products.  Reductions (``__call__``) and products
+    (``multiply``) both clear denominators, add integer coefficient lists
+    along these rows, and divide once at the end.
     """
 
     def __init__(
@@ -209,16 +205,17 @@ class QuotientReducer:
         killed: frozenset = frozenset(),
     ):
         self.vector_cls = vector_cls
-        (self.fused_slot,) = [k for k, slots in enumerate(basis) if len(slots) == 2]
-        m1, m2 = basis[self.fused_slot]
-        self.fused_sign = {m1: 1, m2: -1}
-        self.slot_of = {slots[0]: k for k, slots in enumerate(basis) if len(slots) == 1}
+        (fused,) = [k for k, slots in enumerate(basis) if len(slots) == 2]
+        m1, m2 = basis[fused]
+        fused_sign = {m1: 1, m2: -1}
+        slot_of = {slots[0]: k for k, slots in enumerate(basis) if len(slots) == 1}
+        # Coordinates s and t carry c1 m1 + c2 m2 as s (m1 + m2) + t (m1 - m2).
         coords = ("s", "t") + tuple(
             m for m in MONOMIALS if m not in (m1, m2) and m not in killed
         )
         index = {c: k for k, c in enumerate(coords)}
-        basis_cols = {index[m]: k for m, k in self.slot_of.items()}
-        basis_cols[index["s"]] = self.fused_slot
+        basis_cols = {index[m]: k for m, k in slot_of.items()}
+        basis_cols[index["s"]] = fused
         nonbasis = [k for k in range(len(coords)) if k not in basis_cols]
 
         rows = []
@@ -228,9 +225,9 @@ class QuotientReducer:
                 if m in killed:
                     continue
                 c = c.constant_value()
-                if m in self.fused_sign:
+                if m in fused_sign:
                     vec[index["s"]] += c / 2
-                    vec[index["t"]] += self.fused_sign[m] * c / 2
+                    vec[index["t"]] += fused_sign[m] * c / 2
                 else:
                     vec[index[m]] += c
             rows.append(vec)
@@ -239,40 +236,70 @@ class QuotientReducer:
             raise AssertionError(f"relation span has rank {len(entries)}, expected {rank}")
         if {col for col, _ in entries} != set(nonbasis):
             raise AssertionError("relation pivots missed a non-basis coordinate")
-        # Sparse rewrite row of each non-basis coordinate; killed ones are empty.
-        self.rewrite = {m: () for m in killed}
-        for col, row in entries:
-            self.rewrite[coords[col]] = tuple(
-                (basis_cols[k], -val) for k, val in enumerate(row) if k != col and val != 0
-            )
+
+        classes = {
+            coords[col]: {basis_cols[k]: -v for k, v in enumerate(row) if k != col and v}
+            for col, row in entries
+        }
+        t_class = classes.pop("t")
+        for m, sign in fused_sign.items():
+            classes[m] = {k: sign * v / 2 for k, v in t_class.items()}
+            classes[m][fused] = classes[m].get(fused, 0) + Fraction(1, 2)
+        classes.update({m: {k: Fraction(1)} for m, k in slot_of.items()})
+        classes.update({m: {} for m in killed})
+        self.den = math.lcm(*(v.denominator for c in classes.values() for v in c.values()))
+        self.rows = {
+            m: tuple((k, (v * self.den).numerator) for k, v in sorted(c.items()) if v)
+            for m, c in classes.items()
+        }
+        self.table = tuple(tuple(self.rows[mono(i, j)] for j in range(6)) for i in range(6))
 
     def __call__(self, expr: Mapping[Monomial, PolyLike]) -> PolyVector:
-        fused, fused_sign = self.fused_slot, self.fused_sign
-        slot_of, rewrite = self.slot_of, self.rewrite
-        out = [PolyQ()] * self.vector_cls.dim
-        t_coeff = PolyQ()
-        for m, raw in expr.items():
-            m = mono(*m)
-            c = as_poly(raw)
-            if c.is_zero():
+        """The class of a formal combination of the 21 monomials."""
+        ints, den = _integer_coeffs([as_poly(c) for c in expr.values()])
+        rows = self.rows
+        return self._sum_rows([(rows[mono(*m)], c) for m, c in zip(expr, ints)], den)
+
+    def multiply(self, a: Sequence[PolyQ], b: Sequence[PolyQ]) -> PolyVector:
+        """The class of the product of two divisor coefficient 6-vectors."""
+        int_a, den_a = _integer_coeffs(a)
+        int_b, den_b = _integer_coeffs(b)
+        terms = []
+        for ai, row in zip(int_a, self.table):
+            if not ai:
                 continue
-            if m in fused_sign:
-                half = c / 2
-                out[fused] = out[fused] + half
-                t_coeff = t_coeff + half if fused_sign[m] > 0 else t_coeff - half
-            elif m in slot_of:
-                slot = slot_of[m]
-                out[slot] = out[slot] + c
-            else:
-                for slot, val in rewrite[m]:
-                    out[slot] = out[slot] + c * val
-        if not t_coeff.is_zero():
-            for slot, val in rewrite["t"]:
-                out[slot] = out[slot] + t_coeff * val
-        return self.vector_cls(out)
+            for bj, entry in zip(int_b, row):
+                if not bj or not entry:
+                    continue
+                conv = [0] * (len(ai) + len(bj) - 1)
+                for p, x in enumerate(ai):
+                    for q, y in enumerate(bj):
+                        conv[p + q] += x * y
+                terms.append((entry, conv))
+        return self._sum_rows(terms, den_a * den_b)
+
+    def _sum_rows(self, terms: Sequence[Tuple[tuple, list]], den: int) -> PolyVector:
+        """Sum of integer coefficient lists along table rows, over den * self.den."""
+        acc: list = [[] for _ in range(self.vector_cls.dim)]
+        for entry, coeffs in terms:
+            for slot, weight in entry:
+                out = acc[slot]
+                if len(out) < len(coeffs):
+                    out.extend([0] * (len(coeffs) - len(out)))
+                for k, c in enumerate(coeffs):
+                    out[k] += weight * c
+        den *= self.den
+        return self.vector_cls(PolyQ([Fraction(n, den) for n in out]) for out in acc)
+
+
+def _integer_coeffs(polys: Sequence[PolyQ]) -> Tuple[list, int]:
+    """Integer coefficient lists of the polynomials and their common denominator."""
+    den = math.lcm(*(c.denominator for p in polys for c in p.coeffs))
+    return [[c.numerator * (den // c.denominator) for c in p.coeffs] for p in polys], den
 
 
 _REDUCER = QuotientReducer(TautClass2, RELATIONS, BASIS_MONOMIALS, rank=7)
+_PRODUCT_TABLE, _PRODUCT_DEN = _REDUCER.table, _REDUCER.den
 
 
 def reduce_to_basis(expr: Mapping[Monomial, PolyLike]) -> TautClass2:
@@ -285,58 +312,14 @@ def reduce_to_basis(expr: Mapping[Monomial, PolyLike]) -> TautClass2:
     return _REDUCER(expr)
 
 
-def _build_product_table() -> Tuple[Tuple[Tuple[Tuple[int, int], ...], ...], int]:
-    """The reduced class of every generator product, over one denominator.
-
-    Entry (i, j) lists the nonzero (slot, n) of den * [mono(i, j)], where
-    den is the least common denominator of all 21 reduced monomials.
-    """
-    reduced = {m: _REDUCER({m: 1}).coeffs for m in MONOMIALS}
-    den = math.lcm(*(c.denominator for cs in reduced.values() for p in cs for c in p.coeffs))
-    rows = {
-        m: tuple((slot, (p.constant_value() * den).numerator) for slot, p in enumerate(cs) if p)
-        for m, cs in reduced.items()
-    }
-    return tuple(tuple(rows[mono(i, j)] for j in range(6)) for i in range(6)), den
-
-
-_PRODUCT_TABLE, _PRODUCT_DEN = _build_product_table()
-
-
-def _integer_coeffs(v: DivisorM22) -> Tuple[list, int]:
-    """Integer coefficient lists of v's entries and their common denominator."""
-    den = math.lcm(*(c.denominator for p in v.coeffs for c in p.coeffs))
-    return [[c.numerator * (den // c.denominator) for c in p.coeffs] for p in v.coeffs], den
-
-
 def multiply_divisors(a: DivisorM22, b: DivisorM22) -> TautClass2:
     """Product of two divisor classes, reduced to the 14-basis.
 
     Equals ``reduce_to_basis(expand_product(a.coeffs, b.coeffs))``, computed
-    through the product table in integers: constants are coefficient lists
+    through the reducer's table in integers: constants are coefficient lists
     of length one, polynomials in d longer ones, and both take this path.
     """
-    int_a, den_a = _integer_coeffs(a)
-    int_b, den_b = _integer_coeffs(b)
-    acc: list = [[] for _ in range(TautClass2.dim)]
-    for ai, row in zip(int_a, _PRODUCT_TABLE):
-        if not ai:
-            continue
-        for bj, entry in zip(int_b, row):
-            if not bj or not entry:
-                continue
-            conv = [0] * (len(ai) + len(bj) - 1)
-            for p, x in enumerate(ai):
-                for q, y in enumerate(bj):
-                    conv[p + q] += x * y
-            for slot, weight in entry:
-                out = acc[slot]
-                if len(out) < len(conv):
-                    out.extend([0] * (len(conv) - len(out)))
-                for k, c in enumerate(conv):
-                    out[k] += weight * c
-    den = den_a * den_b * _PRODUCT_DEN
-    return TautClass2(PolyQ([Fraction(n, den) for n in out]) for out in acc)
+    return _REDUCER.multiply(a.coeffs, b.coeffs)
 
 
 def dr2_class(d: PolyLike) -> TautClass2:

@@ -16,8 +16,10 @@ on compact type:
     (psi1-psi2) d11 = (psi1-psi2) d12
 
 As in the full ring, an echelon form of the relations with pivots forced
-onto the ten non-basis coordinates is precomputed once, by the same
-``chow.QuotientReducer``; reductions are then table lookups.
+onto the ten non-basis coordinates is computed once, by the same
+``chow.QuotientReducer``, and kept as the integer class of each monomial over
+one denominator (20; monomials with a d0 factor have empty entries).
+Reductions and the product behind the Hain class read that table.
 
 The pull-back of the zero section of the universal Jacobian along the
 section [C, p1, p2] -> O_C(d p1 - d p2) is half the square of an explicit
@@ -179,8 +181,7 @@ def hain_class(d: PolyLike) -> CtClass:
     divisor[PSI1] = half_d2
     divisor[PSI2] = half_d2
     divisor[D11] = -half_d2
-    square = expand_product(divisor, divisor)
-    return reduce_ct({m: c / 2 for m, c in square.items()})
+    return _CT_REDUCER.multiply(divisor, divisor).scale(Fraction(1, 2))
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,12 @@ The coefficient matrix is d-independent; all d-dependence sits in the
 right-hand sides, which are polynomials of degree at most 4.  The solve
 strategy is sample-then-interpolate:
 
-  1. certify the coefficient rank exactly (must equal the unknown count);
-  2. solve the rational system exactly at enough integer sample degrees;
-  3. interpolate each unknown to a polynomial;
-  4. re-substitute and demand a zero residual for every row, symbolically.
+  1. solve the rational system exactly at enough integer sample degrees;
+     each solve certifies that the coefficient rank equals the unknown count;
+  2. interpolate each unknown to a polynomial;
+  3. re-substitute and demand a zero residual for every row, symbolically.
 
-Step 4 is a genuine polynomial-identity proof, not a spot check: any
+Step 3 is a genuine polynomial-identity proof, not a spot check: any
 residual is a polynomial of degree at most max(deg solution, deg rhs) that
 vanishes at all sample points, so with at least deg + 2 samples it can only
 be the zero polynomial.  Sampling starts at d = 2; the solution polynomials
@@ -90,16 +90,11 @@ def solve_parametric(
 
     Raises UnderdeterminedSystemError when the coefficient rank is below the
     number of unknowns, and InconsistentSystemError (carrying the offending
-    row index) when some sampled system has no solution.
+    row index) when some sampled system has no solution.  The rank check
+    comes first in every solve, so a returned certificate has full rank.
     """
     matrix = system.matrix()
     n_unknowns = len(system.unknowns)
-    rk = linalg.rank(matrix)
-    if rk < n_unknowns:
-        raise UnderdeterminedSystemError(
-            f"coefficient matrix has rank {rk} < {n_unknowns} unknowns"
-        )
-
     points = tuple(Fraction(x) for x in (samples or _default_samples(system)))
     per_point: List[List[Fraction]] = []
     for x in points:
@@ -114,7 +109,7 @@ def solve_parametric(
     consistent = all(r.is_zero() for r in residuals)
     return SolveCertificate(
         solution=solution,
-        rank=rk,
+        rank=n_unknowns,
         consistent=consistent,
         residuals=residuals,
         sample_points=points,

@@ -1,0 +1,159 @@
+"""Every named check reports a failure, with its details, when the identity it
+verifies breaks.  Each case replaces the function the check relies on with a
+wrong one, or feeds the check wrong input, and runs the check."""
+
+from fractions import Fraction
+
+import pytest
+
+from dr2calc import checks, cones, ct, m21, solver, surfaces
+from dr2calc.chow import TautClass2
+from dr2calc.linalg import InconsistentSystemError
+from dr2calc.polyq import PolyQ
+
+F = Fraction
+
+
+def _off_by_one_pairing(monkeypatch):
+    pair = surfaces.SurfaceModel.pair_generators
+
+    def wrong(self, a, b):
+        return pair(self, a, b) + ((self.family, a, b) == (1, "psi1", "psi1"))
+
+    monkeypatch.setattr(surfaces.SurfaceModel, "pair_generators", wrong)
+    return {}
+
+
+def _symmetry_rows_only(monkeypatch):
+    return {"system": solver.ParamSystem(rows=surfaces.symmetry_rows())}
+
+
+def _inconsistent_solve(monkeypatch):
+    def raise_inconsistent(system):
+        raise InconsistentSystemError(5)
+
+    monkeypatch.setattr(solver, "solve_parametric", raise_inconsistent)
+    return {}
+
+
+def _wrong_certificate(monkeypatch):
+    cert = solver.SolveCertificate(
+        solution=TautClass2.zero(), rank=13, consistent=False, residuals=(), sample_points=()
+    )
+    monkeypatch.setattr(solver, "solve_parametric", lambda system: cert)
+    monkeypatch.setattr(solver, "redundancy_report", lambda system: [])
+    return {}
+
+
+def _patch(module, name, value):
+    def apply(monkeypatch):
+        monkeypatch.setattr(module, name, value)
+        return {}
+
+    return apply
+
+
+def _raise_arithmetic(d):
+    raise ArithmeticError("two-ray decomposition failed slot-wise")
+
+
+def _wrong_limit_class(monkeypatch):
+    monkeypatch.setattr(cones, "cone_decomposition", lambda d: (F(1), F(0)))
+    monkeypatch.setattr(cones, "dr_infinity", TautClass2.zero)
+    return {}
+
+
+def _zero_weight(monkeypatch):
+    monkeypatch.setitem(cones.DECOMPOSITION_WEIGHTS, "d00", F(0))
+    return {}
+
+
+def _zero_strata_table(monkeypatch):
+    return {"strata_table": {name: TautClass2.zero() for name in cones.REQUIRED_STRATA}}
+
+
+FAILURES = [
+    ("surfaces", _off_by_one_pairing, "family 1: psi1.psi1 = 3, expected 2"),
+    ("solver", _symmetry_rows_only, "rank defect: rank 3 < 14 unknowns"),
+    ("solver", _inconsistent_solve, "inconsistent at row 5"),
+    (
+        "solver",
+        _wrong_certificate,
+        "rank 13 != 14; nonzero symbolic residual; 0 redundant rows, expected 2; "
+        "solution differs from the closed-form class",
+    ),
+    (
+        "pushforward",
+        _patch(m21, "pushforward", lambda c, marking: m21.DivisorM21.zero()),
+        "push-forward identity failed",
+    ),
+    (
+        "chi-pipeline",
+        _patch(m21, "chi_pullback_pipeline", lambda d: m21.DivisorM21.zero()),
+        "pipeline output differs",
+    ),
+    ("psi3", _patch(m21, "psi_cubed_intersection", lambda d: PolyQ()), "got 0"),
+    (
+        "m-count",
+        _patch(m21, "pencil_count", lambda g: 0),
+        f"fails at g in {list(range(1, 101))}",
+    ),
+    (
+        "hac",
+        _patch(
+            ct,
+            "derive_decorated_rows",
+            lambda: ct.DecoratedRows(d22=ct.CtClass.zero(), d11bar=ct.CtClass.zero()),
+        ),
+        "comparison failed",
+    ),
+    (
+        "ci-obstruction",
+        _patch(cones, "ci_obstruction", lambda a, b: F(-1)),
+        "trial 0: -1 != 393/80",
+    ),
+    (
+        "ci-obstruction",
+        _patch(checks, "dr2_class", lambda d: TautClass2.zero()),
+        f"fused slot not negative at d in {list(range(2, 51))}",
+    ),
+    (
+        "cone-decomposition",
+        _patch(cones, "cone_decomposition", _raise_arithmetic),
+        "two-ray decomposition failed slot-wise",
+    ),
+    ("cone-decomposition", _wrong_limit_class, "limit class slots differ"),
+    ("nonextremality", _zero_weight, "a decomposition weight is not positive"),
+    (
+        "nonextremality",
+        _zero_strata_table,
+        "supplied strata table does not close the identity",
+    ),
+    (
+        "nonpolynomiality",
+        _patch(cones, "dr_count_two_points", lambda m: 2 * (m * m - 1)),
+        "witness failed",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "name, breakage, details",
+    FAILURES,
+    ids=[f"{case[0]}-{k}" for k, case in enumerate(FAILURES)],
+)
+def test_every_named_check_can_fail(monkeypatch, name, breakage, details):
+    kwargs = breakage(monkeypatch)
+    result = checks.CHECKS[name](**kwargs)
+    assert result.name == name
+    assert result.passed is False
+    assert result.details == details
+
+
+def test_every_named_check_has_a_failure_case():
+    assert {name for name, _, _ in FAILURES} == set(checks.CHECKS)
+
+
+def test_run_checks_rejects_unknown_names():
+    with pytest.raises(KeyError, match=r"unknown check name\(s\): \['nope'\]"):
+        checks.run_checks(["solver", "nope"])

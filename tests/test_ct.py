@@ -7,10 +7,12 @@ from dr2calc.chow import (
     PSI1,
     RELATIONS,
     dr2_class,
+    expand_product,
     mono,
     multiply_divisors,
 )
 from dr2calc.ct import (
+    _CT_REDUCER,
     CT_BASIS_NAMES,
     CT_RELATIONS,
     CtClass,
@@ -95,6 +97,26 @@ def test_hain_cross_route_oracle():
     divisor = DivisorM22((half_d2, half_d2, 0, 0, -half_d2, 0))
     full = multiply_divisors(divisor, divisor).scale(F(1, 2))
     assert restrict_to_ct(full) == hain_class(D)
+
+
+def _random_entry(rng):
+    if rng.random() < 0.3:
+        return PolyQ([F(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(rng.randint(1, 3))])
+    return F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)) if rng.random() < 0.8 else 0
+
+
+def test_ct_product_matches_expand_and_reduce():
+    # seeded pairs: zero and single generators against each other, then
+    # random Fraction and polynomial entries, d0 included
+    rng = random.Random(2028)
+    special = [DivisorM22.zero()] + [DivisorM22.generator(k) for k in range(6)]
+    pairs = [(a, b) for a in special for b in special]
+    vectors = [DivisorM22(_random_entry(rng) for _ in range(6)) for _ in range(40)]
+    pairs += [(rng.choice(vectors), rng.choice(vectors)) for _ in range(60)]
+    for a, b in pairs:
+        got = _CT_REDUCER.multiply(a.coeffs, b.coeffs)
+        assert type(got) is CtClass
+        assert got == reduce_ct(expand_product(a.coeffs, b.coeffs))
 
 
 def test_restrict_image_is_the_whole_5_space():

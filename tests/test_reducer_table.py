@@ -1,0 +1,86 @@
+"""The integer table of each quotient ring, read directly.
+
+Each reducer keeps the class of every monomial as integers over one common
+denominator.  These tests sum table rows by hand, without the reducer's own
+kernel, and check the three facts that pin the table down: relations map to
+zero, basis monomials map to den times their unit vector, and killed
+monomials map to nothing.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from dr2calc import chow, ct
+from dr2calc.chow import BASIS_MONOMIALS, D0, D2, D11, D12, MONOMIALS, PSI1, PSI2, RELATIONS, mono
+
+CT_BASIS = (
+    (mono(PSI1, D11), mono(PSI2, D11)),
+    (mono(PSI1, D12),),
+    (mono(PSI2, D12),),
+    (mono(D2, D2),),
+    (mono(D12, D2),),
+)
+
+RINGS = {
+    "chow": (chow._REDUCER, RELATIONS, BASIS_MONOMIALS, frozenset()),
+    "ct": (
+        ct._CT_REDUCER,
+        ct.CT_RELATIONS + RELATIONS,
+        CT_BASIS,
+        frozenset(m for m in MONOMIALS if D0 in m),
+    ),
+}
+
+
+def _table_sum(reducer, expr):
+    """sum of c * table[m] over the monomials m of expr, as Fractions."""
+    out = [Fraction(0)] * reducer.vector_cls.dim
+    for (i, j), c in expr.items():
+        for slot, n in reducer.table[i][j]:
+            out[slot] += Fraction(c) * n
+    return out
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+def test_table_is_symmetric_with_integer_weights(ring):
+    reducer = RINGS[ring][0]
+    assert type(reducer.den) is int and reducer.den > 0
+    for i in range(6):
+        for j in range(6):
+            entry = reducer.table[i][j]
+            assert entry == reducer.table[j][i]
+            assert all(type(n) is int and n != 0 for _, n in entry)
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+def test_relations_sum_to_zero_along_the_table(ring):
+    reducer, relations, _, _ = RINGS[ring]
+    for rel in relations:
+        expr = {m: c.constant_value() for m, c in rel.items()}
+        assert all(x == 0 for x in _table_sum(reducer, expr))
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+def test_basis_monomials_sum_to_den_times_their_unit_vector(ring):
+    reducer, _, basis, _ = RINGS[ring]
+    assert len(basis) == reducer.vector_cls.dim
+    for slot, monomials in enumerate(basis):
+        want = [Fraction(0)] * len(basis)
+        want[slot] = Fraction(reducer.den)
+        assert _table_sum(reducer, {m: 1 for m in monomials}) == want
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+def test_killed_monomials_have_empty_entries(ring):
+    reducer, _, _, killed = RINGS[ring]
+    for i, j in killed:
+        assert reducer.table[i][j] == ()
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+def test_reduction_rejects_keys_that_are_not_monomials(ring):
+    reducer = RINGS[ring][0]
+    for key in [(-1, 0), (0, 6), ("psi1", "psi1")]:
+        with pytest.raises(KeyError):
+            reducer({key: 1})
