@@ -18,10 +18,10 @@ We use the basis
 
 with the symmetric combination psi1^2+psi2^2 fused into a single coordinate
 (the antisymmetric combination psi1^2-psi2^2 is eliminated by the relation
-(psi1-psi2)(10psi1+10psi2-2d11-12d12-d0) = 0).  A reduced echelon form of the
-relations, with pivots forced onto the seven non-basis coordinates, is
-computed once at import and turned into a table: the class of each of the 21
-monomials, as integers over one common denominator (60).  Reductions and
+(psi1-psi2)(10psi1+10psi2-2d11-12d12-d0) = 0).  One reduced echelon form of
+the relations, augmented by the basis elements, is computed once at import
+and turned into a table: the class of each of the 21 monomials, as integers
+over one common denominator (60).  Reductions and
 divisor products both go through that table, so two expressions differing by
 a relation reduce identically.  A reduction clears the denominators of its
 coefficients; a product clears each factor's and convolves the integer
@@ -41,7 +41,7 @@ import math
 from fractions import Fraction
 from typing import Dict, Mapping, Sequence, Tuple
 
-from .linalg import reduced_echelon
+from .linalg import LinearSystemError, reduced_echelon
 from .polyq import PolyLike, PolyQ, PolyVector, as_poly
 
 GENERATORS = ("psi1", "psi2", "d0", "d2", "d11", "d12")
@@ -179,14 +179,14 @@ class DivisorM22(PolyVector):
 class QuotientReducer:
     """Reduces formal combinations of the 21 monomials to a quotient basis.
 
-    Built from data: the vector class of the quotient, its relations, its
-    basis (the monomials paired against each slot), the rank the relations
-    must have, and the monomials killed outright.  Exactly one slot pairs two
-    monomials m1, m2; its basis element is m1 + m2, and the antisymmetric
-    combination m1 - m2 is, like every other non-basis monomial, rewritten in
-    the basis.  The rewrites come from one reduced echelon form of the
-    relations with pivots forced onto the non-basis coordinates, so two
-    expressions differing by a relation reduce identically.
+    Built from data: the vector class of the quotient, its relations (a
+    monomial killed outright is a one-term relation), and its basis (the
+    monomials whose sum is each slot's basis element).  One reduced echelon
+    form of the rows [sum of slot k's monomials | e_k] and [relation | 0],
+    pivoting on the 21 monomial columns, leaves the class of monomial m in
+    the right-hand block of the row that pivots at m.  Construction raises
+    ``ValueError`` unless these rows span all 21 monomials and the basis is
+    independent modulo the relations.
 
     The class of every monomial is kept over one common denominator ``den``:
     ``rows[m]`` lists the nonzero ``(slot, n)`` of den * [m], and is empty
@@ -199,57 +199,31 @@ class QuotientReducer:
     def __init__(
         self,
         vector_cls: type,
-        relations: Sequence[Expr],
+        relations: Sequence[Mapping[Monomial, PolyLike]],
         basis: Sequence[Tuple[Monomial, ...]],
-        rank: int,
-        killed: frozenset = frozenset(),
     ):
         self.vector_cls = vector_cls
-        (fused,) = [k for k, slots in enumerate(basis) if len(slots) == 2]
-        m1, m2 = basis[fused]
-        fused_sign = {m1: 1, m2: -1}
-        slot_of = {slots[0]: k for k, slots in enumerate(basis) if len(slots) == 1}
-        # Coordinates s and t carry c1 m1 + c2 m2 as s (m1 + m2) + t (m1 - m2).
-        coords = ("s", "t") + tuple(
-            m for m in MONOMIALS if m not in (m1, m2) and m not in killed
-        )
-        index = {c: k for k, c in enumerate(coords)}
-        basis_cols = {index[m]: k for m, k in slot_of.items()}
-        basis_cols[index["s"]] = fused
-        nonbasis = [k for k in range(len(coords)) if k not in basis_cols]
-
+        n, dim = len(MONOMIALS), len(basis)
+        column = {m: k for k, m in enumerate(MONOMIALS)}
         rows = []
-        for rel in relations:
-            vec = [Fraction(0)] * len(coords)
-            for m, c in rel.items():
-                if m in killed:
-                    continue
-                c = c.constant_value()
-                if m in fused_sign:
-                    vec[index["s"]] += c / 2
-                    vec[index["t"]] += fused_sign[m] * c / 2
-                else:
-                    vec[index[m]] += c
-            rows.append(vec)
-        entries = reduced_echelon(rows, nonbasis + list(basis_cols))
-        if len(entries) != rank:
-            raise AssertionError(f"relation span has rank {len(entries)}, expected {rank}")
-        if {col for col, _ in entries} != set(nonbasis):
-            raise AssertionError("relation pivots missed a non-basis coordinate")
+        for k, expr in enumerate([dict.fromkeys(slot, 1) for slot in basis] + list(relations)):
+            row = [Fraction(0)] * (n + dim)
+            for m, c in expr.items():
+                row[column[m]] += as_poly(c).constant_value()
+            if k < dim:
+                row[n + k] = Fraction(1)
+            rows.append(row)
+        try:
+            entries = reduced_echelon(rows, range(n))
+        except LinearSystemError as exc:
+            raise ValueError("basis is dependent modulo the relations") from exc
+        if len(entries) != n:
+            raise ValueError(f"relations and basis span {len(entries)} of the {n} monomials")
 
-        classes = {
-            coords[col]: {basis_cols[k]: -v for k, v in enumerate(row) if k != col and v}
-            for col, row in entries
-        }
-        t_class = classes.pop("t")
-        for m, sign in fused_sign.items():
-            classes[m] = {k: sign * v / 2 for k, v in t_class.items()}
-            classes[m][fused] = classes[m].get(fused, 0) + Fraction(1, 2)
-        classes.update({m: {k: Fraction(1)} for m, k in slot_of.items()})
-        classes.update({m: {} for m in killed})
-        self.den = math.lcm(*(v.denominator for c in classes.values() for v in c.values()))
+        classes = {MONOMIALS[col]: row[n:] for col, row in entries}
+        self.den = math.lcm(*(v.denominator for c in classes.values() for v in c))
         self.rows = {
-            m: tuple((k, (v * self.den).numerator) for k, v in sorted(c.items()) if v)
+            m: tuple((k, (v * self.den).numerator) for k, v in enumerate(c) if v)
             for m, c in classes.items()
         }
         self.table = tuple(tuple(self.rows[mono(i, j)] for j in range(6)) for i in range(6))
@@ -298,7 +272,7 @@ def _integer_coeffs(polys: Sequence[PolyQ]) -> Tuple[list, int]:
     return [[c.numerator * (den // c.denominator) for c in p.coeffs] for p in polys], den
 
 
-_REDUCER = QuotientReducer(TautClass2, RELATIONS, BASIS_MONOMIALS, rank=7)
+_REDUCER = QuotientReducer(TautClass2, RELATIONS, BASIS_MONOMIALS)
 _PRODUCT_TABLE, _PRODUCT_DEN = _REDUCER.table, _REDUCER.den
 
 

@@ -15,10 +15,11 @@ on compact type:
     psi_i^2   = (7/10)(psi_i (d11+d12) - d12*d2) - d2^2     (i = 1, 2)
     (psi1-psi2) d11 = (psi1-psi2) d12
 
-As in the full ring, an echelon form of the relations with pivots forced
-onto the ten non-basis coordinates is computed once, by the same
-``chow.QuotientReducer``, and kept as the integer class of each monomial over
-one denominator (20; monomials with a d0 factor have empty entries).
+As in the full ring, one echelon form of these relations, the basis, and
+one-term relations killing the six monomials with a d0 factor is computed
+once, by the same ``chow.QuotientReducer``, and kept as the integer class of
+each monomial over one denominator (20; the killed monomials have empty
+entries).
 Reductions and the product behind the Hain class read that table.
 
 The pull-back of the zero section of the universal Jacobian along the
@@ -132,10 +133,10 @@ def _build_ct_relations() -> Tuple[Expr, ...]:
 #: The eleven compact-type relation expressions (rank 10).
 CT_RELATIONS: Tuple[Expr, ...] = _build_ct_relations()
 
-# The fused slot pairs psi1*d11 with psi2*d11; monomials with a d0 factor die.
+# The first slot pairs psi1*d11 with psi2*d11; monomials with a d0 factor die.
 _CT_REDUCER = QuotientReducer(
     CtClass,
-    CT_RELATIONS,
+    CT_RELATIONS + tuple({m: 1} for m in MONOMIALS if D0 in m),
     (
         (mono(PSI1, D11), mono(PSI2, D11)),
         (mono(PSI1, D12),),
@@ -143,8 +144,6 @@ _CT_REDUCER = QuotientReducer(
         (mono(D2, D2),),
         (mono(D12, D2),),
     ),
-    rank=10,
-    killed=frozenset(m for m in MONOMIALS if D0 in m),
 )
 
 

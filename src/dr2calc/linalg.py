@@ -41,7 +41,7 @@ def _gauss_jordan(
     pivots[i] and 0 at every other pivot; the rows after them are zero on
     every column tried.
     """
-    m = [[Fraction(x) for x in row] for row in rows]
+    m = [[x if type(x) is Fraction else Fraction(x) for x in row] for row in rows]
     if column_order is None:
         column_order = range(len(m[0]) if m else 0)
     pivots: List[int] = []
@@ -60,7 +60,7 @@ def _gauss_jordan(
         for i in range(len(m)):
             if i != r and m[i][col] != 0:
                 f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], prow)]
+                m[i] = [a - f * b if b else a for a, b in zip(m[i], prow)]
         pivots.append(col)
     return pivots, m
 

@@ -28,6 +28,13 @@ Scalar = Union[int, Fraction]
 NEG_INF = float("-inf")
 
 
+def exact(value: Union[Scalar, str]) -> Fraction:
+    """``Fraction(value)``, refusing floats: their rounding would pass silently."""
+    if isinstance(value, float):
+        raise TypeError(f"float {value!r} is not exact; pass an int, Fraction or str")
+    return Fraction(value)
+
+
 def format_rational(q: Fraction) -> str:
     """Render a rational as "p/q", or "p" when the denominator is 1."""
     q = Fraction(q)
@@ -52,18 +59,18 @@ class PolyQ:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Union[Scalar, str]] = ()):
-        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else exact(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: Tuple[Fraction, ...] = tuple(cs)
 
     @classmethod
     def const(cls, value: Scalar) -> "PolyQ":
-        return cls((Fraction(value),))
+        return cls((exact(value),))
 
     @classmethod
     def from_strings(cls, strings: Sequence[str]) -> "PolyQ":
-        return cls(tuple(Fraction(s) for s in strings))
+        return cls(strings)
 
     def to_strings(self) -> list:
         return [format_rational(c) for c in self.coeffs]
@@ -91,7 +98,7 @@ class PolyQ:
         return self.coeffs[0] if self.coeffs else Fraction(0)
 
     def __call__(self, x: Scalar) -> Fraction:
-        x = Fraction(x)
+        x = exact(x)
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -128,7 +135,7 @@ class PolyQ:
     __rmul__ = __mul__
 
     def __truediv__(self, scalar: Scalar) -> "PolyQ":
-        scalar = Fraction(scalar)
+        scalar = exact(scalar)
         return PolyQ((c / scalar for c in self.coeffs))
 
     def __pow__(self, n: int) -> "PolyQ":
@@ -197,9 +204,10 @@ def poly_eval(p: PolyQ, x: Scalar) -> Fraction:
 def poly_interpolate(samples: Iterable[Tuple[Scalar, Scalar]]) -> PolyQ:
     """The unique polynomial of degree < n through n samples (Newton form).
 
-    Raises ValueError on duplicate abscissae or empty input.
+    Raises ValueError on duplicate abscissae or empty input, and TypeError on
+    a float.
     """
-    pts = [(Fraction(x), Fraction(y)) for x, y in samples]
+    pts = [(exact(x), exact(y)) for x, y in samples]
     if not pts:
         raise ValueError("at least one sample is required")
     xs = [x for x, _ in pts]
@@ -224,7 +232,8 @@ class PolyVector:
 
     Subclasses set ``names``; the length ``dim`` follows from it.  Entries
     are polynomials in d.  Vectors of different subclasses never compare
-    equal, and every operation returns a vector of the receiver's class.
+    equal and cannot be added or subtracted; every operation returns a
+    vector of the receiver's class.
     """
 
     __slots__ = ("coeffs",)
@@ -253,9 +262,13 @@ class PolyVector:
         return cls(cs)
 
     def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         return type(self)(a + b for a, b in zip(self.coeffs, other.coeffs))
 
     def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         return type(self)(a - b for a, b in zip(self.coeffs, other.coeffs))
 
     def scale(self, factor: PolyLike):

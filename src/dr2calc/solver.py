@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import linalg
 from .chow import BASIS_NAMES, TautClass2
 from .linalg import InconsistentSystemError, UnderdeterminedSystemError
-from .polyq import NEG_INF, PolyQ, poly_interpolate
+from .polyq import NEG_INF, PolyQ, exact, poly_interpolate
 from .surfaces import EquationRow, full_system_rows
 
 __all__ = [
@@ -95,7 +95,9 @@ def solve_parametric(
     """
     matrix = system.matrix()
     n_unknowns = len(system.unknowns)
-    points = tuple(Fraction(x) for x in (samples or _default_samples(system)))
+    if samples is None:
+        samples = _default_samples(system)
+    points = tuple(exact(x) for x in samples)
     per_point: List[List[Fraction]] = []
     for x in points:
         rhs = [row.rhs(x) for row in system.rows]

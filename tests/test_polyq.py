@@ -144,3 +144,46 @@ def test_vector_subclasses_stay_type_distinct():
                 assert zero.__eq__(other.zero()) is NotImplemented
         with pytest.raises(ValueError):
             cls([0] * (cls.dim + 1))
+
+
+def test_vector_arithmetic_across_classes_fails():
+    from dr2calc import CtClass, DivisorM22, TautClass2
+
+    for a, b in [(CtClass.unit(0), TautClass2.unit(0)), (DivisorM22.unit(1), TautClass2.unit(1))]:
+        for x, y in [(a, b), (b, a)]:
+            with pytest.raises(TypeError):
+                x + y
+            with pytest.raises(TypeError):
+                x - y
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: PolyQ((x,)),
+        lambda x: PolyQ((1, x)),
+        lambda x: PolyQ.const(x),
+        lambda x: PolyQ.from_strings([x]),
+        lambda x: D(x),
+        lambda x: D / x,
+        lambda x: D + x,
+        lambda x: D * x,
+        lambda x: poly_interpolate([(x, 1)]),
+        lambda x: poly_interpolate([(1, x)]),
+    ],
+    ids=["init", "init-tail", "const", "from_strings", "call", "div", "add", "mul", "interp-x", "interp-y"],
+)
+def test_floats_are_refused_with_their_value(call):
+    with pytest.raises(TypeError, match="0.1"):
+        call(0.1)
+
+
+def test_floats_are_refused_by_vectors_and_the_class():
+    from dr2calc import DivisorM22, TautClass2, dr2_class
+
+    with pytest.raises(TypeError, match="2.5"):
+        dr2_class(2.5)
+    with pytest.raises(TypeError, match="0.5"):
+        DivisorM22([0.5, 0, 0, 0, 0, 0])
+    with pytest.raises(TypeError, match="0.25"):
+        TautClass2.unit(0).scale(0.25)

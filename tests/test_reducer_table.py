@@ -4,7 +4,8 @@ Each reducer keeps the class of every monomial as integers over one common
 denominator.  These tests sum table rows by hand, without the reducer's own
 kernel, and check the three facts that pin the table down: relations map to
 zero, basis monomials map to den times their unit vector, and killed
-monomials map to nothing.
+monomials map to nothing.  The last tests feed the constructor relations
+that do not span and a basis that is dependent modulo the relations.
 """
 
 from fractions import Fraction
@@ -84,3 +85,19 @@ def test_reduction_rejects_keys_that_are_not_monomials(ring):
     for key in [(-1, 0), (0, 6), ("psi1", "psi1")]:
         with pytest.raises(KeyError):
             reducer({key: 1})
+
+
+@pytest.mark.parametrize("dropped", range(len(RELATIONS)))
+def test_relations_that_do_not_span_are_refused(dropped):
+    relations = RELATIONS[:dropped] + RELATIONS[dropped + 1 :]
+    with pytest.raises(ValueError, match="span 20 of the 21 monomials"):
+        chow.QuotientReducer(chow.TautClass2, relations, BASIS_MONOMIALS)
+
+
+def test_a_basis_dependent_modulo_the_relations_is_refused():
+    # (psi1 - psi2)(d11 - d12) is a compact-type relation, so these four
+    # products are dependent although no two of them are equal.
+    basis = ((mono(PSI1, D11),), (mono(PSI2, D11),), (mono(PSI1, D12),), (mono(PSI2, D12),), (mono(D2, D2),))
+    killed = tuple({m: 1} for m in MONOMIALS if D0 in m)
+    with pytest.raises(ValueError, match="basis is dependent modulo the relations"):
+        chow.QuotientReducer(ct.CtClass, ct.CT_RELATIONS + killed, basis)

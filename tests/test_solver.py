@@ -123,3 +123,14 @@ def test_certificate_serialization():
     assert blob["consistent"] is True
     assert blob["sample_points"] == ["2", "3", "4", "5", "6", "7"]
     assert all(res == [] for res in blob["residuals"])
+
+
+@pytest.mark.parametrize("samples", [[], (), range(0)])
+def test_empty_sample_set_is_refused(samples):
+    with pytest.raises(ValueError, match="at least one sample"):
+        solve_parametric(full_system(), samples=samples)
+
+
+def test_float_sample_is_refused():
+    with pytest.raises(TypeError, match="2.5"):
+        solve_parametric(full_system(), samples=[2.5, 3, 4, 5, 6, 7])
