@@ -24,11 +24,12 @@ and turned into a table: the class of each of the 21 monomials, as integers
 over one common denominator (60).  Reductions and
 divisor products both go through that table, so two expressions differing by
 a relation reduce identically.  A reduction clears the denominators of its
-coefficients; a product clears each factor's and convolves the integer
-coefficient lists of every nonzero pair of generators.  Both add the results
-along table rows and divide once at the end.  The table and the two kernels
-live in ``QuotientReducer``, which the compact-type ring of ``ct`` builds
-from its own relations and basis.
+coefficients; a product clears each factor's.  Both then make one pass that
+adds weight * coefficient (for a product, weight * x * y over every nonzero
+pair of generators) straight into one preallocated integer list per basis
+slot, and one finisher divides once at the end.  The table and the two
+kernels live in ``QuotientReducer``, which the compact-type ring of ``ct``
+builds from its own relations and basis.
 
 A ``TautClass2`` is the 14-vector of coefficients in this basis, each entry a
 polynomial in the cover degree d.  A ``DivisorM22`` is the 6-vector of divisor
@@ -42,7 +43,7 @@ from fractions import Fraction
 from typing import Dict, Mapping, Sequence, Tuple
 
 from .linalg import LinearSystemError, reduced_echelon
-from .polyq import PolyLike, PolyQ, PolyVector, as_poly
+from .polyq import ZERO, PolyLike, PolyQ, PolyVector, _poly, as_poly
 
 GENERATORS = ("psi1", "psi2", "d0", "d2", "d11", "d12")
 PSI1, PSI2, D0, D2, D11, D12 = range(6)
@@ -192,8 +193,13 @@ class QuotientReducer:
     ``rows[m]`` lists the nonzero ``(slot, n)`` of den * [m], and is empty
     for a killed monomial; ``table[i][j]`` is ``rows[mono(i, j)]``, laid out
     by generator pair for products.  Reductions (``__call__``) and products
-    (``multiply``) both clear denominators, add integer coefficient lists
-    along these rows, and divide once at the end.
+    (``multiply``) both clear denominators and fill one accumulator: a
+    zeroed integer list per slot, as wide as the result, into which each
+    table weight times each coefficient (or coefficient product) is added
+    in a single pass.  One finisher, ``_finish``, strips trailing zeros,
+    divides the remaining integers by the common denominator, and builds the
+    polynomials and the vector through the internal constructors of
+    ``polyq``, with the shared zero polynomial in every empty slot.
     """
 
     def __init__(
@@ -231,39 +237,42 @@ class QuotientReducer:
     def __call__(self, expr: Mapping[Monomial, PolyLike]) -> PolyVector:
         """The class of a formal combination of the 21 monomials."""
         ints, den = _integer_coeffs([as_poly(c) for c in expr.values()])
-        rows = self.rows
-        return self._sum_rows([(rows[mono(*m)], c) for m, c in zip(expr, ints)], den)
+        acc = [[0] * max(map(len, ints), default=0) for _ in range(self.vector_cls.dim)]
+        for m, coeffs in zip(expr, ints):
+            for slot, weight in self.rows[mono(*m)]:
+                out = acc[slot]
+                for k, c in enumerate(coeffs):
+                    out[k] += weight * c
+        return self._finish(acc, den)
 
     def multiply(self, a: Sequence[PolyQ], b: Sequence[PolyQ]) -> PolyVector:
         """The class of the product of two divisor coefficient 6-vectors."""
         int_a, den_a = _integer_coeffs(a)
         int_b, den_b = _integer_coeffs(b)
-        terms = []
+        width = max(map(len, int_a)) + max(map(len, int_b)) - 1
+        acc = [[0] * width for _ in range(self.vector_cls.dim)]
         for ai, row in zip(int_a, self.table):
             if not ai:
                 continue
             for bj, entry in zip(int_b, row):
                 if not bj or not entry:
                     continue
-                conv = [0] * (len(ai) + len(bj) - 1)
                 for p, x in enumerate(ai):
-                    for q, y in enumerate(bj):
-                        conv[p + q] += x * y
-                terms.append((entry, conv))
-        return self._sum_rows(terms, den_a * den_b)
+                    for k, y in enumerate(bj, p):
+                        xy = x * y
+                        for slot, weight in entry:
+                            acc[slot][k] += weight * xy
+        return self._finish(acc, den_a * den_b)
 
-    def _sum_rows(self, terms: Sequence[Tuple[tuple, list]], den: int) -> PolyVector:
-        """Sum of integer coefficient lists along table rows, over den * self.den."""
-        acc: list = [[] for _ in range(self.vector_cls.dim)]
-        for entry, coeffs in terms:
-            for slot, weight in entry:
-                out = acc[slot]
-                if len(out) < len(coeffs):
-                    out.extend([0] * (len(coeffs) - len(out)))
-                for k, c in enumerate(coeffs):
-                    out[k] += weight * c
+    def _finish(self, acc: list, den: int) -> PolyVector:
+        """The vector whose slots are the integer lists over den * self.den."""
         den *= self.den
-        return self.vector_cls(PolyQ([Fraction(n, den) for n in out]) for out in acc)
+        polys = []
+        for out in acc:
+            while out and not out[-1]:
+                out.pop()
+            polys.append(_poly([Fraction(n, den) for n in out]) if out else ZERO)
+        return self.vector_cls._of(tuple(polys))
 
 
 def _integer_coeffs(polys: Sequence[PolyQ]) -> Tuple[list, int]:

@@ -3,13 +3,16 @@
 Everything here is one Gauss-Jordan kernel, ``_gauss_jordan``, with short
 wrappers around it.  Exact arithmetic needs no numerical pivoting, so pivots
 are chosen as the first nonzero entry in row order; output is therefore
-deterministic across runs and platforms.
+deterministic across runs and platforms.  Entries may be ints, Fractions or
+strings; a float raises ``TypeError``, as in ``polyq.exact``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
+
+from .polyq import exact
 
 Row = List[Fraction]
 
@@ -41,7 +44,7 @@ def _gauss_jordan(
     pivots[i] and 0 at every other pivot; the rows after them are zero on
     every column tried.
     """
-    m = [[x if type(x) is Fraction else Fraction(x) for x in row] for row in rows]
+    m = [[x if type(x) is Fraction else exact(x) for x in row] for row in rows]
     if column_order is None:
         column_order = range(len(m[0]) if m else 0)
     pivots: List[int] = []
@@ -95,8 +98,8 @@ def solve_unique(
 
     # Verify against the original rows so the offending index is meaningful.
     for k, (row, target) in enumerate(zip(rows, rhs)):
-        acc = sum((Fraction(a) * x for a, x in zip(row, solution)), Fraction(0))
-        if acc != Fraction(target):
+        acc = sum((exact(a) * x for a, x in zip(row, solution)), Fraction(0))
+        if acc != exact(target):
             raise InconsistentSystemError(k)
     return solution
 

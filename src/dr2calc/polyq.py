@@ -14,11 +14,18 @@ polynomial renders as the ascending list of such strings.
 
 ``PolyVector`` is the one coefficient-vector type: every class or divisor in
 the package is a fixed-length vector of such polynomials on a named basis.
+
+Construction contract: the public constructors (``PolyQ(...)``,
+``PolyQ.const``, ``PolyVector(...)`` and its subclasses) validate, refusing
+floats and wrong lengths.  The internal constructors ``_poly`` and
+``PolyVector._of`` skip that work and take only values the package computed
+itself: lists of ``Fraction`` and tuples of ``PolyQ`` of the right length.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Dict, Iterable, Sequence, Tuple, Union
 
 Rational = Fraction
@@ -37,7 +44,7 @@ def exact(value: Union[Scalar, str]) -> Fraction:
 
 def format_rational(q: Fraction) -> str:
     """Render a rational as "p/q", or "p" when the denominator is 1."""
-    q = Fraction(q)
+    q = exact(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
@@ -66,7 +73,7 @@ class PolyQ:
 
     @classmethod
     def const(cls, value: Scalar) -> "PolyQ":
-        return cls((exact(value),))
+        return cls((value,))
 
     @classmethod
     def from_strings(cls, strings: Sequence[str]) -> "PolyQ":
@@ -105,16 +112,13 @@ class PolyQ:
         return acc
 
     def __add__(self, other) -> "PolyQ":
-        other = as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return PolyQ(
-            (self.coefficient(k) + other.coefficient(k) for k in range(n))
-        )
+        pairs = zip_longest(self.coeffs, as_poly(other).coeffs, fillvalue=0)
+        return _poly([a + b for a, b in pairs])
 
     __radd__ = __add__
 
     def __neg__(self) -> "PolyQ":
-        return PolyQ((-c for c in self.coeffs))
+        return _poly([-c for c in self.coeffs])
 
     def __sub__(self, other) -> "PolyQ":
         return self + (-as_poly(other))
@@ -130,13 +134,13 @@ class PolyQ:
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
-        return PolyQ(out)
+        return _poly(out)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar: Scalar) -> "PolyQ":
         scalar = exact(scalar)
-        return PolyQ((c / scalar for c in self.coeffs))
+        return _poly([c / scalar for c in self.coeffs])
 
     def __pow__(self, n: int) -> "PolyQ":
         if n < 0:
@@ -154,6 +158,9 @@ class PolyQ:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
+        # A constant hashes as its value, since it compares equal to it.
+        if len(self.coeffs) <= 1:
+            return hash(self.coeffs[0]) if self.coeffs else 0
         return hash(self.coeffs)
 
     def __bool__(self) -> bool:
@@ -182,6 +189,18 @@ class PolyQ:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
 
+
+def _poly(coeffs: list) -> PolyQ:
+    """Internal constructor: strips trailing zeros in place, skips ``exact``."""
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    p = object.__new__(PolyQ)
+    p.coeffs = tuple(coeffs)
+    return p
+
+
+#: The zero polynomial, shared by kernel results.
+ZERO = PolyQ()
 
 #: The polynomial "d" itself, the symbolic cover degree.
 D = PolyQ((0, 1))
@@ -252,6 +271,13 @@ class PolyVector:
         self.coeffs: Tuple[PolyQ, ...] = cs
 
     @classmethod
+    def _of(cls, coeffs: Tuple[PolyQ, ...]):
+        """Internal constructor: takes a tuple of ``dim`` PolyQ as is."""
+        v = object.__new__(cls)
+        v.coeffs = coeffs
+        return v
+
+    @classmethod
     def zero(cls):
         return cls((PolyQ(),) * cls.dim)
 
@@ -264,16 +290,16 @@ class PolyVector:
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return type(self)(a + b for a, b in zip(self.coeffs, other.coeffs))
+        return self._of(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return type(self)(a - b for a, b in zip(self.coeffs, other.coeffs))
+        return self._of(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def scale(self, factor: PolyLike):
         f = as_poly(factor)
-        return type(self)(f * c for c in self.coeffs)
+        return self._of(tuple(f * c for c in self.coeffs))
 
     def eval_at(self, x: Scalar):
         return type(self)(PolyQ.const(c(x)) for c in self.coeffs)

@@ -1,0 +1,134 @@
+"""Results built by the internal constructors are in canonical form.
+
+The reducer kernel and ``PolyQ`` arithmetic build their results without the
+public constructors' checks.  These tests draw seeded inputs, many of them
+chosen so that coefficients cancel to zero or the degree drops, and check
+that every result is exactly what the public constructors would have built:
+every coefficient a ``Fraction``, no trailing zero, equal (with an equal
+hash) to its own re-validation, and every zero slot of a kernel result the
+one shared zero polynomial.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from dr2calc import chow, ct
+from dr2calc.chow import MONOMIALS, RELATIONS, DivisorM22, mono
+from dr2calc.ct import CtClass
+from dr2calc.polyq import D, ZERO, PolyQ
+
+RINGS = {
+    "chow": (chow._REDUCER, RELATIONS),
+    "ct": (ct._CT_REDUCER, ct.CT_RELATIONS + RELATIONS),
+}
+
+
+def _assert_canonical_poly(p):
+    assert type(p) is PolyQ
+    assert all(type(c) is Fraction for c in p.coeffs)
+    assert not p.coeffs or p.coeffs[-1] != 0
+    again = PolyQ(p.coeffs)
+    assert again == p and again.coeffs == p.coeffs and hash(again) == hash(p)
+
+
+def _assert_canonical_vector(v, kernel=True):
+    for c in v.coeffs:
+        _assert_canonical_poly(c)
+        if kernel and c.is_zero():
+            assert c is ZERO
+    again = type(v)(v.coeffs)
+    assert again == v and hash(again) == hash(v)
+
+
+def _small_poly(rng, max_degree):
+    """Coefficients from a narrow range, so sums and products cancel often."""
+    return PolyQ(
+        Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+        for _ in range(rng.randint(0, max_degree + 1))
+    )
+
+
+def _divisor(rng, max_degree):
+    return [_small_poly(rng, max_degree) for _ in range(6)]
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+@pytest.mark.parametrize("max_degree", [0, 2], ids=["numeric", "symbolic"])
+def test_products_are_canonical(ring, max_degree):
+    reducer = RINGS[ring][0]
+    rng = random.Random(7000 + max_degree)
+    for _ in range(150):
+        a, b = _divisor(rng, max_degree), _divisor(rng, max_degree)
+        _assert_canonical_vector(reducer.multiply(a, b))
+    _assert_canonical_vector(reducer.multiply([ZERO] * 6, _divisor(rng, max_degree)))
+    _assert_canonical_vector(reducer.multiply([ZERO] * 6, [ZERO] * 6))
+
+
+def test_public_products_are_canonical():
+    rng = random.Random(7100)
+    for _ in range(50):
+        a = DivisorM22(_divisor(rng, 1))
+        b = DivisorM22(_divisor(rng, 1))
+        _assert_canonical_vector(chow.multiply_divisors(a, b))
+    _assert_canonical_vector(ct.hain_class(D), kernel=False)
+    _assert_canonical_vector(ct.hain_class(3), kernel=False)
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+@pytest.mark.parametrize("max_degree", [0, 2], ids=["numeric", "symbolic"])
+def test_reductions_are_canonical(ring, max_degree):
+    reducer, relations = RINGS[ring]
+    rng = random.Random(7200 + max_degree)
+    for _ in range(150):
+        expr = {
+            rng.choice(MONOMIALS): _small_poly(rng, max_degree)
+            for _ in range(rng.randint(0, 8))
+        }
+        _assert_canonical_vector(reducer(expr))
+    # A relation times a polynomial reduces to zero in every slot, and adding
+    # it to a lower-degree expression drops the top degree of the result.
+    for rel in relations:
+        scaled = {m: c * D**2 for m, c in rel.items()}
+        zero = reducer(scaled)
+        assert zero.is_zero()
+        _assert_canonical_vector(zero)
+        lower = dict(scaled)
+        m = mono(0, 1)
+        lower[m] = lower.get(m, PolyQ()) + D
+        _assert_canonical_vector(reducer(lower))
+        assert all(c.degree <= 1 for c in reducer(lower).coeffs)
+
+
+def test_restriction_is_canonical():
+    rng = random.Random(7300)
+    for _ in range(50):
+        c = chow.TautClass2(_small_poly(rng, 2) for _ in range(14))
+        _assert_canonical_vector(ct.restrict_to_ct(c))
+
+
+def test_polyq_arithmetic_is_canonical():
+    rng = random.Random(7400)
+    for _ in range(300):
+        p, q = _small_poly(rng, 3), _small_poly(rng, 3)
+        k = Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 3))
+        for r in (p + q, p - q, p * q, -p, p / k, p + k, k - p, p * k, p - p, p + (-p)):
+            _assert_canonical_poly(r)
+    # Cancellation to zero and degree drops, spelled out.
+    assert (D**2 + D) - D**2 == D
+    assert (D**2 + D - D**2).degree == 1
+    assert (D - D).coeffs == () and (D + (-D)).coeffs == ()
+    assert (PolyQ((1, 2)) + PolyQ((-1, -2))).coeffs == ()
+    assert (D * 0).coeffs == () and (PolyQ() * D).coeffs == ()
+    for r in ((D**2 + D) - D**2, D - D, D * 0, PolyQ((0, 3)) / 3):
+        _assert_canonical_poly(r)
+
+
+def test_vector_arithmetic_is_canonical():
+    rng = random.Random(7500)
+    for _ in range(50):
+        u = CtClass(_small_poly(rng, 2) for _ in range(5))
+        w = CtClass(_small_poly(rng, 2) for _ in range(5))
+        for r in (u + w, u - w, u - u, u.scale(_small_poly(rng, 1)), u.eval_at(2)):
+            _assert_canonical_vector(r, kernel=False)

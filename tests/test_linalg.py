@@ -187,3 +187,20 @@ def test_reduced_echelon_rows_are_unit_at_own_pivot_and_zero_at_others():
 def test_reduced_echelon_reports_an_unswept_column():
     with pytest.raises(LinearSystemError):
         reduced_echelon([[F(1), F(0)], [F(0), F(1)]], [0])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: solve_unique([[x]], [1]),
+        lambda x: solve_unique([[1]], [x]),
+        lambda x: rank([[1, x], [2, 3]]),
+        lambda x: row_dependencies([[1, 2], [x, 3]]),
+        lambda x: reduced_echelon([[x, 1]], [0, 1]),
+    ],
+    ids=["solve-rows", "solve-rhs", "rank", "row_dependencies", "reduced_echelon"],
+)
+def test_floats_are_refused_with_their_value(call):
+    with pytest.raises(TypeError, match="0.1"):
+        call(0.1)
+    call(F(1, 10))  # the exact value is accepted

@@ -187,3 +187,36 @@ def test_floats_are_refused_by_vectors_and_the_class():
         DivisorM22([0.5, 0, 0, 0, 0, 0])
     with pytest.raises(TypeError, match="0.25"):
         TautClass2.unit(0).scale(0.25)
+
+
+def test_constants_hash_as_their_value():
+    values = [0, 2, -7, Fraction(2), Fraction(-3, 4), Fraction(0), 10**30]
+    for v in values:
+        p = PolyQ.const(v)
+        assert p == v and hash(p) == hash(v)
+        assert len({p, v}) == 1
+        assert {v: "value"}.get(p) == "value"
+        assert {p: "poly"}.get(v) == "poly"
+    assert hash(PolyQ()) == 0 and {0: "zero"}.get(PolyQ()) == "zero"
+    assert {Fraction(0): "zero"}[PolyQ()] == "zero"
+    assert len({PolyQ.const(2), 2, Fraction(2), PolyQ((2, 0))}) == 1
+    assert PolyQ.const(2) not in {3, Fraction(2, 3), D + 2}
+    assert hash(D + 2) == hash((D + 2).coeffs)
+
+
+def test_const_keeps_exact_values_and_refuses_floats():
+    half = Fraction(1, 2)
+    assert PolyQ.const(half).coeffs == (half,)
+    assert PolyQ.const("3/6").coeffs == (half,)
+    assert PolyQ.const(0).coeffs == ()
+    assert all(type(c) is Fraction for c in PolyQ.const(5).coeffs)
+    with pytest.raises(TypeError, match="0.5"):
+        PolyQ.const(0.5)
+    with pytest.raises(TypeError, match="0.5"):
+        PolyQ.const(0.5) == 1
+
+
+def test_format_rational_refuses_floats():
+    assert format_rational(3) == "3" and format_rational("2/4") == "1/2"
+    with pytest.raises(TypeError, match="0.1"):
+        format_rational(0.1)
