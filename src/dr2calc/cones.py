@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from .chow import GENERATORS, DivisorM22, TautClass2, dr2_class, multiply_divisors
-from .polyq import D, PolyLike, PolyQ, as_poly, poly_interpolate
+from .polyq import D, PolyLike, PolyQ, as_poly, exact, poly_interpolate
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,8 @@ class EffectiveDivisorPattern:
     def __post_init__(self):
         for name in GENERATORS:
             value = getattr(self, name)
+            if type(value) is not Fraction:
+                exact(value)  # refuses a float with TypeError
             if value < 0:
                 raise ValueError(
                     f"pattern coefficient {name} = {value} violates non-negativity"

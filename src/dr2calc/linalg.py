@@ -1,15 +1,22 @@
-"""Exact dense linear algebra over Fraction for small systems.
+"""Exact dense linear algebra over the rationals for small systems.
 
 Everything here is one Gauss-Jordan kernel, ``_gauss_jordan``, with short
-wrappers around it.  Exact arithmetic needs no numerical pivoting, so pivots
-are chosen as the first nonzero entry in row order; output is therefore
-deterministic across runs and platforms.  Entries may be ints, Fractions or
-strings; a float raises ``TypeError``, as in ``polyq.exact``.
+wrappers around it.  The kernel is fraction-free: it eliminates on rows
+scaled to integers and divides by the pivots only at the end, so no
+operation pays for a Fraction's gcd, and its results equal those of the
+same elimination over Fraction.  Exact arithmetic needs no numerical
+pivoting, so pivots are chosen as the first nonzero entry in row order;
+output is therefore deterministic across runs and platforms.  Entries may be
+ints, Fractions or strings; a float raises ``TypeError``, as in
+``polyq.exact``, and a row whose length differs from row 0's raises
+``ValueError`` naming it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .polyq import exact
@@ -33,44 +40,75 @@ class InconsistentSystemError(LinearSystemError):
         super().__init__(message or f"system is inconsistent at row {row_index}")
 
 
-def _gauss_jordan(
-    rows: Sequence[Sequence[Fraction]], column_order: Optional[Sequence[int]] = None
-) -> Tuple[List[int], List[Row]]:
-    """Gauss-Jordan elimination on a copy of the rows: the one kernel.
+def _width(rows: Sequence[Sequence]) -> int:
+    """The common length of the rows; ValueError names the first that differs."""
+    width = len(rows[0]) if rows else 0
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise ValueError(f"row {i} has {len(row)} entries, row 0 has {width}")
+    return width
 
-    Columns are tried in ``column_order`` (default: left to right); the pivot
-    row is the first not-yet-pivoted row that is nonzero there.  Returns the
-    pivot columns and the reduced rows: row i < len(pivots) is 1 at
-    pivots[i] and 0 at every other pivot; the rows after them are zero on
-    every column tried.
+
+def _integer_rows(rows) -> List[List[int]]:
+    """Each row times the lcm of its denominators; floats refused first."""
+    out = []
+    for row in rows:
+        row = [x if type(x) is Fraction else exact(x) for x in row]
+        scale = lcm(*[x.denominator for x in row])
+        out.append([x.numerator * (scale // x.denominator) for x in row])
+    return out
+
+
+def _gauss_jordan(
+    rows: Sequence[List[int]], column_order: Optional[Sequence[int]] = None
+) -> Tuple[List[int], List[list]]:
+    """Fraction-free Gauss-Jordan elimination of integer rows: the one kernel.
+
+    ``rows`` come from ``_integer_rows`` and are left unchanged.  Columns are
+    tried in ``column_order`` (default: left to right); the pivot row is the
+    first not-yet-pivoted row that is nonzero there.  With pivot p, a row
+    with entry f in the pivot column becomes p*row - f*pivot_row, divided by
+    its gcd.  Each integer row is thus a nonzero multiple of the row that
+    elimination over Fraction holds at the same step: the zero pattern, the
+    pivots and the swaps are the same, and dividing each pivot row by its
+    pivot at the end gives exactly the Fraction rows.
+
+    Returns the pivot columns and the rows: row i < len(pivots) holds
+    Fractions, 1 at pivots[i] and 0 at every other pivot; the rows after
+    them are integer rows, zero on every column tried.
     """
-    m = [[x if type(x) is Fraction else exact(x) for x in row] for row in rows]
+    m = list(rows)
+    width = _width(m)
     if column_order is None:
-        column_order = range(len(m[0]) if m else 0)
+        column_order = range(width)
     pivots: List[int] = []
     for col in column_order:
         r = len(pivots)
         if r == len(m):
             break
-        pick = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        pick = next((i for i in range(r, len(m)) if m[i][col]), None)
         if pick is None:
             continue
         m[r], m[pick] = m[pick], m[r]
-        lead = m[r][col]
-        if lead != 1:
-            m[r] = [x / lead for x in m[r]]
         prow = m[r]
+        p = prow[col]
         for i in range(len(m)):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b if b else a for a, b in zip(m[i], prow)]
+            f = m[i][col]
+            if f and i != r:
+                row = [p * a - f * b for a, b in zip(m[i], prow)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
         pivots.append(col)
+    zero = Fraction(0)
+    for i, col in enumerate(pivots):
+        lead = m[i][col]
+        m[i] = [Fraction(x, lead) if x else zero for x in m[i]]
     return pivots, m
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     """Rank of the matrix."""
-    return len(_gauss_jordan(rows)[0])
+    return len(_gauss_jordan(_integer_rows(rows))[0])
 
 
 def solve_unique(
@@ -86,20 +124,21 @@ def solve_unique(
         raise ValueError("row/rhs length mismatch")
     if not rows:
         raise UnderdeterminedSystemError("empty system")
-    ncols = len(rows[0])
-    pivots, m = _gauss_jordan(
-        [list(row) + [b] for row, b in zip(rows, rhs)], range(ncols)
-    )
+    ncols = _width(rows)
+    augmented = _integer_rows([list(row) + [b] for row, b in zip(rows, rhs)])
+    pivots, m = _gauss_jordan(augmented, range(ncols))
     if len(pivots) < ncols:
         raise UnderdeterminedSystemError(f"rank {len(pivots)} < {ncols} unknowns")
     solution = [Fraction(0)] * ncols
     for prow, pcol in zip(m, pivots):
         solution[pcol] = prow[-1]
 
-    # Verify against the original rows so the offending index is meaningful.
-    for k, (row, target) in enumerate(zip(rows, rhs)):
-        acc = sum((exact(a) * x for a, x in zip(row, solution)), Fraction(0))
-        if acc != exact(target):
+    # Verify against the original rows so the offending index is meaningful,
+    # in integers: with solution = X / den, row . X == rhs * den.
+    den = lcm(*[x.denominator for x in solution])
+    point = [x.numerator * (den // x.denominator) for x in solution] + [-den]
+    for k, row in enumerate(augmented):
+        if sum(map(mul, row, point)):
             raise InconsistentSystemError(k)
     return solution
 
@@ -115,7 +154,8 @@ def row_dependencies(
     Read off the reduced echelon form of the transpose: its pivot columns
     are the kept rows, and every other column holds the combination.
     """
-    pivots, m = _gauss_jordan([list(col) for col in zip(*rows)])
+    _width(rows)
+    pivots, m = _gauss_jordan(_integer_rows(zip(*rows)))
     kept = set(pivots)
     return [
         (idx, {pivots[i]: m[i][idx] for i in range(len(pivots)) if m[i][idx] != 0})
@@ -132,7 +172,7 @@ def reduced_echelon(
     Returns ``(pivot_col, row)`` pairs where each row is normalized to 1 at
     its pivot and zero at every other pivot column.
     """
-    pivots, m = _gauss_jordan(rows, column_order)
-    if any(any(x != 0 for x in r) for r in m[len(pivots):]):
+    pivots, m = _gauss_jordan(_integer_rows(rows), column_order)
+    if any(any(r) for r in m[len(pivots):]):
         raise LinearSystemError("column order did not sweep all pivots")
     return list(zip(pivots, m))

@@ -237,13 +237,12 @@ def poly_interpolate(samples: Iterable[Tuple[Scalar, Scalar]]) -> PolyQ:
     for level in range(1, len(pts)):
         for i in range(len(pts) - 1, level - 1, -1):
             coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - level])
-    poly = PolyQ()
-    basis = PolyQ((1,))
-    for k, c in enumerate(coef):
-        if k:
-            basis = basis * PolyQ((-xs[k - 1], 1))
-        poly = poly + basis * c
-    return poly
+    # Nested (Horner) Newton form, innermost first: acc <- coef[k] + (d - x_k) * acc.
+    acc = [coef[-1]]
+    for k in range(len(coef) - 2, -1, -1):
+        x = xs[k]
+        acc = [coef[k] - x * acc[0]] + [a - x * b for a, b in zip(acc, acc[1:])] + acc[-1:]
+    return _poly(acc)
 
 
 class PolyVector:

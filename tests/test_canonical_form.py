@@ -17,7 +17,7 @@ import pytest
 from dr2calc import chow, ct
 from dr2calc.chow import MONOMIALS, RELATIONS, DivisorM22, mono
 from dr2calc.ct import CtClass
-from dr2calc.polyq import D, ZERO, PolyQ
+from dr2calc.polyq import D, ZERO, PolyQ, poly_interpolate
 
 RINGS = {
     "chow": (chow._REDUCER, RELATIONS),
@@ -132,3 +132,24 @@ def test_vector_arithmetic_is_canonical():
         w = CtClass(_small_poly(rng, 2) for _ in range(5))
         for r in (u + w, u - w, u - u, u.scale(_small_poly(rng, 1)), u.eval_at(2)):
             _assert_canonical_vector(r, kernel=False)
+
+
+def test_interpolation_is_canonical():
+    """Fraction and negative abscissae; values from low-degree polynomials
+    (the top Newton coefficients cancel) and arbitrary values."""
+    rng = random.Random(307)
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        xs = set()
+        while len(xs) < n:
+            xs.add(Fraction(rng.randint(-40, 40), rng.randint(1, 9)))
+        xs = sorted(xs, key=lambda _: rng.random())
+        if rng.random() < 0.5:
+            p = _small_poly(rng, rng.randint(0, n - 1))
+            ys = [p(x) for x in xs]
+        else:
+            ys = [Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**3)) for _ in xs]
+        q = poly_interpolate(zip(xs, ys))
+        _assert_canonical_poly(q)
+        assert q.degree < n
+        assert [q(x) for x in xs] == ys

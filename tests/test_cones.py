@@ -31,6 +31,16 @@ def test_pattern_rejects_negative_coefficients():
         EffectiveDivisorPattern(F(1), F(-1), F(0), F(0), F(0), F(0))
 
 
+@pytest.mark.parametrize("slot", range(6))
+@pytest.mark.parametrize("value", [0.5, -0.5, 0.0])
+def test_pattern_refuses_floats_at_construction(slot, value):
+    weights = [F(1), 2, F(0), 0, F(3, 2), F(0)]
+    EffectiveDivisorPattern(*weights)  # ints and Fractions are accepted
+    weights[slot] = value
+    with pytest.raises(TypeError, match=repr(value)):
+        EffectiveDivisorPattern(*weights)
+
+
 def test_ci_obstruction_examples():
     ones = EffectiveDivisorPattern(F(1), F(1), F(0), F(0), F(0), F(0))
     assert ci_obstruction(ones, ones) == 1

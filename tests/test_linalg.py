@@ -204,3 +204,167 @@ def test_floats_are_refused_with_their_value(call):
     with pytest.raises(TypeError, match="0.1"):
         call(0.1)
     call(F(1, 10))  # the exact value is accepted
+
+
+# --- the fraction-free kernel against the Fraction elimination it replaced --
+
+
+def _fraction_gauss_jordan(rows, column_order=None):
+    """Gauss-Jordan elimination over Fraction: the reference for the kernel."""
+    m = [[F(x) for x in row] for row in rows]
+    if column_order is None:
+        column_order = range(len(m[0]) if m else 0)
+    pivots = []
+    for col in column_order:
+        r = len(pivots)
+        if r == len(m):
+            break
+        pick = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if pick is None:
+            continue
+        m[r], m[pick] = m[pick], m[r]
+        lead = m[r][col]
+        m[r] = [x / lead for x in m[r]]
+        prow = m[r]
+        for i in range(len(m)):
+            if i != r and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], prow)]
+        pivots.append(col)
+    return pivots, m
+
+
+def _reference_rank(rows):
+    return len(_fraction_gauss_jordan(rows)[0])
+
+
+def _reference_solve_unique(rows, rhs):
+    ncols = len(rows[0])
+    pivots, m = _fraction_gauss_jordan([list(r) + [b] for r, b in zip(rows, rhs)], range(ncols))
+    if len(pivots) < ncols:
+        raise UnderdeterminedSystemError("reference")
+    solution = [F(0)] * ncols
+    for prow, pcol in zip(m, pivots):
+        solution[pcol] = prow[-1]
+    for k, (row, target) in enumerate(zip(rows, rhs)):
+        if _dot(row, solution) != target:
+            raise InconsistentSystemError(k)
+    return solution
+
+
+def _reference_row_dependencies(rows):
+    pivots, m = _fraction_gauss_jordan([list(col) for col in zip(*rows)])
+    return [
+        (idx, {pivots[i]: m[i][idx] for i in range(len(pivots)) if m[i][idx] != 0})
+        for idx in range(len(rows))
+        if idx not in pivots
+    ]
+
+
+def _reference_reduced_echelon(rows, column_order):
+    pivots, m = _fraction_gauss_jordan(rows, column_order)
+    if any(any(x != 0 for x in r) for r in m[len(pivots):]):
+        raise LinearSystemError("reference")
+    return list(zip(pivots, m))
+
+
+def _outcome(call, *args):
+    """A wrapper's value, or the class and row index of what it raised."""
+    try:
+        return "value", call(*args)
+    except LinearSystemError as exc:
+        return type(exc), getattr(exc, "row_index", None)
+
+
+def _big_entry(rng):
+    if rng.random() < 0.3:
+        return F(0)
+    return F(rng.randint(-10**30, 10**30), rng.randint(1, 10**9))
+
+
+def _wide_matrix(rng, nrows, ncols):
+    """Huge numerators and denominators, zero rows and columns, dependent rows."""
+    zero_cols = {c for c in range(ncols) if rng.random() < 0.15}
+    rows = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if kind < 0.1:
+            row = [F(0)] * ncols
+        elif kind < 0.35 and rows:
+            a, b = rng.choice(rows), rng.choice(rows)
+            x, y = _big_entry(rng), _big_entry(rng)
+            row = [x * p + y * q for p, q in zip(a, b)]
+        else:
+            row = [F(0) if c in zero_cols else _big_entry(rng) for c in range(ncols)]
+        rows.append(row)
+    return rows
+
+
+def _differential_cases(seed, count=120):
+    rng = random.Random(seed)
+    for k in range(count):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 6)
+        if k % 2:
+            rows = _random_matrix(rng, nrows, ncols)
+        else:
+            rows = _wide_matrix(rng, nrows, ncols)
+        order = list(range(ncols))
+        rng.shuffle(order)
+        yield rng, rows, order[: rng.randint(0, ncols)] if k % 5 == 0 else order
+
+
+def test_kernel_matches_the_fraction_elimination():
+    from dr2calc.linalg import _gauss_jordan, _integer_rows
+
+    for _, rows, order in _differential_cases(21):
+        ints = _integer_rows(rows)
+        before = [list(r) for r in ints]
+        pivots, m = _gauss_jordan(ints, order)
+        assert ints == before  # the caller's integer rows are left unchanged
+        ref_pivots, ref = _fraction_gauss_jordan(rows, order)
+        assert pivots == ref_pivots
+        n = len(pivots)
+        assert m[:n] == ref[:n]
+        assert all(type(x) is Fraction for row in m[:n] for x in row)
+        # every later row is a nonzero multiple of the reference row
+        for row, ref_row in zip(m[n:], ref[n:]):
+            assert [x != 0 for x in row] == [x != 0 for x in ref_row]
+            assert all(row[c] == 0 for c in order)
+
+
+def test_wrappers_match_the_fraction_elimination():
+    inconsistent = underdetermined = 0
+    for rng, rows, order in _differential_cases(22):
+        ncols = len(rows[0])
+        assert rank(rows) == _reference_rank(rows)
+        assert row_dependencies(rows) == _reference_row_dependencies(rows)
+        assert _outcome(reduced_echelon, rows, order) == _outcome(
+            _reference_reduced_echelon, rows, order
+        )
+        x = [_big_entry(rng) for _ in range(ncols)]
+        rhs = [_dot(row, x) for row in rows]
+        for target in (rhs, [t + rng.choice((0, 0, 1, F(1, 10**9))) for t in rhs]):
+            got = _outcome(solve_unique, rows, target)
+            assert got == _outcome(_reference_solve_unique, rows, target)
+            inconsistent += got[0] is InconsistentSystemError
+            underdetermined += got[0] is UnderdeterminedSystemError
+    assert inconsistent > 10 and underdetermined > 10
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rows: solve_unique(rows, [1] * len(rows)),
+        rank,
+        row_dependencies,
+        lambda rows: reduced_echelon(rows, [0, 1]),
+    ],
+    ids=["solve_unique", "rank", "row_dependencies", "reduced_echelon"],
+)
+@pytest.mark.parametrize(
+    "rows, bad",
+    [([[1, 0], [0, 1, 5]], 1), ([[1, 2], [3]], 1), ([[1, 2], [3, 4], []], 2), ([[1], [2, 3]], 1)],
+)
+def test_ragged_rows_are_refused_by_name(call, rows, bad):
+    with pytest.raises(ValueError, match=f"row {bad} has {len(rows[bad])} entries"):
+        call(rows)
