@@ -245,7 +245,7 @@ def run_checks(
     only: Optional[Sequence[str]] = None,
     strata_table: Optional[cones.StrataTable] = None,
 ) -> List[CheckResult]:
-    names = list(CHECKS) if not only else list(only)
+    names = list(CHECKS) if only is None else list(only)
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
         raise KeyError(f"unknown check name(s): {unknown}; valid: {list(CHECKS)}")

@@ -158,6 +158,11 @@ class TautClass2(PolyVector):
 
     @classmethod
     def from_json_dict(cls, data: Mapping[str, Sequence[str]]) -> "TautClass2":
+        for name, value in data.items():
+            if name not in cls.names:
+                raise ValueError(f"unknown basis name in class JSON: {name!r}")
+            if isinstance(value, str):
+                raise ValueError(f"{name!r} must be a list of rational strings, got {value!r}")
         return cls(PolyQ.from_strings(data.get(name, ())) for name in cls.names)
 
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from .chow import GENERATORS, DivisorM22, TautClass2, dr2_class, multiply_divisors
-from .polyq import D, PolyLike, PolyQ, as_poly, exact, poly_interpolate
+from .polyq import D, PolyLike, PolyQ, as_poly, exact, parse_rational, poly_interpolate
 
 
 @dataclass(frozen=True)
@@ -113,12 +113,10 @@ StrataTable = Dict[str, TautClass2]
 
 def _rational(name: str, index: int, value) -> Fraction:
     """A strata-table entry: a "p/q" string, never a JSON number or null."""
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise ValueError(f"stratum {name!r} entry {index} must be a 'p/q' string, got {value!r}")
+    try:
+        return parse_rational(value)
+    except ValueError:
+        raise ValueError(f"stratum {name!r} entry {index} must be a 'p/q' string, got {value!r}") from None
 
 
 def load_strata_table(path: str) -> StrataTable:

@@ -6,9 +6,9 @@ dimension 5.  We use the marking-symmetric basis
 
     (psi1+psi2)*d11,  psi1*d12,  psi2*d12,  d2^2,  d12*d2.
 
-The reducing relations are the restrictions of the seven full-space
-relations (with d0 set to zero) together with four relations that only hold
-on compact type:
+The reducing relations are the seven full-space relations as they are (their
+d0 terms die with the d0 monomials) together with four relations that only
+hold on compact type:
 
     psi1*psi2 = (3/2)(psi1^2+psi2^2) - (9/10)(psi1+psi2) d11
                                      - (2/5)(psi1+psi2) d12
@@ -82,10 +82,6 @@ class CtClass(PolyVector):
     names = CT_BASIS_NAMES
 
 
-def _drop_d0(expr: Expr) -> Expr:
-    return {m: c for m, c in expr.items() if D0 not in m}
-
-
 def _weighted_sum(parts: Iterable[Tuple[Expr, Fraction]]) -> Expr:
     out: Expr = {}
     for part, weight in parts:
@@ -97,7 +93,6 @@ def _weighted_sum(parts: Iterable[Tuple[Expr, Fraction]]) -> Expr:
 def _build_ct_relations() -> Tuple[Expr, ...]:
     psi1, psi2 = _unit(PSI1), _unit(PSI2)
     d2, d11, d12 = _unit(D2), _unit(D11), _unit(D12)
-    restricted = tuple(_drop_d0(rel) for rel in RELATIONS)
     # psi1 psi2 - (3/2)(psi1^2 + psi2^2) + (9/10)(psi1+psi2) d11
     #           + (2/5)(psi1+psi2) d12 = 0
     psi_sum = (1, 1, 0, 0, 0, 0)
@@ -127,10 +122,11 @@ def _build_ct_relations() -> Tuple[Expr, ...]:
     psi_diff = (1, -1, 0, 0, 0, 0)
     d11_minus_d12 = (0, 0, 0, 0, 1, -1)
     rel_swap = expand_product(psi_diff, d11_minus_d12)
-    return restricted + (rel_cross, rel_square(psi1), rel_square(psi2), rel_swap)
+    return RELATIONS + (rel_cross, rel_square(psi1), rel_square(psi2), rel_swap)
 
 
-#: The eleven compact-type relation expressions (rank 10).
+#: The eleven compact-type relation expressions (rank 10); the first seven are
+#: ``chow.RELATIONS``.
 CT_RELATIONS: Tuple[Expr, ...] = _build_ct_relations()
 
 # The first slot pairs psi1*d11 with psi2*d11; monomials with a d0 factor die.
@@ -158,14 +154,11 @@ def reduce_ct(expr: Mapping[Monomial, PolyLike]) -> CtClass:
 
 def restrict_to_ct(c: TautClass2) -> CtClass:
     """Restriction of a full-space class to the compact-type locus."""
-    expr: Expr = {}
-    for slot, monomials in enumerate(BASIS_MONOMIALS):
-        coeff = c.coeffs[slot]
-        if coeff.is_zero():
-            continue
-        for m in monomials:
-            expr[m] = expr.get(m, PolyQ()) + coeff
-    return reduce_ct(expr)
+    if not isinstance(c, TautClass2):
+        raise TypeError(f"restrict_to_ct takes a TautClass2, got {type(c).__name__}")
+    return reduce_ct(
+        {m: coeff for monomials, coeff in zip(BASIS_MONOMIALS, c.coeffs) for m in monomials}
+    )
 
 
 def hain_class(d: PolyLike) -> CtClass:
@@ -198,42 +191,25 @@ class DecoratedRows:
 def derive_decorated_rows() -> DecoratedRows:
     """Solve for d22 and d11| from the two known decorated expansions.
 
-    The Hain class equals d^4 (d22 + d11| - (1/5) d12*d2) and the restricted
-    degree-d class equals (d^2-1)((d^2+1) d22 + (d^2-1) d11| -
-    ((d^2+6)/5) d12*d2).  Slot-wise in d these give x + y and x - y for
-    x = d22, y = d11|; the redundant d^2-coefficient match and full
-    re-substitution guard against transcription slips.
+    Write x = d22 and y = d11|.  The Hain class equals d^4 (x + y - (1/5) e5)
+    and the restricted degree-d class equals
+    (d^2-1)((d^2+1) x + (d^2-1) y - ((d^2+6)/5) e5)
+    = (d^2-1)(d^2 (x + y - (1/5) e5) + (x - y - (6/5) e5)), with e5 = d12*d2.
+    So x + y is read off the d^4 coefficients of the Hain class, and x - y
+    off the constant coefficients of the restricted class.  Re-substituting
+    x and y into both expansions is the proof: it fails unless the Hain class
+    is a pure d^4 multiple and the restricted class has exactly that shape.
     """
     e5 = CtClass.unit(4)
-
     hain = hain_class(D)
-    hbar = []
-    for coeff in hain.coeffs:
-        for k, c in enumerate(coeff.coeffs):
-            if c != 0 and k != 4:
-                raise ArithmeticError("Hain class is not a pure d^4 multiple")
-        hbar.append(coeff.coefficient(4))
-    sum_xy = CtClass(hbar) + e5.scale(Fraction(1, 5))
-
     restricted = restrict_to_ct(dr2_class(D))
-    lead, const = [], []
-    for coeff in restricted.coeffs:
-        # coeff = (d^2-1) * (L2 d^2 + L0): quartic in d with no odd terms
-        quotient = _divide_by_d2_minus_1(coeff)
-        if quotient.degree > 2 or quotient.coefficient(1) != 0:
-            raise ArithmeticError("unexpected degree structure in restriction")
-        lead.append(quotient.coefficient(2))
-        const.append(quotient.coefficient(0))
-    # d^2-coefficient match: must reproduce x + y - (1/5) e5.
-    if CtClass(lead) != sum_xy - e5.scale(Fraction(1, 5)):
-        raise ArithmeticError("degree-2 coefficient match failed")
-    diff_xy = CtClass(const) + e5.scale(Fraction(6, 5))
-
+    sum_xy = CtClass(c.coefficient(4) for c in hain.coeffs) + e5.scale(Fraction(1, 5))
+    diff_xy = e5.scale(Fraction(6, 5)) - CtClass(c.coefficient(0) for c in restricted.coeffs)
     d22 = (sum_xy + diff_xy).scale(Fraction(1, 2))
     d11bar = (sum_xy - diff_xy).scale(Fraction(1, 2))
 
     # Re-substitute into both displayed expansions.
-    d2sq = as_poly(D) * as_poly(D)
+    d2sq = D * D
     lhs1 = (d22 + d11bar - e5.scale(Fraction(1, 5))).scale(d2sq * d2sq)
     if lhs1 != hain:
         raise ArithmeticError("re-substitution into the Hain expansion failed")
@@ -243,22 +219,6 @@ def derive_decorated_rows() -> DecoratedRows:
     if lhs2 != restricted:
         raise ArithmeticError("re-substitution into the class expansion failed")
     return DecoratedRows(d22=d22, d11bar=d11bar)
-
-
-def _divide_by_d2_minus_1(p: PolyQ) -> PolyQ:
-    """Exact division by d^2 - 1 (errors if it does not divide)."""
-    rem = list(p.coeffs)
-    out = [Fraction(0)] * max(len(rem) - 2, 0)
-    for k in range(len(rem) - 1, 1, -1):
-        c = rem[k]
-        if c == 0:
-            continue
-        out[k - 2] = c
-        rem[k] = Fraction(0)
-        rem[k - 2] += c
-    if any(c != 0 for c in rem):
-        raise ArithmeticError(f"{p} is not divisible by d^2 - 1")
-    return PolyQ(out)
 
 
 @dataclass(frozen=True)

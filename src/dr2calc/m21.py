@@ -89,6 +89,8 @@ def pushforward(c: TautClass2, marking: int) -> DivisorM21:
     The marking argument is 1 or 2; forgetting point 2 is the point-1 table
     applied to the marking-swapped class.
     """
+    if not isinstance(c, TautClass2):
+        raise TypeError(f"pushforward takes a TautClass2, got {type(c).__name__}")
     if marking == 2:
         c = swap_markings(c)
     elif marking != 1:

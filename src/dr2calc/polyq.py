@@ -51,8 +51,13 @@ def format_rational(q: Fraction) -> str:
 
 
 def parse_rational(s: str) -> Fraction:
-    """Parse "p/q" or "p" back into a Fraction."""
-    return Fraction(s)
+    """Parse "p/q" or "p" into a Fraction; anything else is a ValueError."""
+    if isinstance(s, str):
+        try:
+            return Fraction(s)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"expected a 'p/q' string, got {s!r}")
 
 
 class PolyQ:

@@ -24,7 +24,7 @@ from typing import Dict, Sequence, Tuple
 
 from . import m21
 from .chow import BASIS_MONOMIALS, BASIS_NAMES, GENERATORS, TautClass2
-from .polyq import D, PolyQ
+from .polyq import D, PolyQ, parse_rational
 
 FIXTURE_NAMES = tuple(f"family{k:02d}.json" for k in range(1, 11))
 
@@ -79,6 +79,8 @@ class EquationRow:
     provenance: str = ""
 
     def apply(self, c: TautClass2) -> PolyQ:
+        if not isinstance(c, TautClass2):
+            raise TypeError(f"EquationRow.apply takes a TautClass2, got {type(c).__name__}")
         out = PolyQ()
         for coeff, slot in zip(self.coefficients, c.coeffs):
             if coeff and not slot.is_zero():
@@ -103,7 +105,13 @@ class EquationRow:
 
 
 def _parse_surface(doc: dict) -> SurfaceModel:
-    gram = tuple(tuple(Fraction(x) for x in row) for row in doc["gram"])
+    def rational(x) -> Fraction:
+        try:
+            return parse_rational(x)
+        except ValueError as exc:
+            raise ValueError(f"{doc['name']}: {exc}") from None
+
+    gram = tuple(tuple(rational(x) for x in row) for row in doc["gram"])
     n = len(doc["generators"])
     if len(gram) != n or any(len(row) != n for row in gram):
         raise ValueError(f"{doc['name']}: gram shape does not match generators")
@@ -113,7 +121,7 @@ def _parse_surface(doc: dict) -> SurfaceModel:
             raise ValueError(f"{doc['name']}: unknown generator {gen!r}")
         if len(vec) != n:
             raise ValueError(f"{doc['name']}: restriction length for {gen!r}")
-        restrictions[gen] = tuple(Fraction(x) for x in vec)
+        restrictions[gen] = tuple(rational(x) for x in vec)
     return SurfaceModel(
         name=doc["name"],
         family=int(doc["family"]),

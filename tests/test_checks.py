@@ -157,3 +157,8 @@ def test_every_named_check_has_a_failure_case():
 def test_run_checks_rejects_unknown_names():
     with pytest.raises(KeyError, match=r"unknown check name\(s\): \['nope'\]"):
         checks.run_checks(["solver", "nope"])
+
+
+def test_run_checks_with_an_empty_selection_runs_none():
+    assert checks.run_checks(only=[]) == []
+    assert checks.run_checks([]) == []

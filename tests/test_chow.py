@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from dr2calc.chow import (
     BASIS_MONOMIALS,
     BASIS_NAMES,
@@ -328,3 +330,16 @@ def test_json_wire_format():
     assert blob["psi1psi2"] == ["6"]
     assert blob["d0sq"] == []
     assert TautClass2.from_json_dict(blob) == c
+
+
+def test_class_json_refuses_unknown_names():
+    blob = dr2_class(D).to_json_dict()
+    blob["psi1psi"] = blob.pop("psi1psi2")
+    with pytest.raises(ValueError, match="unknown basis name in class JSON: 'psi1psi'"):
+        TautClass2.from_json_dict(blob)
+
+
+def test_class_json_refuses_bare_strings():
+    # iterated, "12" would read as the characters "1" and "2", that is 2*d + 1
+    with pytest.raises(ValueError, match="'psi1psi2' must be a list of rational strings, got '12'"):
+        TautClass2.from_json_dict({"psi1psi2": "12"})

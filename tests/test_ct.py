@@ -1,11 +1,22 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+from dr2calc import ct
 from dr2calc.chow import (
+    BASIS_MONOMIALS,
+    D0,
     D2,
+    D11,
+    D12,
     DivisorM22,
+    MONOMIALS,
     PSI1,
+    PSI2,
     RELATIONS,
+    QuotientReducer,
+    TautClass2,
     dr2_class,
     expand_product,
     mono,
@@ -182,3 +193,92 @@ def test_ct_json_keys():
     blob = hain_class(2).to_json_dict()
     assert set(blob) == set(CT_BASIS_NAMES)
     assert blob["d2sq"] == ["-16"]
+
+
+
+def test_reducer_from_d0_filtered_relations_is_the_same():
+    # oracle: the ring as first built, with the d0 terms cut from the seven
+    # full relations before they enter the echelon
+    filtered = tuple({m: c for m, c in rel.items() if D0 not in m} for rel in RELATIONS)
+    killed = tuple({m: 1} for m in MONOMIALS if D0 in m)
+    basis = (
+        (mono(PSI1, D11), mono(PSI2, D11)),
+        (mono(PSI1, D12),),
+        (mono(PSI2, D12),),
+        (mono(D2, D2),),
+        (mono(D12, D2),),
+    )
+    old = QuotientReducer(CtClass, filtered + CT_RELATIONS[len(RELATIONS) :] + killed, basis)
+    assert len(CT_RELATIONS) == 11
+    assert CT_RELATIONS[: len(RELATIONS)] == RELATIONS
+    assert old.rows == _CT_REDUCER.rows
+    assert old.table == _CT_REDUCER.table
+    assert old.den == _CT_REDUCER.den == 20
+
+
+def _accumulated_restriction(c):
+    # oracle: the restriction as first written, summing a PolyQ per monomial
+    # over the nonzero slots before the one reduction
+    expr = {}
+    for slot, monomials in enumerate(BASIS_MONOMIALS):
+        coeff = c.coeffs[slot]
+        if coeff.is_zero():
+            continue
+        for m in monomials:
+            expr[m] = expr.get(m, PolyQ()) + coeff
+    return reduce_ct(expr)
+
+
+def test_restriction_matches_accumulated_oracle():
+    # seeded classes whose slots are zero, constant or polynomial: all of one
+    # kind, and mixed
+    rng = random.Random(3057)
+
+    def slot(kind):
+        if kind == 0:
+            return PolyQ()
+        if kind == 1:
+            return PolyQ.const(F(rng.randint(-10**6, 10**6), rng.randint(1, 10**3)))
+        return PolyQ([F(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(rng.randint(2, 5))])
+
+    classes = [dr2_class(D), dr2_class(3)]
+    classes += [TautClass2(slot(kind) for _ in range(14)) for kind in range(3)]
+    classes += [TautClass2(slot(rng.randrange(3)) for _ in range(14)) for _ in range(60)]
+    for c in classes:
+        got = restrict_to_ct(c)
+        assert type(got) is CtClass
+        assert got == _accumulated_restriction(c)
+
+
+@pytest.mark.parametrize("vector", [CtClass.unit(0), DivisorM22.unit(0)], ids=["CtClass", "DivisorM22"])
+def test_restrict_refuses_other_vectors(vector):
+    # a zip over the 14 slots would silently truncate a shorter vector
+    with pytest.raises(TypeError, match=f"restrict_to_ct takes a TautClass2, got {type(vector).__name__}"):
+        restrict_to_ct(vector)
+
+
+def _hain_plus(extra):
+    return lambda d: hain_class(d) + extra
+
+
+def _class_plus(slot, extra):
+    return lambda d: dr2_class(d) + TautClass2.unit(slot).scale(extra)
+
+
+@pytest.mark.parametrize(
+    "name, wrong, expansion",
+    [
+        ("hain_class", _hain_plus(CtClass.unit(0).scale(D * D)), "Hain"),
+        ("hain_class", _hain_plus(CtClass.unit(1).scale((D * D) ** 2)), "class"),
+        ("dr2_class", _class_plus(0, D), "class"),
+        ("dr2_class", _class_plus(8, 1), "class"),
+        ("dr2_class", _class_plus(8, (D * D - 1) * D * D), "class"),
+    ],
+    ids=["hain+d2*e0", "hain+d4*e1", "class+d@0", "class+1@8", "class+(d2-1)d2@8"],
+)
+def test_decorated_rows_faults_fail_resubstitution(monkeypatch, name, wrong, expansion):
+    # each fault breaks a shape the derivation reads coefficients from; one
+    # of the two re-substitutions must refuse it
+    monkeypatch.setattr(ct, name, wrong)
+    with pytest.raises(ArithmeticError, match=f"re-substitution into the {expansion} expansion failed"):
+        derive_decorated_rows()

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from dr2calc.chow import TautClass2, dr2_class
+from dr2calc.chow import DivisorM22, TautClass2, dr2_class
+from dr2calc.ct import CtClass
 from dr2calc.m21 import (
     LAMBDA_CLASS,
     MOVING_D,
@@ -160,3 +161,11 @@ def test_pushforward_rows_are_pushforward_functionals():
             assert row.coefficients[slot] == pushforward(
                 TautClass2.unit(slot), 1
             ).coeffs[k].constant_value()
+
+
+@pytest.mark.parametrize("marking", [1, 2])
+@pytest.mark.parametrize("vector_cls", [CtClass, DivisorM22], ids=lambda cls: cls.__name__)
+def test_pushforward_refuses_other_vectors(vector_cls, marking):
+    # a zip over the 14 slots would silently truncate a shorter vector
+    with pytest.raises(TypeError, match=f"pushforward takes a TautClass2, got {vector_cls.__name__}"):
+        pushforward(vector_cls.unit(0), marking)

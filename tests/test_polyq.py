@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -220,3 +221,10 @@ def test_format_rational_refuses_floats():
     assert format_rational(3) == "3" and format_rational("2/4") == "1/2"
     with pytest.raises(TypeError, match="0.1"):
         format_rational(0.1)
+
+
+@pytest.mark.parametrize("value", [0.1, 1, Fraction(1, 2), None, "1/0", "abc", ""])
+def test_parse_rational_takes_only_rational_strings(value):
+    # a float 0.1 would otherwise parse to its binary value
+    with pytest.raises(ValueError, match=f"expected a 'p/q' string, got {re.escape(repr(value))}"):
+        parse_rational(value)

@@ -1,13 +1,18 @@
+import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from dr2calc.chow import RELATIONS, TautClass2, dr2_class, swap_markings
+from dr2calc.chow import RELATIONS, DivisorM22, TautClass2, dr2_class, swap_markings
+from dr2calc.ct import CtClass
 from dr2calc.polyq import D
 from dr2calc.surfaces import (
     DISPLAYED_INTERSECTIONS,
     SurfaceModel,
+    _fixture_bytes,
+    _parse_surface,
     builtin_surfaces,
     equation_row,
     fixture_checksums,
@@ -158,3 +163,27 @@ def test_fixture_checksums_shape():
     sums = fixture_checksums()
     assert len(sums) == 10
     assert all(len(v) == 64 for v in sums.values())
+
+
+@pytest.mark.parametrize("vector_cls", [CtClass, DivisorM22], ids=lambda cls: cls.__name__)
+def test_equation_row_refuses_other_vectors(vector_cls):
+    # a zip over the 14 coefficients would silently truncate a shorter vector
+    row = full_system_rows()[0]
+    name = vector_cls.__name__
+    with pytest.raises(TypeError, match=f"EquationRow.apply takes a TautClass2, got {name}"):
+        row.apply(vector_cls.unit(0))
+    with pytest.raises(TypeError, match=name):
+        row.residual(vector_cls.unit(0))
+
+
+@pytest.mark.parametrize("value", [0.1, 1, None, "1/0", "one"])
+@pytest.mark.parametrize("field", ["gram", "restrictions"])
+def test_parse_surface_refuses_non_string_rationals(field, value):
+    # a JSON number would load as its binary value; every shipped entry is a string
+    doc = json.loads(_fixture_bytes()["family01.json"])
+    if field == "gram":
+        doc["gram"][0][0] = value
+    else:
+        next(iter(doc["restrictions"].values()))[0] = value
+    with pytest.raises(ValueError, match=re.escape(f"{doc['name']}: expected a 'p/q' string, got {value!r}")):
+        _parse_surface(doc)
