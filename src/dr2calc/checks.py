@@ -1,9 +1,16 @@
 """Named regression checks over every identity the package computes.
 
-Each check is a pure function returning a CheckResult; the CLI verify
-command runs them all (or a named subset) and fails on any failure.  The
-checks are deliberately redundant with the test suite: they make the whole
-verification story runnable from an installed package, without pytest.
+The CLI verify command runs them all (or a named subset) and fails on any
+failure.  The checks are deliberately redundant with the test suite: they
+make the whole verification story runnable from an installed package,
+without pytest.
+
+To add a check, write a function that returns ``(passed, details)`` and
+decorate it with ``@_check(name)``.  The decorator returns, and registers in
+``CHECKS`` under ``name``, the check proper: it calls your function and builds
+the ``CheckResult``.  ``verify`` runs the checks in definition order.  Every
+name needs a case in ``FAILURES`` of ``tests/test_checks.py`` that makes it
+fail with exact ``details``.
 """
 
 from __future__ import annotations
@@ -11,10 +18,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import cones, ct, m21, solver, surfaces
-from .chow import dr2_class
+from .chow import FUSED_SLOT, dr2_class
 from .polyq import D, PolyQ
 
 
@@ -25,27 +32,44 @@ class CheckResult:
     details: str
 
 
-def check_surfaces() -> CheckResult:
+#: The registered checks, by name, in definition order.
+CHECKS: Dict[str, Callable[..., CheckResult]] = {}
+
+
+def _check(name: str):
+    """Register a function returning ``(passed, details)`` as the check ``name``."""
+
+    def register(body: Callable[..., Tuple[bool, str]]) -> Callable[..., CheckResult]:
+        def check(*args, **kwargs) -> CheckResult:
+            return CheckResult(name, *body(*args, **kwargs))
+
+        CHECKS[name] = check
+        return check
+
+    return register
+
+
+@_check("surfaces")
+def check_surfaces() -> Tuple[bool, str]:
     by_family = {s.family: s for s in surfaces.builtin_surfaces()}
     bad = []
     for fam, a, b, want in surfaces.DISPLAYED_INTERSECTIONS:
         got = by_family[fam].pair_generators(a, b)
         if got != want:
             bad.append(f"family {fam}: {a}.{b} = {got}, expected {want}")
-    if bad:
-        return CheckResult("surfaces", False, "; ".join(bad))
     n = len(surfaces.DISPLAYED_INTERSECTIONS)
-    return CheckResult("surfaces", True, f"all {n} displayed intersection numbers reproduced")
+    return not bad, "; ".join(bad) or f"all {n} displayed intersection numbers reproduced"
 
 
-def check_solver(system: Optional[solver.ParamSystem] = None) -> CheckResult:
+@_check("solver")
+def check_solver(system: Optional[solver.ParamSystem] = None) -> Tuple[bool, str]:
     sys_ = system or solver.full_system()
     try:
         cert = solver.solve_parametric(sys_)
     except solver.UnderdeterminedSystemError as exc:
-        return CheckResult("solver", False, f"rank defect: {exc}")
+        return False, f"rank defect: {exc}"
     except solver.InconsistentSystemError as exc:
-        return CheckResult("solver", False, f"inconsistent at row {exc.row_index}")
+        return False, f"inconsistent at row {exc.row_index}"
     problems = []
     if cert.rank != 14:
         problems.append(f"rank {cert.rank} != 14")
@@ -56,14 +80,13 @@ def check_solver(system: Optional[solver.ParamSystem] = None) -> CheckResult:
         problems.append(f"{len(deps)} redundant rows, expected 2")
     if cert.solution != dr2_class(D):
         problems.append("solution differs from the closed-form class")
-    if problems:
-        return CheckResult("solver", False, "; ".join(problems))
-    return CheckResult(
-        "solver", True, "rank 14, 2 redundant rows, solution matches the closed form"
+    return not problems, (
+        "; ".join(problems) or "rank 14, 2 redundant rows, solution matches the closed form"
     )
 
 
-def check_pushforward() -> CheckResult:
+@_check("pushforward")
+def check_pushforward() -> Tuple[bool, str]:
     c = dr2_class(D)
     expected = m21.pushforward_class_formula(D)
     ok = (
@@ -71,51 +94,43 @@ def check_pushforward() -> CheckResult:
         and m21.pushforward(c, 2) == expected
         and m21.pushforward_class_formula(2) == m21.WEIERSTRASS_CLASS.scale(5)
     )
-    details = (
+    return ok, (
         "push-forward matches the closed form for both markings; d=2 gives 5W"
         if ok
         else "push-forward identity failed"
     )
-    return CheckResult("pushforward", ok, details)
 
 
-def check_chi_pipeline() -> CheckResult:
+@_check("chi-pipeline")
+def check_chi_pipeline() -> Tuple[bool, str]:
     ok = m21.chi_pullback_pipeline(D) == m21.pushforward_class_formula(D)
-    return CheckResult(
-        "chi-pipeline",
-        ok,
+    return ok, (
         "Diaz pull-back pipeline reproduces the push-forward class"
         if ok
-        else "pipeline output differs",
+        else "pipeline output differs"
     )
 
 
-def check_psi3() -> CheckResult:
+@_check("psi3")
+def check_psi3() -> Tuple[bool, str]:
     got = m21.psi_cubed_intersection(D)
     want = (D * D - 1) * (3 * D * D - 7) / 5760
     ok = got == want and got(2) == Fraction(1, 384)
-    return CheckResult(
-        "psi3",
-        ok,
-        f"psi^3 pairing is {got} with value 1/384 at d=2" if ok else f"got {got}",
-    )
+    return ok, f"psi^3 pairing is {got} with value 1/384 at d=2" if ok else f"got {got}"
 
 
-def check_pencil_count() -> CheckResult:
+@_check("m-count")
+def check_pencil_count() -> Tuple[bool, str]:
     bad = [
         g
         for g in range(1, 101)
         if g * (g + 1) * (g + 2) != ((g + 1) ** 2 - 1) + m21.pencil_count(g)
     ]
-    ok = not bad
-    return CheckResult(
-        "m-count",
-        ok,
-        "splitting identity holds for g = 1..100" if ok else f"fails at g in {bad}",
-    )
+    return not bad, f"fails at g in {bad}" if bad else "splitting identity holds for g = 1..100"
 
 
-def check_hac() -> CheckResult:
+@_check("hac")
+def check_hac() -> Tuple[bool, str]:
     report = ct.verify_hac()
     rows = report.decorated
     extras = (
@@ -126,49 +141,43 @@ def check_hac() -> CheckResult:
         )
     )
     ok = report.ok and extras
-    return CheckResult(
-        "hac",
-        ok,
+    return ok, (
         "Hain-class comparison and decorated decomposition hold symbolically"
         if ok
-        else "comparison failed",
+        else "comparison failed"
     )
 
 
-def check_ci_obstruction() -> CheckResult:
+@_check("ci-obstruction")
+def check_ci_obstruction() -> Tuple[bool, str]:
     rng = random.Random(20250817)
     for trial in range(1000):
-        a = cones.EffectiveDivisorPattern(
-            *[Fraction(rng.randint(0, 12), rng.randint(1, 6)) for _ in range(6)]
-        )
-        b = cones.EffectiveDivisorPattern(
-            *[Fraction(rng.randint(0, 12), rng.randint(1, 6)) for _ in range(6)]
+        a, b = (
+            cones.EffectiveDivisorPattern(
+                *[Fraction(rng.randint(0, 12), rng.randint(1, 6)) for _ in range(6)]
+            )
+            for _ in range(2)
         )
         got = cones.ci_obstruction(a, b)
         want = (a.psi1 * b.psi1 + a.psi2 * b.psi2) / 2
         if got != want or got < 0:
-            return CheckResult(
-                "ci-obstruction", False, f"trial {trial}: {got} != {want}"
-            )
-    slot = dr2_class(D).coeffs[1]
+            return False, f"trial {trial}: {got} != {want}"
+    slot = dr2_class(D).coeffs[FUSED_SLOT]
     negative = [d for d in range(2, 51) if not slot(d) < 0]
     if negative:
-        return CheckResult(
-            "ci-obstruction", False, f"fused slot not negative at d in {negative}"
-        )
-    return CheckResult(
-        "ci-obstruction",
-        True,
+        return False, f"fused slot not negative at d in {negative}"
+    return True, (
         "1000 random effective products have non-negative fused slot; "
-        "the class has negative fused slot for d = 2..50",
+        "the class has negative fused slot for d = 2..50"
     )
 
 
-def check_cone_decomposition() -> CheckResult:
+@_check("cone-decomposition")
+def check_cone_decomposition() -> Tuple[bool, str]:
     try:
         cones.cone_decomposition(D)
     except ArithmeticError as exc:
-        return CheckResult("cone-decomposition", False, str(exc))
+        return False, str(exc)
     inf = cones.dr_infinity()
     expected = (
         Fraction(1, 2),
@@ -181,35 +190,29 @@ def check_cone_decomposition() -> CheckResult:
         Fraction(1, 120),
     ) + (Fraction(0),) * 6
     ok = all(c == PolyQ.const(v) for c, v in zip(inf.coeffs, expected))
-    return CheckResult(
-        "cone-decomposition",
-        ok,
+    return ok, (
         "two-ray decomposition holds slot-wise; limit class matches"
         if ok
-        else "limit class slots differ",
+        else "limit class slots differ"
     )
 
 
+@_check("nonextremality")
 def check_nonextremality(
     strata_table: Optional[cones.StrataTable] = None,
-) -> CheckResult:
+) -> Tuple[bool, str]:
     report = cones.nonextremality_check(strata_table)
-    positive = all(w > 0 for w in report.weights.values())
-    if not positive:
-        return CheckResult("nonextremality", False, "a decomposition weight is not positive")
+    if not all(w > 0 for w in report.weights.values()):
+        return False, "a decomposition weight is not positive"
     if report.status == "failed":
-        return CheckResult(
-            "nonextremality", False, "supplied strata table does not close the identity"
-        )
-    return CheckResult(
-        "nonextremality",
-        True,
-        "all decomposition weights positive; identity "
-        + ("verified against supplied table" if report.status == "verified" else "data-gated, skipped"),
+        return False, "supplied strata table does not close the identity"
+    return True, "all decomposition weights positive; identity " + (
+        "verified against supplied table" if report.status == "verified" else "data-gated, skipped"
     )
 
 
-def check_nonpolynomiality() -> CheckResult:
+@_check("nonpolynomiality")
+def check_nonpolynomiality() -> Tuple[bool, str]:
     report = cones.nonpolynomiality_witness(4)
     ok = (
         report.interpolant == PolyQ((-2, 0, 2))
@@ -217,28 +220,11 @@ def check_nonpolynomiality() -> CheckResult:
         and report.count_at_zero == 0
         and report.witnesses_nonpolynomiality
     )
-    return CheckResult(
-        "nonpolynomiality",
-        ok,
+    return ok, (
         "interpolant through m = 1..5 predicts -2 at 0, true count is 0"
         if ok
-        else "witness failed",
+        else "witness failed"
     )
-
-
-CHECKS: Dict[str, Callable[..., CheckResult]] = {
-    "surfaces": check_surfaces,
-    "solver": check_solver,
-    "pushforward": check_pushforward,
-    "chi-pipeline": check_chi_pipeline,
-    "psi3": check_psi3,
-    "m-count": check_pencil_count,
-    "hac": check_hac,
-    "ci-obstruction": check_ci_obstruction,
-    "cone-decomposition": check_cone_decomposition,
-    "nonextremality": check_nonextremality,
-    "nonpolynomiality": check_nonpolynomiality,
-}
 
 
 def run_checks(

@@ -26,7 +26,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
-from .chow import GENERATORS, DivisorM22, TautClass2, dr2_class, multiply_divisors
+from .chow import (
+    BASIS_NAMES,
+    FUSED_SLOT,
+    GENERATORS,
+    DivisorM22,
+    TautClass2,
+    dr2_class,
+    multiply_divisors,
+)
 from .polyq import D, PolyLike, PolyQ, as_poly, exact, parse_rational, poly_interpolate
 
 
@@ -68,7 +76,7 @@ def ci_obstruction(
     (1/2)(a_psi1 b_psi1 + a_psi2 b_psi2), hence is non-negative.
     """
     product = multiply_divisors(a.to_divisor(), b.to_divisor())
-    return product.coeffs[1].constant_value()
+    return product.coeffs[FUSED_SLOT].constant_value()
 
 
 def dr_infinity() -> TautClass2:
@@ -174,13 +182,9 @@ def nonextremality_check(table: Optional[StrataTable] = None) -> NonExtremalityR
         return NonExtremalityReport(
             status="skipped_missing_data", residual=None, weights=weights
         )
-    combo = TautClass2.unit(9).scale(weights["d12d2"])
-    combo = combo + TautClass2.unit(10).scale(weights["d0d2"])
-    combo = combo + table["d11|"].scale(weights["d11|"])
-    combo = combo + table["d01|"].scale(weights["d01|"])
-    combo = combo + table["d0|"].scale(weights["d0|"])
-    combo = combo + table["d00"].scale(weights["d00"])
-    combo = combo + dr2_class(2).scale(weights["dr2(2)"])
+    classes = {**table, "dr2(2)": dr2_class(2)}
+    classes.update((n, TautClass2.unit(BASIS_NAMES.index(n))) for n in ("d12d2", "d0d2"))
+    combo = sum((classes[n].scale(w) for n, w in weights.items()), TautClass2.zero())
     residual = dr_infinity() - combo
     status = "verified" if residual.is_zero() else "failed"
     return NonExtremalityReport(status=status, residual=residual, weights=weights)

@@ -8,7 +8,7 @@ dimension 5.  We use the marking-symmetric basis
 
 The reducing relations are the seven full-space relations as they are (their
 d0 terms die with the d0 monomials) together with four relations that only
-hold on compact type:
+hold on compact type, which ``CT_RELATIONS`` writes down term by term:
 
     psi1*psi2 = (3/2)(psi1^2+psi2^2) - (9/10)(psi1+psi2) d11
                                      - (2/5)(psi1+psi2) d12
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Tuple
+from typing import Mapping, Tuple
 
 from .chow import (
     BASIS_MONOMIALS,
@@ -59,9 +59,7 @@ from .chow import (
     MONOMIALS,
     QuotientReducer,
     TautClass2,
-    _unit,
     dr2_class,
-    expand_product,
     mono,
 )
 from .polyq import D, PolyLike, PolyQ, PolyVector, as_poly
@@ -82,52 +80,31 @@ class CtClass(PolyVector):
     names = CT_BASIS_NAMES
 
 
-def _weighted_sum(parts: Iterable[Tuple[Expr, Fraction]]) -> Expr:
-    out: Expr = {}
-    for part, weight in parts:
-        for m, c in part.items():
-            out[m] = out.get(m, PolyQ()) + c * weight
-    return out
+_F = Fraction
 
-
-def _build_ct_relations() -> Tuple[Expr, ...]:
-    psi1, psi2 = _unit(PSI1), _unit(PSI2)
-    d2, d11, d12 = _unit(D2), _unit(D11), _unit(D12)
-    # psi1 psi2 - (3/2)(psi1^2 + psi2^2) + (9/10)(psi1+psi2) d11
-    #           + (2/5)(psi1+psi2) d12 = 0
-    psi_sum = (1, 1, 0, 0, 0, 0)
-    rel_cross = _weighted_sum(
-        (
-            (expand_product(psi1, psi2), Fraction(1)),
-            (expand_product(psi1, psi1), Fraction(-3, 2)),
-            (expand_product(psi2, psi2), Fraction(-3, 2)),
-            (expand_product(psi_sum, d11), Fraction(9, 10)),
-            (expand_product(psi_sum, d12), Fraction(2, 5)),
-        )
+#: The eleven compact-type relation expressions (rank 10): ``chow.RELATIONS``,
+#: then the four compact-type relations of the module docstring, each moved to
+#: one side of its equation.
+CT_RELATIONS: Tuple[Expr, ...] = RELATIONS + tuple(
+    {m: PolyQ.const(c) for m, c in rel.items()}
+    for rel in (
+        # psi1 psi2 - (3/2)(psi1^2 + psi2^2) + (9/10)(psi1+psi2) d11
+        #           + (2/5)(psi1+psi2) d12
+        {
+            (PSI1, PSI2): 1, (PSI1, PSI1): _F(-3, 2), (PSI2, PSI2): _F(-3, 2),
+            (PSI1, D11): _F(9, 10), (PSI2, D11): _F(9, 10),
+            (PSI1, D12): _F(2, 5), (PSI2, D12): _F(2, 5),
+        },
+        # psi_i^2 - (7/10) psi_i (d11 + d12) + (7/10) d12 d2 + d2^2, i = 1, 2
+        *(
+            {(p, p): 1, (p, D11): _F(-7, 10), (p, D12): _F(-7, 10),
+             (D2, D12): _F(7, 10), (D2, D2): 1}
+            for p in (PSI1, PSI2)
+        ),
+        # (psi1 - psi2)(d11 - d12)
+        {(PSI1, D11): 1, (PSI1, D12): -1, (PSI2, D11): -1, (PSI2, D12): 1},
     )
-
-    # psi_i^2 - (7/10) psi_i (d11 + d12) + (7/10) d12 d2 + d2^2 = 0
-    def rel_square(psi_i) -> Expr:
-        return _weighted_sum(
-            (
-                (expand_product(psi_i, psi_i), Fraction(1)),
-                (expand_product(psi_i, d11), Fraction(-7, 10)),
-                (expand_product(psi_i, d12), Fraction(-7, 10)),
-                (expand_product(d12, d2), Fraction(7, 10)),
-                (expand_product(d2, d2), Fraction(1)),
-            )
-        )
-
-    # (psi1 - psi2)(d11 - d12) = 0
-    psi_diff = (1, -1, 0, 0, 0, 0)
-    d11_minus_d12 = (0, 0, 0, 0, 1, -1)
-    rel_swap = expand_product(psi_diff, d11_minus_d12)
-    return RELATIONS + (rel_cross, rel_square(psi1), rel_square(psi2), rel_swap)
-
-
-#: The eleven compact-type relation expressions (rank 10); the first seven are
-#: ``chow.RELATIONS``.
-CT_RELATIONS: Tuple[Expr, ...] = _build_ct_relations()
+)
 
 # The first slot pairs psi1*d11 with psi2*d11; monomials with a d0 factor die.
 _CT_REDUCER = QuotientReducer(
@@ -237,10 +214,10 @@ class HacReport:
         return self.difference_formula_ok and self.decomposition_ok
 
 
-def verify_hac(d: Optional[PolyLike] = None) -> HacReport:
+def verify_hac(d: PolyLike = D) -> HacReport:
     """Check that Hain class minus restricted class equals
     d22 + (2d^2-1) d11| + (d^2 - 6/5) d12*d2, symbolically by default."""
-    dd = as_poly(d) if d is not None else D
+    dd = as_poly(d)
     d2sq = dd * dd
     hain = hain_class(dd)
     restricted = restrict_to_ct(dr2_class(dd))

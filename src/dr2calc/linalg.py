@@ -135,8 +135,7 @@ def solve_unique(
 
     # Verify against the original rows so the offending index is meaningful,
     # in integers: with solution = X / den, row . X == rhs * den.
-    den = lcm(*[x.denominator for x in solution])
-    point = [x.numerator * (den // x.denominator) for x in solution] + [-den]
+    [point] = _integer_rows([solution + [-1]])
     for k, row in enumerate(augmented):
         if sum(map(mul, row, point)):
             raise InconsistentSystemError(k)

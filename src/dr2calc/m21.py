@@ -95,14 +95,7 @@ def pushforward(c: TautClass2, marking: int) -> DivisorM21:
         c = swap_markings(c)
     elif marking != 1:
         raise ValueError("marking must be 1 or 2")
-    out = [PolyQ(), PolyQ(), PolyQ()]
-    for coeff, images in zip(c.coeffs, PUSHFORWARD_TABLE_PI1):
-        if coeff.is_zero():
-            continue
-        for k, v in enumerate(images):
-            if v != 0:
-                out[k] = out[k] + coeff * v
-    return DivisorM21(out)
+    return DivisorM21(c.dot(column) for column in zip(*PUSHFORWARD_TABLE_PI1))
 
 
 def pushforward_class_formula(d: PolyLike) -> DivisorM21:

@@ -44,10 +44,7 @@ def exact(value: Union[Scalar, str]) -> Fraction:
 
 def format_rational(q: Fraction) -> str:
     """Render a rational as "p/q", or "p" when the denominator is 1."""
-    q = exact(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    return str(exact(q))
 
 
 def parse_rational(s: str) -> Fraction:
@@ -304,6 +301,14 @@ class PolyVector:
     def scale(self, factor: PolyLike):
         f = as_poly(factor)
         return self._of(tuple(f * c for c in self.coeffs))
+
+    def dot(self, weights: Sequence[Scalar]) -> PolyQ:
+        """The polynomial sum of weights[k] * coeffs[k]: a rational row times the vector."""
+        out = ZERO
+        for w, c in zip(weights, self.coeffs):
+            if w and c:
+                out = out + c * w
+        return out
 
     def eval_at(self, x: Scalar):
         return type(self)(PolyQ.const(c(x)) for c in self.coeffs)

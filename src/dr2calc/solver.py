@@ -12,8 +12,11 @@ strategy is sample-then-interpolate:
 Step 3 is a genuine polynomial-identity proof, not a spot check: any
 residual is a polynomial of degree at most max(deg solution, deg rhs) that
 vanishes at all sample points, so with at least deg + 2 samples it can only
-be the zero polynomial.  Sampling starts at d = 2; the solution polynomials
-are defined for all d, and their value at d = 1 is the zero vector.
+be the zero polynomial.  By default the samples are the consecutive
+degrees d = 2, 3, ..., max(6, deg + 2) of them, where deg is the largest
+right-hand-side degree (one less than its coefficient count).  The solution
+polynomials are defined for all d, and their value at d = 1 is the zero
+vector.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import linalg
 from .chow import BASIS_NAMES, TautClass2
 from .linalg import InconsistentSystemError, UnderdeterminedSystemError
-from .polyq import NEG_INF, PolyQ, exact, poly_interpolate
+from .polyq import PolyQ, exact, poly_interpolate
 from .surfaces import EquationRow, full_system_rows
 
 __all__ = [
@@ -74,12 +77,7 @@ class SolveCertificate:
 
 
 def _default_samples(system: ParamSystem) -> Tuple[int, ...]:
-    max_deg = 0
-    for row in system.rows:
-        deg = row.rhs.degree
-        if deg is not NEG_INF:
-            max_deg = max(max_deg, int(deg))
-    count = max(6, max_deg + 2)
+    count = max(6, 1 + max((len(row.rhs.coeffs) for row in system.rows), default=0))
     return tuple(range(2, 2 + count))
 
 

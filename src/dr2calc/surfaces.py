@@ -81,11 +81,7 @@ class EquationRow:
     def apply(self, c: TautClass2) -> PolyQ:
         if not isinstance(c, TautClass2):
             raise TypeError(f"EquationRow.apply takes a TautClass2, got {type(c).__name__}")
-        out = PolyQ()
-        for coeff, slot in zip(self.coefficients, c.coeffs):
-            if coeff and not slot.is_zero():
-                out = out + slot * coeff
-        return out
+        return c.dot(self.coefficients)
 
     def residual(self, c: TautClass2) -> PolyQ:
         return self.apply(c) - self.rhs
@@ -122,13 +118,15 @@ def _parse_surface(doc: dict) -> SurfaceModel:
         if len(vec) != n:
             raise ValueError(f"{doc['name']}: restriction length for {gen!r}")
         restrictions[gen] = tuple(rational(x) for x in vec)
+    if not isinstance(doc["rhs"], list):
+        raise ValueError(f"{doc['name']}: rhs must be a list of 'p/q' strings")
     return SurfaceModel(
         name=doc["name"],
         family=int(doc["family"]),
         generators=tuple(doc["generators"]),
         gram=gram,
         restrictions=restrictions,
-        rhs=PolyQ.from_strings(doc["rhs"]),
+        rhs=PolyQ(rational(x) for x in doc["rhs"]),
         rationale=doc["rationale"],
     )
 
@@ -223,12 +221,12 @@ def pushforward_rows() -> Tuple[EquationRow, ...]:
     """
     target = m21.pushforward_class_formula(D)
     rows = []
-    for k, name in enumerate(m21.M21_NAMES):
-        coeffs = tuple(images[k] for images in m21.PUSHFORWARD_TABLE_PI1)
+    columns = zip(*m21.PUSHFORWARD_TABLE_PI1)
+    for name, coeffs, rhs in zip(m21.M21_NAMES, columns, target.coeffs):
         rows.append(
             EquationRow(
                 coefficients=coeffs,
-                rhs=target.coeffs[k],
+                rhs=rhs,
                 label=f"pushforward-{name}",
                 kind="pushforward",
                 provenance=(

@@ -185,3 +185,10 @@ def test_nonpolynomiality_degree_edge_cases():
     assert report.polynomial_matches
     with pytest.raises(ValueError):
         nonpolynomiality_witness(-1)
+
+
+def test_strata_table_must_be_a_json_object(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps([["0"] * 14] * 4))
+    with pytest.raises(ValueError, match="strata table must be a JSON object"):
+        load_strata_table(str(path))

@@ -368,3 +368,8 @@ def test_wrappers_match_the_fraction_elimination():
 def test_ragged_rows_are_refused_by_name(call, rows, bad):
     with pytest.raises(ValueError, match=f"row {bad} has {len(rows[bad])} entries"):
         call(rows)
+
+
+def test_solve_unique_refuses_a_rhs_of_another_length():
+    with pytest.raises(ValueError, match="row/rhs length mismatch"):
+        solve_unique([[F(1), F(0)], [F(0), F(1)]], [F(1)])

@@ -169,3 +169,14 @@ def test_pushforward_refuses_other_vectors(vector_cls, marking):
     # a zip over the 14 slots would silently truncate a shorter vector
     with pytest.raises(TypeError, match=f"pushforward takes a TautClass2, got {vector_cls.__name__}"):
         pushforward(vector_cls.unit(0), marking)
+
+
+def test_pushforward_refuses_a_third_marking():
+    with pytest.raises(ValueError, match="marking must be 1 or 2"):
+        pushforward(dr2_class(D), 3)
+
+
+@pytest.mark.parametrize("i", [0, 7, -1])
+def test_diaz_delta_refuses_indices_outside_the_splittings(i):
+    with pytest.raises(ValueError, match=f"no boundary index {i} in genus 7"):
+        diaz_divisor(7).delta(i)

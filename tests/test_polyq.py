@@ -228,3 +228,14 @@ def test_parse_rational_takes_only_rational_strings(value):
     # a float 0.1 would otherwise parse to its binary value
     with pytest.raises(ValueError, match=f"expected a 'p/q' string, got {re.escape(repr(value))}"):
         parse_rational(value)
+
+
+def test_dot_is_the_rational_row_action():
+    from dr2calc import DivisorM21, TautClass2
+
+    c = DivisorM21((D, 0, Fraction(1, 2)))
+    assert c.dot((2, 5, Fraction(-4))) == 2 * D - 2
+    assert c.dot((0, 1, 0)) == PolyQ() and DivisorM21.zero().dot((1, 1, 1)) == PolyQ()
+    row = [Fraction(k, 3) for k in range(14)]
+    cls = TautClass2([D * k + 1 for k in range(14)])
+    assert cls.dot(row) == sum((x * w for x, w in zip(cls.coeffs, row)), PolyQ())

@@ -187,3 +187,43 @@ def test_parse_surface_refuses_non_string_rationals(field, value):
         next(iter(doc["restrictions"].values()))[0] = value
     with pytest.raises(ValueError, match=re.escape(f"{doc['name']}: expected a 'p/q' string, got {value!r}")):
         _parse_surface(doc)
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        # a bare string would be iterated digit by digit: "12" as 1 + 2d
+        ("12", "rhs must be a list of 'p/q' strings"),
+        ([0.5], "expected a 'p/q' string, got 0.5"),
+        # JSON integers are refused here as in the Gram entries
+        ([3, 1], "expected a 'p/q' string, got 3"),
+    ],
+)
+def test_parse_surface_reads_rhs_like_gram_entries(value, message):
+    doc = json.loads(_fixture_bytes()["family01.json"])
+    doc["rhs"] = value
+    with pytest.raises(ValueError, match=re.escape(f"{doc['name']}: {message}")):
+        _parse_surface(doc)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc["gram"].pop(), "gram shape does not match generators"),
+        (lambda doc: doc["gram"][0].append("0"), "gram shape does not match generators"),
+        (
+            lambda doc: doc["restrictions"].update(d3=["0"] * len(doc["generators"])),
+            "unknown generator 'd3'",
+        ),
+        (
+            lambda doc: next(iter(doc["restrictions"].values())).append("0"),
+            "restriction length for",
+        ),
+    ],
+    ids=["gram-rows", "gram-columns", "unknown-generator", "restriction-length"],
+)
+def test_parse_surface_refuses_malformed_shapes(edit, message):
+    doc = json.loads(_fixture_bytes()["family01.json"])
+    edit(doc)
+    with pytest.raises(ValueError, match=re.escape(f"{doc['name']}: {message}")):
+        _parse_surface(doc)
