@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import cones, ct, m21, solver, surfaces
-from .chow import FUSED_SLOT, dr2_class
+from .chow import FUSED_SLOT, RELATIONS, dr2_class
 from .polyq import D, PolyQ
 
 
@@ -51,12 +51,24 @@ def _check(name: str):
 
 @_check("surfaces")
 def check_surfaces() -> Tuple[bool, str]:
+    """Displayed intersection numbers, then: each relation pairs to zero.
+
+    The relations (``RELATIONS[k]``, named by k) are paired with every
+    surface only once every displayed number matches.
+    """
     by_family = {s.family: s for s in surfaces.builtin_surfaces()}
     bad = []
     for fam, a, b, want in surfaces.DISPLAYED_INTERSECTIONS:
         got = by_family[fam].pair_generators(a, b)
         if got != want:
             bad.append(f"family {fam}: {a}.{b} = {got}, expected {want}")
+    if not bad:
+        for fam, surface in by_family.items():
+            pairings, den = surface.monomial_pairings()
+            for k, relation in enumerate(RELATIONS):
+                value = sum(c.constant_value() * pairings[m] for m, c in relation.items())
+                if value:
+                    bad.append(f"family {fam}: relation {k} pairs to {value / den}, expected 0")
     n = len(surfaces.DISPLAYED_INTERSECTIONS)
     return not bad, "; ".join(bad) or f"all {n} displayed intersection numbers reproduced"
 

@@ -38,12 +38,11 @@ coefficients.  All values are immutable; every operation is a pure function.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Dict, Mapping, Sequence, Tuple
 
 from .linalg import LinearSystemError, reduced_echelon
-from .polyq import ZERO, PolyLike, PolyQ, PolyVector, _poly, as_poly
+from .polyq import ZERO, PolyLike, PolyQ, PolyVector, _poly, as_poly, clear_denominators
 
 GENERATORS = ("psi1", "psi2", "d0", "d2", "d11", "d12")
 PSI1, PSI2, D0, D2, D11, D12 = range(6)
@@ -231,17 +230,16 @@ class QuotientReducer:
         if len(entries) != n:
             raise ValueError(f"relations and basis span {len(entries)} of the {n} monomials")
 
-        classes = {MONOMIALS[col]: row[n:] for col, row in entries}
-        self.den = math.lcm(*(v.denominator for c in classes.values() for v in c))
+        classes, self.den = clear_denominators([row[n:] for _, row in entries])
         self.rows = {
-            m: tuple((k, (v * self.den).numerator) for k, v in enumerate(c) if v)
-            for m, c in classes.items()
+            MONOMIALS[col]: tuple((k, v) for k, v in enumerate(c) if v)
+            for (col, _), c in zip(entries, classes)
         }
         self.table = tuple(tuple(self.rows[mono(i, j)] for j in range(6)) for i in range(6))
 
     def __call__(self, expr: Mapping[Monomial, PolyLike]) -> PolyVector:
         """The class of a formal combination of the 21 monomials."""
-        ints, den = _integer_coeffs([as_poly(c) for c in expr.values()])
+        ints, den = clear_denominators([as_poly(c).coeffs for c in expr.values()])
         acc = [[0] * max(map(len, ints), default=0) for _ in range(self.vector_cls.dim)]
         for m, coeffs in zip(expr, ints):
             for slot, weight in self.rows[mono(*m)]:
@@ -252,8 +250,8 @@ class QuotientReducer:
 
     def multiply(self, a: Sequence[PolyQ], b: Sequence[PolyQ]) -> PolyVector:
         """The class of the product of two divisor coefficient 6-vectors."""
-        int_a, den_a = _integer_coeffs(a)
-        int_b, den_b = _integer_coeffs(b)
+        ints, den = clear_denominators([p.coeffs for p in (*a, *b)])
+        int_a, int_b = ints[: len(a)], ints[len(a) :]
         width = max(map(len, int_a)) + max(map(len, int_b)) - 1
         acc = [[0] * width for _ in range(self.vector_cls.dim)]
         for ai, row in zip(int_a, self.table):
@@ -267,7 +265,7 @@ class QuotientReducer:
                         xy = x * y
                         for slot, weight in entry:
                             acc[slot][k] += weight * xy
-        return self._finish(acc, den_a * den_b)
+        return self._finish(acc, den * den)
 
     def _finish(self, acc: list, den: int) -> PolyVector:
         """The vector whose slots are the integer lists over den * self.den."""
@@ -278,12 +276,6 @@ class QuotientReducer:
                 out.pop()
             polys.append(_poly([Fraction(n, den) for n in out]) if out else ZERO)
         return self.vector_cls._of(tuple(polys))
-
-
-def _integer_coeffs(polys: Sequence[PolyQ]) -> Tuple[list, int]:
-    """Integer coefficient lists of the polynomials and their common denominator."""
-    den = math.lcm(*(c.denominator for p in polys for c in p.coeffs))
-    return [[c.numerator * (den // c.denominator) for c in p.coeffs] for p in polys], den
 
 
 _REDUCER = QuotientReducer(TautClass2, RELATIONS, BASIS_MONOMIALS)

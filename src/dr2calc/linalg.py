@@ -15,11 +15,11 @@ ints, Fractions or strings; a float raises ``TypeError``, as in
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .polyq import exact
+from .polyq import clear_denominators, exact
 
 Row = List[Fraction]
 
@@ -53,9 +53,8 @@ def _integer_rows(rows) -> List[List[int]]:
     """Each row times the lcm of its denominators; floats refused first."""
     out = []
     for row in rows:
-        row = [x if type(x) is Fraction else exact(x) for x in row]
-        scale = lcm(*[x.denominator for x in row])
-        out.append([x.numerator * (scale // x.denominator) for x in row])
+        [ints], _ = clear_denominators([[x if type(x) is Fraction else exact(x) for x in row]])
+        out.append(ints)
     return out
 
 

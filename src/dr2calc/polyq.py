@@ -9,6 +9,13 @@ Nothing in this module ever rounds.  Fixed-width integers are deliberately
 avoided: lattice pairings and interpolation denominators elsewhere in the
 package overflow 64 bits on adversarial inputs.
 
+The package's kernels are fraction-free: they clear denominators once, with
+``clear_denominators``, accumulate Python integers, and divide once at the
+end.  ``interpolate_columns`` is this module's kernel: it builds the
+Lagrange basis of a sample set once, as integer polynomials over one
+denominator, and applies it to any number of value columns;
+``poly_interpolate`` is its one-column case.
+
 Serialization: a rational renders as ``"p/q"`` (or ``"p"`` when q = 1); a
 polynomial renders as the ascending list of such strings.
 
@@ -26,7 +33,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Dict, Iterable, Sequence, Tuple, Union
+from math import lcm
+from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 Rational = Fraction
 
@@ -222,29 +230,77 @@ def poly_eval(p: PolyQ, x: Scalar) -> Fraction:
     return p(x)
 
 
-def poly_interpolate(samples: Iterable[Tuple[Scalar, Scalar]]) -> PolyQ:
-    """The unique polynomial of degree < n through n samples (Newton form).
+def clear_denominators(rows: Sequence[Sequence[Scalar]]) -> Tuple[List[List[int]], int]:
+    """Integer rows over one denominator: ``rows[i][k] == out[i][k] / den``.
 
-    Raises ValueError on duplicate abscissae or empty input, and TypeError on
-    a float.
+    ``den`` is the lcm of every entry's denominator (1 when there are none).
+    The entries must already be exact: ints or Fractions.
     """
-    pts = [(exact(x), exact(y)) for x, y in samples]
-    if not pts:
+    den = lcm(*[x.denominator for row in rows for x in row])
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
+
+
+def interpolate_columns(
+    xs: Sequence[Scalar], columns: Iterable[Sequence[Scalar]]
+) -> List[PolyQ]:
+    """For each column, the polynomial of degree < n through (xs[i], column[i]).
+
+    The point basis is built once per sample set.  Over one denominator,
+    xs[i] = X_i / q, and point i's Lagrange polynomial is the integer
+    polynomial prod_{j != i} (q*d - X_j) over the integer
+    w_i = prod_{j != i} (X_i - X_j); the n of them are brought over one
+    denominator, the lcm of the w_i.  Each column is cleared of its own
+    denominators and applied to that basis with integer multiply-adds; each
+    coefficient is then divided once.
+
+    Raises ValueError on empty or duplicate abscissae or on a column of
+    another length, and TypeError on a float.
+    """
+    xs = [exact(x) for x in xs]
+    n = len(xs)
+    if not n:
         raise ValueError("at least one sample is required")
-    xs = [x for x, _ in pts]
-    if len(set(xs)) != len(xs):
+    if len(set(xs)) != n:
         raise ValueError("duplicate abscissae make interpolation ill-posed")
-    # Divided differences, in place.
-    coef = [y for _, y in pts]
-    for level in range(1, len(pts)):
-        for i in range(len(pts) - 1, level - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - level])
-    # Nested (Horner) Newton form, innermost first: acc <- coef[k] + (d - x_k) * acc.
-    acc = [coef[-1]]
-    for k in range(len(coef) - 2, -1, -1):
-        x = xs[k]
-        acc = [coef[k] - x * acc[0]] + [a - x * b for a, b in zip(acc, acc[1:])] + acc[-1:]
-    return _poly(acc)
+    [ints], q = clear_denominators([xs])
+    basis, weights = [], []
+    for i, x in enumerate(ints):
+        poly, w = [1], 1
+        for j, y in enumerate(ints):
+            if j != i:
+                poly = [q * b - y * a for a, b in zip(poly + [0], [0] + poly)]
+                w *= x - y
+        basis.append(poly)
+        weights.append(w)
+    den = lcm(*weights)
+    basis = [[c * (den // w) for c in row] for row, w in zip(basis, weights)]
+
+    zero = Fraction(0)
+    out = []
+    for column in columns:
+        column = [exact(y) for y in column]
+        if len(column) != n:
+            raise ValueError(f"column of {len(column)} values for {n} abscissae")
+        [ys], scale = clear_denominators([column])
+        acc = [0] * n
+        for y, row in zip(ys, basis):
+            if y:
+                for k, c in enumerate(row):
+                    acc[k] += y * c
+        scale *= den
+        out.append(_poly([Fraction(c, scale) if c else zero for c in acc]))
+    return out
+
+
+def poly_interpolate(samples: Iterable[Tuple[Scalar, Scalar]]) -> PolyQ:
+    """The unique polynomial of degree < n through n samples.
+
+    The one-column case of ``interpolate_columns``.  Raises ValueError on
+    duplicate abscissae or empty input, and TypeError on a float.
+    """
+    pts = list(samples)
+    [poly] = interpolate_columns([x for x, _ in pts], [[y for _, y in pts]])
+    return poly
 
 
 class PolyVector:

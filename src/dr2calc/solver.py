@@ -2,33 +2,44 @@
 
 The coefficient matrix is d-independent; all d-dependence sits in the
 right-hand sides, which are polynomials of degree at most 4.  The solve
-strategy is sample-then-interpolate:
+strategy is sample-then-interpolate, on integers wherever it can be:
 
-  1. solve the rational system exactly at enough integer sample degrees;
-     each solve certifies that the coefficient rank equals the unknown count;
-  2. interpolate each unknown to a polynomial;
-  3. re-substitute and demand a zero residual for every row, symbolically.
+  1. evaluate the right-hand sides at every sample point in integers
+     (``_rhs_at``), and solve the rational system exactly at each point with
+     ``linalg.solve_unique``; each solve certifies that the coefficient rank
+     equals the unknown count;
+  2. interpolate all unknowns in one call, ``polyq.interpolate_columns``,
+     which builds the point basis once for the sample set;
+  3. re-substitute and demand a zero residual for every row, symbolically:
+     the residuals are one integer matrix action on the solution
+     (``_residuals``), equal to ``row.residual`` for every row.
 
-Step 3 is a genuine polynomial-identity proof, not a spot check: any
+Steps 1 and 2 only produce a candidate; the proof of consistency comes
+from step 3.  A zero symbolic residual on all 16 rows is a polynomial
+identity: the interpolated solution satisfies every equation for every d,
+not only at the samples.  On a consistent system it cannot fail: each
 residual is a polynomial of degree at most max(deg solution, deg rhs) that
-vanishes at all sample points, so with at least deg + 2 samples it can only
-be the zero polynomial.  By default the samples are the consecutive
-degrees d = 2, 3, ..., max(6, deg + 2) of them, where deg is the largest
-right-hand-side degree (one less than its coefficient count).  The solution
-polynomials are defined for all d, and their value at d = 1 is the zero
-vector.
+vanishes at all sample points, so with at least deg + 2 samples it is the
+zero polynomial.
+
+By default the samples are the consecutive degrees d = 2, 3, ...,
+max(6, deg + 2) of them, where deg is the largest right-hand-side degree
+(one less than its coefficient count).  The solution polynomials are
+defined for all d, and their value at d = 1 is the zero vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from math import lcm
+from operator import mul
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .chow import BASIS_NAMES, TautClass2
 from .linalg import InconsistentSystemError, UnderdeterminedSystemError
-from .polyq import PolyQ, exact, poly_interpolate
+from .polyq import PolyQ, _poly, clear_denominators, exact, interpolate_columns
 from .surfaces import EquationRow, full_system_rows
 
 __all__ = [
@@ -81,6 +92,54 @@ def _default_samples(system: ParamSystem) -> Tuple[int, ...]:
     return tuple(range(2, 2 + count))
 
 
+def _rhs_at(system: ParamSystem, points: Sequence[Fraction]) -> Iterator[List[Fraction]]:
+    """The right-hand sides at each point, evaluated in integers.
+
+    With every rhs coefficient over one denominator ``den`` and the points
+    X / q over another, the value of a rhs of width w at X / q is
+    sum_k c_k X^k q^(w-1-k) over den * q^(w-1): one dot product of integers
+    per row, and one division.
+    """
+    coeffs, den = clear_denominators([row.rhs.coeffs for row in system.rows])
+    width = max([1, *map(len, coeffs)])
+    [xs], q = clear_denominators([points])
+    scale = den * q ** (width - 1)
+    for x in xs:
+        powers = [x**k * q ** (width - 1 - k) for k in range(width)]
+        yield [Fraction(sum(map(mul, c, powers)), scale) for c in coeffs]
+
+
+def _residuals(system: ParamSystem, solution: TautClass2) -> Tuple[PolyQ, ...]:
+    """``row.residual(solution)`` for every row, as one integer matrix action.
+
+    The matrix (whose entries, like ``linalg``'s, may also be strings), the
+    right-hand sides and the solution are each cleared of denominators
+    once; each residual is then an integer polynomial over their common
+    denominator, divided once.
+    """
+    matrix, mden = clear_denominators(
+        [[a if type(a) is Fraction else exact(a) for a in row] for row in system.matrix()]
+    )
+    rhs, rden = clear_denominators([row.rhs.coeffs for row in system.rows])
+    sol, sden = clear_denominators([p.coeffs for p in solution.coeffs])
+    den = lcm(mden * sden, rden)
+    lhs_scale, rhs_scale = den // (mden * sden), den // rden
+    width = max(map(len, sol + rhs), default=0)
+    zero = Fraction(0)
+    out = []
+    for a_row, b in zip(matrix, rhs):
+        acc = [0] * width
+        for k, c in enumerate(b):
+            acc[k] = -c * rhs_scale
+        for a, s in zip(a_row, sol):
+            if a:
+                a *= lhs_scale
+                for k, c in enumerate(s):
+                    acc[k] += a * c
+        out.append(_poly([Fraction(c, den) if c else zero for c in acc]))
+    return tuple(out)
+
+
 def solve_parametric(
     system: ParamSystem, samples: Optional[Sequence[int]] = None
 ) -> SolveCertificate:
@@ -96,16 +155,9 @@ def solve_parametric(
     if samples is None:
         samples = _default_samples(system)
     points = tuple(exact(x) for x in samples)
-    per_point: List[List[Fraction]] = []
-    for x in points:
-        rhs = [row.rhs(x) for row in system.rows]
-        per_point.append(linalg.solve_unique(matrix, rhs))
-
-    solution = TautClass2(
-        poly_interpolate(zip(points, (sol[k] for sol in per_point)))
-        for k in range(n_unknowns)
-    )
-    residuals = tuple(row.residual(solution) for row in system.rows)
+    per_point = [linalg.solve_unique(matrix, rhs) for rhs in _rhs_at(system, points)]
+    solution = TautClass2(interpolate_columns(points, zip(*per_point)))
+    residuals = _residuals(system, solution)
     consistent = all(r.is_zero() for r in residuals)
     return SolveCertificate(
         solution=solution,

@@ -20,11 +20,12 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from operator import mul
 from typing import Dict, Sequence, Tuple
 
 from . import m21
-from .chow import BASIS_MONOMIALS, BASIS_NAMES, GENERATORS, TautClass2
-from .polyq import D, PolyQ, parse_rational
+from .chow import BASIS_MONOMIALS, BASIS_NAMES, GENERATORS, MONOMIALS, Monomial, TautClass2
+from .polyq import D, PolyQ, clear_denominators, parse_rational
 
 FIXTURE_NAMES = tuple(f"family{k:02d}.json" for k in range(1, 11))
 
@@ -66,6 +67,20 @@ class SurfaceModel:
     def pair_generators(self, gen_a: str, gen_b: str) -> Fraction:
         """Intersection number of two restricted divisor generators."""
         return self.pair_vectors(self.restriction(gen_a), self.restriction(gen_b))
+
+    def monomial_pairings(self) -> Tuple[Dict[Monomial, int], int]:
+        """The 21 generator monomials' intersection numbers over one denominator.
+
+        Gram and restrictions are cleared of denominators, Gram times the
+        restriction is formed once per generator, and monomial (a, b) reads
+        restriction_a . (Gram restriction_b) off it: ``pairings[(a, b)] / den``
+        is ``pair_generators(GENERATORS[a], GENERATORS[b])``.
+        """
+        gram, gden = clear_denominators(self.gram)
+        vectors, rden = clear_denominators([self.restriction(g) for g in GENERATORS])
+        products = [[sum(map(mul, row, v)) for row in gram] for v in vectors]
+        pairings = {(a, b): sum(map(mul, vectors[a], products[b])) for a, b in MONOMIALS}
+        return pairings, gden * rden * rden
 
 
 @dataclass(frozen=True)
@@ -164,21 +179,20 @@ def equation_row(surface: SurfaceModel) -> EquationRow:
 
     Coefficient k is the Gram pairing of the k-th basis monomial with the
     surface; the fused slot receives the psi1^2 pairing plus the psi2^2
-    pairing.  Raises ValueError on an asymmetric Gram matrix.
+    pairing.  The pairings are read off ``monomial_pairings`` in integers
+    and each coefficient is divided once.  Raises ValueError on an
+    asymmetric Gram matrix.
     """
     n = len(surface.generators)
     for i in range(n):
         for j in range(i + 1, n):
             if surface.gram[i][j] != surface.gram[j][i]:
                 raise ValueError(f"{surface.name}: gram matrix is not symmetric")
-    coeffs = []
-    for monomials in BASIS_MONOMIALS:
-        total = Fraction(0)
-        for gi, gj in monomials:
-            total += surface.pair_generators(GENERATORS[gi], GENERATORS[gj])
-        coeffs.append(total)
+    pairings, den = surface.monomial_pairings()
     return EquationRow(
-        coefficients=tuple(coeffs),
+        coefficients=tuple(
+            Fraction(sum(pairings[m] for m in monomials), den) for monomials in BASIS_MONOMIALS
+        ),
         rhs=surface.rhs,
         label=f"surface-{surface.family:02d}",
         kind="surface",

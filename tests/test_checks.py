@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from dr2calc import checks, cones, ct, m21, solver, surfaces
-from dr2calc.chow import TautClass2
+from dr2calc.chow import D11, D12, TautClass2, mono
 from dr2calc.linalg import InconsistentSystemError
 from dr2calc.polyq import PolyQ
 
@@ -66,6 +66,19 @@ def _wrong_limit_class(monkeypatch):
 def _zero_weight(monkeypatch):
     monkeypatch.setitem(cones.DECOMPOSITION_WEIGHTS, "d00", F(0))
     return {}
+
+
+def _miscopied_relation(monkeypatch):
+    # relation 0 is d12 * (12 d11 + 12 d12 + d0); read 12 d11 as 11 d11
+    relation = {**checks.RELATIONS[0], mono(D11, D12): PolyQ((11,))}
+    monkeypatch.setattr(checks, "RELATIONS", (relation,) + checks.RELATIONS[1:])
+    return {}
+
+
+def _off_by_one_pairing_and_miscopied_relation(monkeypatch):
+    # the relations are paired only once every displayed number matches
+    _miscopied_relation(monkeypatch)
+    return _off_by_one_pairing(monkeypatch)
 
 
 def _zero_strata_table(monkeypatch):
@@ -133,6 +146,16 @@ FAILURES = [
         "nonpolynomiality",
         _patch(cones, "dr_count_two_points", lambda m: 2 * (m * m - 1)),
         "witness failed",
+    ),
+    (
+        "surfaces",
+        _miscopied_relation,
+        "family 2: relation 0 pairs to 2, expected 0; family 4: relation 0 pairs to -1, expected 0",
+    ),
+    (
+        "surfaces",
+        _off_by_one_pairing_and_miscopied_relation,
+        "family 1: psi1.psi1 = 3, expected 2",
     ),
 ]
 

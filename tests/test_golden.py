@@ -3,10 +3,11 @@
 Each CLI report's ``outputs`` object is compared, through the digest defined
 in ``perfbench/outputs.py``, with the copy recorded in
 ``perfbench/golden.json``; that file is only read here.  The markdown
-rendering of each key is run too and checked by exit code.  Left out for
-speed: the full ``verify`` run, and ``class`` at degrees other than a few,
-since every ``class`` call re-solves the 16-row system.  The ``perfbench``
-workloads draw those keys and check them against the same file.
+rendering of each key is run too and checked by exit code, except for
+``class`` at degrees other than a few: every ``class`` key is checked in
+JSON only, by its own test, since each call re-solves the 16-row system.
+Left out for speed: the full ``verify`` run, which a CI step and the
+``perfbench`` workloads check against the same file.
 """
 
 import contextlib
@@ -82,3 +83,11 @@ def test_demo_runs(demo):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+CLASS_KEYS = sorted(k for k in GOLDEN if k.split()[0] == "class")
+
+
+@pytest.mark.parametrize("key", CLASS_KEYS)
+def test_every_class_key_matches_golden(key):
+    test_cli_outputs_match_golden(key, "json")

@@ -8,7 +8,9 @@ from dr2calc.polyq import (
     D,
     NEG_INF,
     PolyQ,
+    clear_denominators,
     format_rational,
+    interpolate_columns,
     parse_rational,
     poly_eval,
     poly_interpolate,
@@ -239,3 +241,60 @@ def test_dot_is_the_rational_row_action():
     row = [Fraction(k, 3) for k in range(14)]
     cls = TautClass2([D * k + 1 for k in range(14)])
     assert cls.dot(row) == sum((x * w for x, w in zip(cls.coeffs, row)), PolyQ())
+
+
+def _newton_interpolate(xs, ys):
+    """Reference: divided differences over Fraction, expanded from Newton form."""
+    coef = list(ys)
+    for level in range(1, len(xs)):
+        for i in range(len(xs) - 1, level - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - level])
+    out = PolyQ()
+    for k in range(len(xs) - 1, -1, -1):
+        out = out * (D - xs[k]) + coef[k]
+    return out
+
+
+def test_clear_denominators_puts_rows_over_their_lcm():
+    rows = [[Fraction(1, 2), Fraction(-2, 3)], [], [4, Fraction(5, 6)]]
+    assert clear_denominators(rows) == ([[3, -4], [], [24, 5]], 6)
+    assert clear_denominators([]) == ([], 1)
+
+
+def test_interpolate_columns_matches_newton_on_rational_points():
+    rng = random.Random(303)
+    for _ in range(150):
+        n = rng.randint(1, 9)
+        xs = []
+        while len(xs) < n:
+            x = Fraction(rng.randint(-40, 40), rng.choice([1, 1, 2, 3, 7]))
+            if x not in xs:
+                xs.append(x)
+        columns = [
+            [Fraction(rng.randint(-9, 9), rng.randint(1, 8)) for _ in xs] for _ in range(rng.randint(1, 4))
+        ]
+        columns.append([0] * n)
+        got = interpolate_columns(xs, columns)
+        assert got == [_newton_interpolate(xs, [Fraction(y) for y in col]) for col in columns]
+        assert got[-1] == PolyQ()
+        assert [poly_interpolate(zip(xs, col)) for col in columns] == got
+        assert all(type(c) is Fraction for p in got for c in p.coeffs)
+
+
+def test_interpolate_columns_single_point_and_no_columns():
+    assert interpolate_columns([Fraction(1, 3)], [[Fraction(-5, 2)], [0]]) == [PolyQ((Fraction(-5, 2),)), PolyQ()]
+    assert interpolate_columns([1, 2], []) == []
+
+
+@pytest.mark.parametrize(
+    "xs, columns, message",
+    [
+        ([], [[]], "at least one sample"),
+        ([1, Fraction(2, 2)], [[0, 0]], "duplicate abscissae"),
+        ([1, 2], [[0]], "column of 1 values for 2 abscissae"),
+    ],
+    ids=["empty", "duplicate", "short-column"],
+)
+def test_interpolate_columns_refuses_ill_posed_input(xs, columns, message):
+    with pytest.raises(ValueError, match=message):
+        interpolate_columns(xs, columns)

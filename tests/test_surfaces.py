@@ -227,3 +227,51 @@ def test_parse_surface_refuses_malformed_shapes(edit, message):
     edit(doc)
     with pytest.raises(ValueError, match=re.escape(f"{doc['name']}: {message}")):
         _parse_surface(doc)
+
+
+
+def _assert_integer_pairings_match_fractions(s):
+    from dr2calc.chow import BASIS_MONOMIALS, GENERATORS
+
+    def pair(i, j):
+        return s.pair_generators(GENERATORS[i], GENERATORS[j])
+
+    pairings, den = s.monomial_pairings()
+    for (i, j), value in pairings.items():
+        assert F(value, den) == pair(i, j), (s.name, i, j)
+    expected = tuple(
+        sum((pair(i, j) for i, j in monomials), F(0)) for monomials in BASIS_MONOMIALS
+    )
+    assert equation_row(s).coefficients == expected, s.name
+
+
+def test_equation_row_matches_the_fraction_pairings():
+    for s in SURFACES.values():
+        _assert_integer_pairings_match_fractions(s)
+
+
+def test_equation_row_matches_the_fraction_pairings_on_rational_lattices():
+    from dr2calc.chow import GENERATORS
+
+    rng = random.Random(404)
+
+    def entry():
+        return F(rng.randint(-12, 12), rng.choice([1, 2, 3, 5, 12]))
+
+    for trial in range(40):
+        n = rng.randint(1, 6)
+        upper = [[entry() for _ in range(n)] for _ in range(n)]
+        gram = tuple(tuple(upper[min(i, j)][max(i, j)] for j in range(n)) for i in range(n))
+        _assert_integer_pairings_match_fractions(
+            SurfaceModel(
+                name=f"random-{trial}",
+                family=trial,
+                generators=tuple(f"e{k}" for k in range(n)),
+                gram=gram,
+                restrictions={
+                    g: tuple(entry() for _ in range(n)) for g in GENERATORS if rng.random() < 0.8
+                },
+                rhs=D,
+                rationale="",
+            )
+        )
