@@ -143,7 +143,10 @@ def check_pencil_count() -> Tuple[bool, str]:
 
 @_check("hac")
 def check_hac() -> Tuple[bool, str]:
-    report = ct.verify_hac()
+    try:
+        report = ct.verify_hac()
+    except ArithmeticError as exc:
+        return False, str(exc)
     rows = report.decorated
     extras = (
         rows.d22 == ct.CtClass((0, 0, 0, -1, 0))

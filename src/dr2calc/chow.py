@@ -23,11 +23,12 @@ the relations, augmented by the basis elements, is computed once at import
 and turned into a table: the class of each of the 21 monomials, as integers
 over one common denominator (60).  Reductions and
 divisor products both go through that table, so two expressions differing by
-a relation reduce identically.  A reduction clears the denominators of its
-coefficients; a product clears each factor's.  Both then make one pass that
-adds weight * coefficient (for a product, weight * x * y over every nonzero
-pair of generators) straight into one preallocated integer list per basis
-slot, and one finisher divides once at the end.  The table and the two
+a relation reduce identically.  A reduction reads its coefficients' integer
+numerators over one denominator; a product reads each factor's.  Both then
+make one pass that adds weight * coefficient (for a product, weight * x * y
+over every nonzero pair of generators) straight into one preallocated
+integer list per basis slot, and one finisher hands each list and the
+denominator to ``polyq._poly``.  The table and the two
 kernels live in ``QuotientReducer``, which the compact-type ring of ``ct``
 builds from its own relations and basis.
 
@@ -42,7 +43,7 @@ from fractions import Fraction
 from typing import Dict, Mapping, Sequence, Tuple
 
 from .linalg import LinearSystemError, reduced_echelon
-from .polyq import ZERO, PolyLike, PolyQ, PolyVector, _poly, as_poly, clear_denominators
+from .polyq import PolyLike, PolyQ, PolyVector, _poly, as_poly, clear_denominators, poly_numerators
 
 GENERATORS = ("psi1", "psi2", "d0", "d2", "d11", "d12")
 PSI1, PSI2, D0, D2, D11, D12 = range(6)
@@ -197,13 +198,13 @@ class QuotientReducer:
     ``rows[m]`` lists the nonzero ``(slot, n)`` of den * [m], and is empty
     for a killed monomial; ``table[i][j]`` is ``rows[mono(i, j)]``, laid out
     by generator pair for products.  Reductions (``__call__``) and products
-    (``multiply``) both clear denominators and fill one accumulator: a
-    zeroed integer list per slot, as wide as the result, into which each
-    table weight times each coefficient (or coefficient product) is added
-    in a single pass.  One finisher, ``_finish``, strips trailing zeros,
-    divides the remaining integers by the common denominator, and builds the
-    polynomials and the vector through the internal constructors of
-    ``polyq``, with the shared zero polynomial in every empty slot.
+    (``multiply``) both read the polynomials' integer numerators over one
+    denominator and fill one accumulator: a zeroed integer list per slot,
+    as wide as the result, into which each table weight times each
+    coefficient (or coefficient product) is added in a single pass.  One
+    finisher, ``_finish``, hands each list and the common denominator to
+    ``polyq._poly``, which reduces them (the shared zero polynomial in every
+    empty slot), and builds the vector with ``_of``.
     """
 
     def __init__(
@@ -239,7 +240,7 @@ class QuotientReducer:
 
     def __call__(self, expr: Mapping[Monomial, PolyLike]) -> PolyVector:
         """The class of a formal combination of the 21 monomials."""
-        ints, den = clear_denominators([as_poly(c).coeffs for c in expr.values()])
+        ints, den = poly_numerators([as_poly(c) for c in expr.values()])
         acc = [[0] * max(map(len, ints), default=0) for _ in range(self.vector_cls.dim)]
         for m, coeffs in zip(expr, ints):
             for slot, weight in self.rows[mono(*m)]:
@@ -250,8 +251,8 @@ class QuotientReducer:
 
     def multiply(self, a: Sequence[PolyQ], b: Sequence[PolyQ]) -> PolyVector:
         """The class of the product of two divisor coefficient 6-vectors."""
-        ints, den = clear_denominators([p.coeffs for p in (*a, *b)])
-        int_a, int_b = ints[: len(a)], ints[len(a) :]
+        int_a, den_a = poly_numerators(a)
+        int_b, den_b = poly_numerators(b)
         width = max(map(len, int_a)) + max(map(len, int_b)) - 1
         acc = [[0] * width for _ in range(self.vector_cls.dim)]
         for ai, row in zip(int_a, self.table):
@@ -265,17 +266,12 @@ class QuotientReducer:
                         xy = x * y
                         for slot, weight in entry:
                             acc[slot][k] += weight * xy
-        return self._finish(acc, den * den)
+        return self._finish(acc, den_a * den_b)
 
     def _finish(self, acc: list, den: int) -> PolyVector:
         """The vector whose slots are the integer lists over den * self.den."""
         den *= self.den
-        polys = []
-        for out in acc:
-            while out and not out[-1]:
-                out.pop()
-            polys.append(_poly([Fraction(n, den) for n in out]) if out else ZERO)
-        return self.vector_cls._of(tuple(polys))
+        return self.vector_cls._of(tuple(_poly(out, den) for out in acc))
 
 
 _REDUCER = QuotientReducer(TautClass2, RELATIONS, BASIS_MONOMIALS)

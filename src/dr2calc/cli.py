@@ -5,7 +5,10 @@ Every command emits either a deterministic JSON report (rationals as "p/q"
 strings, keys sorted, byte-identical across runs for identical inputs) or a
 markdown rendering for human reading.  Exit status is 0 exactly when every
 computation and check performed by the command succeeded, 1 when one failed,
-and 2 on a usage error, including a strata table that cannot be loaded.
+and 2 on a usage error, including a strata table that cannot be loaded.  A
+computation that raises ``LinearSystemError`` or ``ArithmeticError`` (an
+identity a command derives from fails) prints ``<command> failed: <error>``
+on stderr, writes no report, and exits 1.
 
 Each ``cmd_*`` function returns ``(inputs, outputs, ok, lines)``: the inputs
 echoed in the report, its ``outputs`` object, whether every computation and
@@ -274,7 +277,7 @@ def main(argv: Optional[list] = None) -> int:
             parser.error(f"--strata-table {args.strata_table!r}: {exc}")
     try:
         inputs, outputs, ok, lines = args.func(args)
-    except LinearSystemError as exc:
+    except (LinearSystemError, ArithmeticError) as exc:
         sys.stderr.write(f"{args.command} failed: {exc}\n")
         return 1
     if args.emit == "json":

@@ -40,7 +40,8 @@ from .polyq import D, PolyLike, PolyQ, as_poly, exact, parse_rational, poly_inte
 
 @dataclass(frozen=True)
 class EffectiveDivisorPattern:
-    """Six non-negative weights encoding the effective divisor class
+    """Six non-negative weights, ints or Fractions, encoding the effective
+    divisor class
     c_psi1 psi1 + c_psi2 psi2 - c_d0 d0 - c_d2 d2 - c_d11 d11 - c_d12 d12."""
 
     psi1: Fraction
@@ -53,8 +54,12 @@ class EffectiveDivisorPattern:
     def __post_init__(self):
         for name in GENERATORS:
             value = getattr(self, name)
-            if type(value) is not Fraction:
-                exact(value)  # refuses a float with TypeError
+            if type(value) is not Fraction and not isinstance(value, int):
+                if isinstance(value, float):
+                    exact(value)  # raises the package's message for floats
+                raise TypeError(
+                    f"pattern coefficient {name} must be an int or Fraction, got {value!r}"
+                )
             if value < 0:
                 raise ValueError(
                     f"pattern coefficient {name} = {value} violates non-negativity"

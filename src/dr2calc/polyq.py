@@ -1,20 +1,27 @@
 """Exact rational and polynomial arithmetic in the cover degree d.
 
 Rationals are ``fractions.Fraction``: arbitrary precision, always stored in
-lowest terms with positive denominator.  A polynomial in d is a tuple of
-Fractions in ascending order of degree with trailing zeros stripped; the zero
-polynomial is the empty tuple and reports degree ``-inf``.
+lowest terms with positive denominator.  A polynomial in d is stored as
+integer numerators over one denominator: ``num``, a tuple of ints in
+ascending order of degree with no trailing zero, and ``den``, an int >= 1
+with gcd(den, *num) == 1, so the coefficient of d^k is ``num[k] / den``.  The zero polynomial is ``((), 1)`` and reports degree
+``-inf``.  Each polynomial has exactly one such form, so equality is a
+comparison of the two fields.  All arithmetic (``+``, ``-``, ``*``, ``/``,
+``**`` and evaluation) works on the integers and reduces once at the end;
+``coeffs`` builds the tuple of lowest-terms Fractions only when asked.
 
 Nothing in this module ever rounds.  Fixed-width integers are deliberately
 avoided: lattice pairings and interpolation denominators elsewhere in the
 package overflow 64 bits on adversarial inputs.
 
-The package's kernels are fraction-free: they clear denominators once, with
-``clear_denominators``, accumulate Python integers, and divide once at the
-end.  ``interpolate_columns`` is this module's kernel: it builds the
-Lagrange basis of a sample set once, as integer polynomials over one
-denominator, and applies it to any number of value columns;
-``poly_interpolate`` is its one-column case.
+The package's kernels are fraction-free: they read each polynomial's
+``num`` and ``den`` (brought over one denominator by ``poly_numerators``),
+clear rows of Fractions with ``clear_denominators``, accumulate Python
+integers, and hand the integer results and their denominator to ``_poly``.
+``interpolate_columns`` is this module's kernel: it builds the Lagrange
+basis of a sample set once, as integer polynomials over one denominator,
+and applies it to any number of value columns; ``poly_interpolate`` is its
+one-column case.
 
 Serialization: a rational renders as ``"p/q"`` (or ``"p"`` when q = 1); a
 polynomial renders as the ascending list of such strings.
@@ -23,17 +30,19 @@ polynomial renders as the ascending list of such strings.
 the package is a fixed-length vector of such polynomials on a named basis.
 
 Construction contract: the public constructors (``PolyQ(...)``,
-``PolyQ.const``, ``PolyVector(...)`` and its subclasses) validate, refusing
-floats and wrong lengths.  The internal constructors ``_poly`` and
-``PolyVector._of`` skip that work and take only values the package computed
-itself: lists of ``Fraction`` and tuples of ``PolyQ`` of the right length.
+``PolyQ.const``, ``PolyVector(...)`` and its subclasses) validate, taking
+ints, Fractions and "p/q" strings and refusing floats and wrong lengths.
+The internal constructors ``_poly`` and ``PolyVector._of`` skip that work
+and take only values the package computed itself: a list of integer
+numerators and a positive denominator, which ``_poly`` reduces, and tuples
+of ``PolyQ`` of the right length.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from math import lcm
+from math import gcd, lcm
 from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 Rational = Fraction
@@ -48,6 +57,12 @@ def exact(value: Union[Scalar, str]) -> Fraction:
     if isinstance(value, float):
         raise TypeError(f"float {value!r} is not exact; pass an int, Fraction or str")
     return Fraction(value)
+
+
+def _rational(value: Union[Scalar, str]) -> Scalar:
+    """An int or Fraction as it is (both carry ``numerator`` and
+    ``denominator``); anything else through ``exact``."""
+    return value if type(value) is Fraction or type(value) is int else exact(value)
 
 
 def format_rational(q: Fraction) -> str:
@@ -65,29 +80,61 @@ def parse_rational(s: str) -> Fraction:
     raise ValueError(f"expected a 'p/q' string, got {s!r}")
 
 
+def clear_denominators(rows: Sequence[Sequence[Scalar]]) -> Tuple[List[List[int]], int]:
+    """Integer rows over one denominator: ``rows[i][k] == out[i][k] / den``.
+
+    ``den`` is the lcm of every entry's denominator (1 when there are none).
+    The entries must already be exact: ints or Fractions.
+    """
+    den = lcm(*[x.denominator for row in rows for x in row])
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
+
+
 class PolyQ:
-    """Univariate polynomial in the degree parameter with Fraction coefficients.
+    """Univariate polynomial in the degree parameter with rational coefficients.
 
     Immutable after construction.  Coefficients are ascending: ``PolyQ((a, b, c))``
     is a + b*d + c*d^2.  Degrees in this package never exceed 4, so the dense
     representation is the right one.
+
+    The fields are ``num`` (a tuple of ints, no trailing zero) and ``den``
+    (an int >= 1 with gcd(den, *num) == 1); the zero polynomial is
+    ``((), 1)``.  The constructor validates its coefficients and ``const``
+    is its one-coefficient case; kernels read ``num`` and ``den`` directly
+    and build results with ``_poly``.  ``coeffs`` is the read-only tuple of
+    lowest-terms Fractions, built on each access.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs: Iterable[Union[Scalar, str]] = ()):
-        cs = [c if type(c) is Fraction else exact(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: Tuple[Fraction, ...] = tuple(cs)
+        [num], den = clear_denominators([[_rational(c) for c in coeffs]])
+        while num and not num[-1]:
+            num.pop()
+        self.num: Tuple[int, ...] = tuple(num)
+        self.den: int = den
 
     @classmethod
-    def const(cls, value: Scalar) -> "PolyQ":
-        return cls((value,))
+    def const(cls, value: Union[Scalar, str]) -> "PolyQ":
+        # The one-coefficient case of the constructor, without its list work:
+        # an int or a Fraction is already in lowest terms.
+        q = _rational(value)
+        if not q:
+            return ZERO
+        p = object.__new__(PolyQ)
+        p.num = (q.numerator,)
+        p.den = q.denominator
+        return p
 
     @classmethod
     def from_strings(cls, strings: Sequence[str]) -> "PolyQ":
         return cls(strings)
+
+    @property
+    def coeffs(self) -> Tuple[Fraction, ...]:
+        """The coefficients, ascending, as lowest-terms Fractions."""
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.num)
 
     def to_strings(self) -> list:
         return [format_rational(c) for c in self.coeffs]
@@ -95,62 +142,68 @@ class PolyQ:
     @property
     def degree(self):
         """Degree of the polynomial; -inf for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self.num) - 1 if self.num else NEG_INF
 
     def coefficient(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.num):
+            return Fraction(self.num[k], self.den)
         return Fraction(0)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self.num) <= 1
 
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial (errors if degree > 0)."""
         if not self.is_constant():
             raise ValueError(f"not a constant polynomial: {self}")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return self.coefficient(0)
 
     def __call__(self, x: Scalar) -> Fraction:
-        x = exact(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        # Horner on x = p / q: acc = sum num[k] p^k q^(n-1-k), over den * q^(n-1).
+        x = _rational(x)
+        p, q = x.numerator, x.denominator
+        acc, power = 0, 1
+        for c in reversed(self.num):
+            acc = acc * p + c * power
+            power *= q
+        return Fraction(acc * q, self.den * power)
 
     def __add__(self, other) -> "PolyQ":
-        pairs = zip_longest(self.coeffs, as_poly(other).coeffs, fillvalue=0)
-        return _poly([a + b for a, b in pairs])
+        return _add(self, as_poly(other), 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "PolyQ":
-        return _poly([-c for c in self.coeffs])
+        return _poly([-c for c in self.num], self.den)
 
     def __sub__(self, other) -> "PolyQ":
-        return self + (-as_poly(other))
+        return _add(self, as_poly(other), -1)
 
     def __rsub__(self, other) -> "PolyQ":
-        return as_poly(other) + (-self)
+        return _add(as_poly(other), self, -1)
 
     def __mul__(self, other) -> "PolyQ":
         other = as_poly(other)
-        if not self.coeffs or not other.coeffs:
-            return PolyQ()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return _poly(out)
+        a, b = self.num, other.num
+        if not a or not b:
+            return ZERO
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for k, y in enumerate(b, i):
+                out[k] += x * y
+        return _poly(out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar: Scalar) -> "PolyQ":
-        scalar = exact(scalar)
-        return _poly([c / scalar for c in self.coeffs])
+        q = _rational(scalar)
+        if not q:
+            raise ZeroDivisionError("polynomial division by zero")
+        n, d = (q.numerator, q.denominator) if q > 0 else (-q.numerator, -q.denominator)
+        return _poly([c * d for c in self.num], self.den * n)
 
     def __pow__(self, n: int) -> "PolyQ":
         if n < 0:
@@ -165,26 +218,27 @@ class PolyQ:
             other = PolyQ.const(other)
         if not isinstance(other, PolyQ):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
         # A constant hashes as its value, since it compares equal to it.
-        if len(self.coeffs) <= 1:
-            return hash(self.coeffs[0]) if self.coeffs else 0
+        if len(self.num) <= 1:
+            return hash(self.coefficient(0))
         return hash(self.coeffs)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.num)
 
     def __repr__(self) -> str:
-        return f"PolyQ({[format_rational(c) for c in self.coeffs]})"
+        return f"PolyQ({self.to_strings()})"
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return "0"
         parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
+        for k in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[k]
             if c == 0:
                 continue
             mag = abs(c)
@@ -200,13 +254,32 @@ class PolyQ:
         return " ".join(parts)
 
 
-def _poly(coeffs: list) -> PolyQ:
-    """Internal constructor: strips trailing zeros in place, skips ``exact``."""
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
+def _poly(num: List[int], den: int = 1) -> PolyQ:
+    """Internal constructor: the polynomial with coefficients num[k] / den.
+
+    Takes a list of ints, which it strips of trailing zeros in place, and a
+    positive int; reduces both by their gcd.  Every zero result is ``ZERO``.
+    """
+    while num and not num[-1]:
+        num.pop()
+    if not num:
+        return ZERO
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
     p = object.__new__(PolyQ)
-    p.coeffs = tuple(coeffs)
+    p.num = tuple(num)
+    p.den = den
     return p
+
+
+def _add(p: PolyQ, q: PolyQ, sign: int) -> PolyQ:
+    """p + sign * q, over the lcm of the two denominators."""
+    den = lcm(p.den, q.den)
+    fp, fq = den // p.den, sign * (den // q.den)
+    return _poly([x * fp + y * fq for x, y in zip_longest(p.num, q.num, fillvalue=0)], den)
 
 
 #: The zero polynomial, shared by kernel results.
@@ -230,14 +303,11 @@ def poly_eval(p: PolyQ, x: Scalar) -> Fraction:
     return p(x)
 
 
-def clear_denominators(rows: Sequence[Sequence[Scalar]]) -> Tuple[List[List[int]], int]:
-    """Integer rows over one denominator: ``rows[i][k] == out[i][k] / den``.
-
-    ``den`` is the lcm of every entry's denominator (1 when there are none).
-    The entries must already be exact: ints or Fractions.
-    """
-    den = lcm(*[x.denominator for row in rows for x in row])
-    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
+def poly_numerators(polys: Sequence[PolyQ]) -> Tuple[List[Sequence[int]], int]:
+    """The numerators of polynomials over one denominator, the lcm of theirs:
+    ``polys[i].coeffs[k] == out[i][k] / den``."""
+    den = lcm(*[p.den for p in polys])
+    return [p.num if p.den == den else [c * (den // p.den) for c in p.num] for p in polys], den
 
 
 def interpolate_columns(
@@ -250,8 +320,8 @@ def interpolate_columns(
     polynomial prod_{j != i} (q*d - X_j) over the integer
     w_i = prod_{j != i} (X_i - X_j); the n of them are brought over one
     denominator, the lcm of the w_i.  Each column is cleared of its own
-    denominators and applied to that basis with integer multiply-adds; each
-    coefficient is then divided once.
+    denominators and applied to that basis with integer multiply-adds; the
+    integer coefficients and their denominator go to ``_poly`` as they are.
 
     Raises ValueError on empty or duplicate abscissae or on a column of
     another length, and TypeError on a float.
@@ -275,7 +345,6 @@ def interpolate_columns(
     den = lcm(*weights)
     basis = [[c * (den // w) for c in row] for row, w in zip(basis, weights)]
 
-    zero = Fraction(0)
     out = []
     for column in columns:
         column = [exact(y) for y in column]
@@ -287,8 +356,7 @@ def interpolate_columns(
             if y:
                 for k, c in enumerate(row):
                     acc[k] += y * c
-        scale *= den
-        out.append(_poly([Fraction(c, scale) if c else zero for c in acc]))
+        out.append(_poly(acc, scale * den))
     return out
 
 

@@ -39,7 +39,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from . import linalg
 from .chow import BASIS_NAMES, TautClass2
 from .linalg import InconsistentSystemError, UnderdeterminedSystemError
-from .polyq import PolyQ, _poly, clear_denominators, exact, interpolate_columns
+from .polyq import PolyQ, _poly, clear_denominators, exact, interpolate_columns, poly_numerators
 from .surfaces import EquationRow, full_system_rows
 
 __all__ = [
@@ -88,19 +88,19 @@ class SolveCertificate:
 
 
 def _default_samples(system: ParamSystem) -> Tuple[int, ...]:
-    count = max(6, 1 + max((len(row.rhs.coeffs) for row in system.rows), default=0))
+    count = max(6, 1 + max((len(row.rhs.num) for row in system.rows), default=0))
     return tuple(range(2, 2 + count))
 
 
 def _rhs_at(system: ParamSystem, points: Sequence[Fraction]) -> Iterator[List[Fraction]]:
     """The right-hand sides at each point, evaluated in integers.
 
-    With every rhs coefficient over one denominator ``den`` and the points
+    With every rhs numerator over one denominator ``den`` and the points
     X / q over another, the value of a rhs of width w at X / q is
     sum_k c_k X^k q^(w-1-k) over den * q^(w-1): one dot product of integers
     per row, and one division.
     """
-    coeffs, den = clear_denominators([row.rhs.coeffs for row in system.rows])
+    coeffs, den = poly_numerators([row.rhs for row in system.rows])
     width = max([1, *map(len, coeffs)])
     [xs], q = clear_denominators([points])
     scale = den * q ** (width - 1)
@@ -112,20 +112,20 @@ def _rhs_at(system: ParamSystem, points: Sequence[Fraction]) -> Iterator[List[Fr
 def _residuals(system: ParamSystem, solution: TautClass2) -> Tuple[PolyQ, ...]:
     """``row.residual(solution)`` for every row, as one integer matrix action.
 
-    The matrix (whose entries, like ``linalg``'s, may also be strings), the
-    right-hand sides and the solution are each cleared of denominators
-    once; each residual is then an integer polynomial over their common
-    denominator, divided once.
+    The matrix (whose entries, like ``linalg``'s, may also be strings) is
+    cleared of denominators once, and the right-hand sides and the solution
+    are read as integer numerators over one denominator each; each residual
+    is then an integer polynomial over their common denominator, which
+    ``_poly`` reduces once.
     """
     matrix, mden = clear_denominators(
         [[a if type(a) is Fraction else exact(a) for a in row] for row in system.matrix()]
     )
-    rhs, rden = clear_denominators([row.rhs.coeffs for row in system.rows])
-    sol, sden = clear_denominators([p.coeffs for p in solution.coeffs])
+    rhs, rden = poly_numerators([row.rhs for row in system.rows])
+    sol, sden = poly_numerators(solution.coeffs)
     den = lcm(mden * sden, rden)
     lhs_scale, rhs_scale = den // (mden * sden), den // rden
     width = max(map(len, sol + rhs), default=0)
-    zero = Fraction(0)
     out = []
     for a_row, b in zip(matrix, rhs):
         acc = [0] * width
@@ -136,7 +136,7 @@ def _residuals(system: ParamSystem, solution: TautClass2) -> Tuple[PolyQ, ...]:
                 a *= lhs_scale
                 for k, c in enumerate(s):
                     acc[k] += a * c
-        out.append(_poly([Fraction(c, den) if c else zero for c in acc]))
+        out.append(_poly(acc, den))
     return tuple(out)
 
 

@@ -11,13 +11,14 @@ one shared zero polynomial.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from dr2calc import chow, ct
+from dr2calc import chow, ct, solver
 from dr2calc.chow import MONOMIALS, RELATIONS, DivisorM22, mono
 from dr2calc.ct import CtClass
-from dr2calc.polyq import D, ZERO, PolyQ, poly_interpolate
+from dr2calc.polyq import D, ZERO, PolyQ, interpolate_columns, poly_interpolate
 
 RINGS = {
     "chow": (chow._REDUCER, RELATIONS),
@@ -31,6 +32,12 @@ def _assert_canonical_poly(p):
     assert not p.coeffs or p.coeffs[-1] != 0
     again = PolyQ(p.coeffs)
     assert again == p and again.coeffs == p.coeffs and hash(again) == hash(p)
+    # The stored form: int numerators with no trailing zero over a positive
+    # int denominator sharing no factor with them; zero is ((), 1).
+    assert type(p.num) is tuple and all(type(n) is int for n in p.num)
+    assert not p.num or p.num[-1] != 0
+    assert type(p.den) is int and p.den >= 1 and gcd(p.den, *p.num) == 1
+    assert (again.num, again.den) == (p.num, p.den)
 
 
 def _assert_canonical_vector(v, kernel=True):
@@ -153,3 +160,23 @@ def test_interpolation_is_canonical():
         _assert_canonical_poly(q)
         assert q.degree < n
         assert [q(x) for x in xs] == ys
+
+
+def test_solver_kernels_are_canonical():
+    """Interpolation of every slot and the integer residuals: zero residuals
+    and zero slots are the shared zero, the rest canonical."""
+    system = solver.full_system()
+    cert = solver.solve_parametric(system)
+    _assert_canonical_vector(cert.solution)
+    assert all(r is ZERO for r in cert.residuals)
+    rows = list(system.rows)
+    r0 = rows[0]
+    rows[0] = type(r0)(r0.coefficients, r0.rhs + D / 3, r0.label, r0.kind, r0.provenance)
+    residuals = solver._residuals(solver.ParamSystem(rows=tuple(rows)), cert.solution)
+    assert residuals[0] == -D / 3 and all(r is ZERO for r in residuals[1:])
+    for r in residuals:
+        _assert_canonical_poly(r)
+    got = interpolate_columns([1, 2, 3], [[0, 0, 0], [Fraction(1, 2)] * 3, [1, 4, 9]])
+    assert got[0] is ZERO and got == [ZERO, PolyQ((Fraction(1, 2),)), D * D]
+    for p in got:
+        _assert_canonical_poly(p)

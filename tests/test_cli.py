@@ -214,6 +214,38 @@ def test_inconsistent_system_fails_with_message(capsys, monkeypatch, argv):
     assert captured.err.startswith(f"{argv[0]} failed: ")
 
 
+def _zero_limit_class(monkeypatch):
+    from dr2calc import cones
+    from dr2calc.chow import TautClass2
+
+    monkeypatch.setattr(cones, "dr_infinity", TautClass2.zero)
+
+
+def _hain_plus_d2_e0(monkeypatch):
+    from dr2calc import ct
+    from dr2calc.polyq import D
+
+    hain = ct.hain_class
+    monkeypatch.setattr(ct, "hain_class", lambda d: hain(d) + ct.CtClass.unit(0).scale(D * D))
+
+
+@pytest.mark.parametrize(
+    "argv, breakage, message",
+    [
+        (["cone", "--d", "3"], _zero_limit_class, "two-ray decomposition failed slot-wise"),
+        (["ct", "--d", "symbolic"], _hain_plus_d2_e0, "re-substitution into the Hain expansion failed"),
+    ],
+    ids=["cone", "ct"],
+)
+@pytest.mark.parametrize("emit", ["json", "md"])
+def test_failed_identity_fails_with_message(capsys, monkeypatch, argv, breakage, message, emit):
+    breakage(monkeypatch)
+    assert main(argv + ["--emit", emit]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{argv[0]} failed: {message}\n"
+
+
 def test_unreadable_strata_table_is_a_usage_error(capsys, tmp_path):
     zero_row = ["0"] * 14
     doc = {"d11|": zero_row, "d01|": zero_row, "d0|": zero_row, "d00": zero_row}

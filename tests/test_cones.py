@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,19 @@ def test_pattern_refuses_floats_at_construction(slot, value):
     EffectiveDivisorPattern(*weights)  # ints and Fractions are accepted
     weights[slot] = value
     with pytest.raises(TypeError, match=repr(value)):
+        EffectiveDivisorPattern(*weights)
+
+
+@pytest.mark.parametrize("slot", range(6))
+@pytest.mark.parametrize("value", ["1/2", "0", None, [1]], ids=["str", "str-zero", "none", "list"])
+def test_pattern_refuses_non_rational_weights_naming_the_field(slot, value):
+    weights = [F(1), 2, F(0), 0, F(3, 2), F(0)]
+    weights[slot] = value
+    field = ("psi1", "psi2", "d0", "d2", "d11", "d12")[slot]
+    with pytest.raises(
+        TypeError,
+        match=re.escape(f"pattern coefficient {field} must be an int or Fraction, got {value!r}"),
+    ):
         EffectiveDivisorPattern(*weights)
 
 

@@ -8,9 +8,15 @@ rendering of each key is run too and checked by exit code, except for
 JSON only, by its own test, since each call re-solves the 16-row system.
 Left out for speed: the full ``verify`` run, which a CI step and the
 ``perfbench`` workloads check against the same file.
+
+Each demo's stdout is compared with its recording in ``tests/demo_golden/``
+(``<demo>.txt``), which covers the ``str`` of polynomials and the ``repr``
+of vectors that no report digest sees.  Re-record a demo only when its
+output is meant to change.
 """
 
 import contextlib
+import functools
 import importlib.util
 import io
 import os
@@ -23,6 +29,7 @@ import pytest
 from dr2calc import cli
 
 ROOT = Path(__file__).resolve().parents[1]
+DEMO_GOLDEN = Path(__file__).resolve().parent / "demo_golden"
 
 
 def _load_outputs_module():
@@ -71,18 +78,37 @@ def test_cli_outputs_match_golden(key, emit):
     assert problem is None, problem
 
 
-@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
-def test_demo_runs(demo):
+DEMOS = sorted(p.name for p in (ROOT / "demos").glob("*.py"))
+
+
+@functools.lru_cache(maxsize=None)
+def _run_demo(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "demos" / demo)],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs(demo):
+    proc = _run_demo(demo)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_every_demo_has_a_recording():
+    assert sorted(p.stem for p in DEMO_GOLDEN.glob("*.txt")) == [Path(d).stem for d in DEMOS]
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_output_matches_recording(demo):
+    proc = _run_demo(demo)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (DEMO_GOLDEN / f"{Path(demo).stem}.txt").read_text(encoding="utf-8")
 
 
 CLASS_KEYS = sorted(k for k in GOLDEN if k.split()[0] == "class")

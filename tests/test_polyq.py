@@ -1,6 +1,7 @@
 import random
 import re
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 
@@ -298,3 +299,178 @@ def test_interpolate_columns_single_point_and_no_columns():
 def test_interpolate_columns_refuses_ill_posed_input(xs, columns, message):
     with pytest.raises(ValueError, match=message):
         interpolate_columns(xs, columns)
+
+
+@pytest.mark.parametrize("p", [PolyQ(), PolyQ((1,)), D, PolyQ((Fraction(1, 2), 0, -3))], ids=["zero", "one", "d", "quadratic"])
+@pytest.mark.parametrize("zero", [0, Fraction(0), "0", "0/5"])
+def test_division_by_zero_raises_for_every_polynomial(p, zero):
+    with pytest.raises(ZeroDivisionError, match="^polynomial division by zero$"):
+        p / zero
+
+
+# Reference: the Fraction-tuple arithmetic that PolyQ used before it stored
+# integer numerators over one denominator.  A polynomial is the tuple of its
+# Fraction coefficients, ascending, with no trailing zero.
+
+
+def _ref_strip(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def _ref_add(a, b):
+    return _ref_strip(x + y for x, y in zip_longest(a, b, fillvalue=0))
+
+
+def _ref_neg(a):
+    return tuple(-c for c in a)
+
+
+def _ref_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ref_strip(out)
+
+
+def _ref_pow(a, n):
+    out = (Fraction(1),)
+    for _ in range(n):
+        out = _ref_mul(out, a)
+    return out
+
+
+def _ref_eval(a, x):
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def _ref_hash(a):
+    if len(a) <= 1:
+        return hash(a[0]) if a else 0
+    return hash(a)
+
+
+def _ref_str(a):
+    if not a:
+        return "0"
+    parts = []
+    for k in range(len(a) - 1, -1, -1):
+        c = a[k]
+        if c == 0:
+            continue
+        mag = abs(c)
+        if k == 0:
+            body = str(mag)
+        else:
+            var = "d" if k == 1 else f"d^{k}"
+            body = var if mag == 1 else f"{mag}*{var}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts)
+
+
+def _spelling(rng):
+    """One coefficient as an int, a Fraction or a "p/q" string, often zero,
+    sometimes with a numerator or denominator far beyond 64 bits."""
+    big = rng.random() < 0.2
+    num = rng.randint(-(10**30), 10**30) if big else rng.randint(-9, 9)
+    if rng.random() < 0.25:
+        num = 0
+    den = rng.randint(1, 10**20) if big and rng.random() < 0.5 else rng.randint(1, 12)
+    form = rng.randrange(3)
+    if form == 0:
+        return num // den if den == 1 or num % den == 0 else Fraction(num, den)
+    if form == 1:
+        return Fraction(num, den)
+    return f"{num}/{den}" if rng.random() < 0.5 else str(Fraction(num, den))
+
+
+def _pair(rng):
+    """A PolyQ built from mixed spellings, and its reference tuple."""
+    kind = rng.random()
+    if kind < 0.1:
+        spellings = []
+    elif kind < 0.3:
+        spellings = [_spelling(rng)]
+    else:
+        spellings = [_spelling(rng) for _ in range(rng.randint(1, 9))]
+    if spellings and rng.random() < 0.2:
+        spellings += [0, "0", Fraction(0)][: rng.randint(1, 3)]
+    return PolyQ(spellings), _ref_strip(Fraction(s) for s in spellings)
+
+
+def _assert_matches(p, ref):
+    assert p.coeffs == ref
+    assert all(type(c) is Fraction for c in p.coeffs)
+    assert str(p) == _ref_str(ref)
+    assert repr(p) == f"PolyQ({[str(c) for c in ref]})"
+    assert p.to_strings() == [str(c) for c in ref]
+    assert hash(p) == _ref_hash(ref)
+    assert p.degree == (len(ref) - 1 if ref else NEG_INF)
+    assert p.is_zero() is (not ref) and bool(p) is bool(ref)
+    for k in range(-1, len(ref) + 2):
+        assert p.coefficient(k) == (ref[k] if 0 <= k < len(ref) else 0)
+        assert type(p.coefficient(k)) is Fraction
+    if len(ref) <= 1:
+        assert p.constant_value() == (ref[0] if ref else 0)
+        assert type(p.constant_value()) is Fraction
+    else:
+        with pytest.raises(ValueError, match="not a constant polynomial"):
+            p.constant_value()
+
+
+def test_arithmetic_matches_the_fraction_tuple_reference():
+    rng = random.Random(1212)
+    for _ in range(400):
+        (p, rp), (q, rq) = _pair(rng), _pair(rng)
+        _assert_matches(p, rp)
+        k = Fraction(_spelling(rng))
+        n = rng.randint(0, 3)
+        x = Fraction(rng.randint(-20, 20), rng.randint(1, 9))
+        cases = [
+            (p + q, _ref_add(rp, rq)),
+            (p - q, _ref_add(rp, _ref_neg(rq))),
+            (p * q, _ref_mul(rp, rq)),
+            (-p, _ref_neg(rp)),
+            (p**n, _ref_pow(rp, n)),
+            (p + k, _ref_add(rp, (k,) if k else ())),
+            (k - p, _ref_add((k,) if k else (), _ref_neg(rp))),
+            (k * p, _ref_mul((k,) if k else (), rp)),
+            (p - p, ()),
+        ]
+        if k:
+            cases.append((p / k, _ref_strip(c / k for c in rp)))
+        for got, ref in cases:
+            _assert_matches(got, ref)
+        assert p(x) == _ref_eval(rp, x) and type(p(x)) is Fraction
+        assert p(int(x)) == _ref_eval(rp, int(x))
+        assert p(str(x)) == _ref_eval(rp, x)
+        assert (p == q) is (rp == rq) and (p != q) is (rp != rq)
+        assert (p == PolyQ(rq)) is (rp == rq)
+        if len(rp) <= 1:
+            value = rp[0] if rp else Fraction(0)
+            assert p == value and hash(p) == hash(value)
+            if value.denominator == 1:
+                assert p == int(value) and hash(p) == hash(int(value))
+
+
+def test_fields_are_integer_numerators_over_one_denominator():
+    p = PolyQ(("1/6", "-2/4", 0, "5/3", 0))
+    assert (p.num, p.den) == ((1, -3, 0, 10), 6)
+    assert (PolyQ().num, PolyQ().den) == ((), 1)
+    assert (PolyQ((0, "0/3")).num, PolyQ((0, "0/3")).den) == ((), 1)
+    assert (PolyQ.const(Fraction(-4, 6)).num, PolyQ.const(Fraction(-4, 6)).den) == ((-2,), 3)
+    assert ((p * 6).num, (p * 6).den) == ((1, -3, 0, 10), 1)
+    assert ((p / Fraction(-1, 2)).num, (p / Fraction(-1, 2)).den) == ((-1, 3, 0, -10), 3)
+    with pytest.raises(AttributeError):
+        p.coeffs = ()
