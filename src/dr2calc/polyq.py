@@ -40,6 +40,7 @@ of ``PolyQ`` of the right length.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
@@ -70,13 +71,14 @@ def format_rational(q: Fraction) -> str:
     return str(exact(q))
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
+
+
 def parse_rational(s: str) -> Fraction:
-    """Parse "p/q" or "p" into a Fraction; anything else is a ValueError."""
-    if isinstance(s, str):
-        try:
-            return Fraction(s)
-        except (ValueError, ZeroDivisionError):
-            pass
+    """Parse "p/q" or "p" (ASCII digits, optional "-", q nonzero) into a Fraction;
+    anything else, such as "1.2", "1e3", "+2" or " 3/4", is a ValueError."""
+    if isinstance(s, str) and _RATIONAL.fullmatch(s):
+        return Fraction(s)
     raise ValueError(f"expected a 'p/q' string, got {s!r}")
 
 

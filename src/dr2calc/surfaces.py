@@ -116,6 +116,12 @@ class EquationRow:
 
 
 def _parse_surface(doc: dict) -> SurfaceModel:
+    for field in ("name", "family", "generators", "gram", "restrictions", "rhs", "rationale"):
+        if not isinstance(doc, dict) or field not in doc:
+            raise ValueError(f"missing field {field!r}")
+    if not isinstance(doc["restrictions"], dict):
+        raise ValueError(f"{doc['name']}: restrictions must map generators to vectors")
+
     def rational(x) -> Fraction:
         try:
             return parse_rational(x)
@@ -167,11 +173,15 @@ def fixture_checksums() -> Dict[str, str]:
 
 
 def builtin_surfaces() -> Tuple[SurfaceModel, ...]:
-    """The ten test surfaces, loaded from the shipped fixtures."""
-    return tuple(
-        _parse_surface(json.loads(blob.decode("utf-8")))
-        for _, blob in sorted(_fixture_bytes().items())
-    )
+    """The ten test surfaces, loaded from the shipped fixtures; a malformed
+    fixture raises ValueError naming the file."""
+    out = []
+    for fname, blob in sorted(_fixture_bytes().items()):
+        try:
+            out.append(_parse_surface(json.loads(blob.decode("utf-8"))))
+        except ValueError as exc:
+            raise ValueError(f"{fname}: {exc}") from None
+    return tuple(out)
 
 
 def equation_row(surface: SurfaceModel) -> EquationRow:

@@ -163,7 +163,7 @@ def test_interpolation_is_canonical():
 
 
 def test_solver_kernels_are_canonical():
-    """Interpolation of every slot and the integer residuals: zero residuals
+    """Interpolation of every slot and the row residuals: zero residuals
     and zero slots are the shared zero, the rest canonical."""
     system = solver.full_system()
     cert = solver.solve_parametric(system)
@@ -172,7 +172,7 @@ def test_solver_kernels_are_canonical():
     rows = list(system.rows)
     r0 = rows[0]
     rows[0] = type(r0)(r0.coefficients, r0.rhs + D / 3, r0.label, r0.kind, r0.provenance)
-    residuals = solver._residuals(solver.ParamSystem(rows=tuple(rows)), cert.solution)
+    residuals = tuple(r.residual(cert.solution) for r in rows)
     assert residuals[0] == -D / 3 and all(r is ZERO for r in residuals[1:])
     for r in residuals:
         _assert_canonical_poly(r)

@@ -226,7 +226,12 @@ def test_format_rational_refuses_floats():
         format_rational(0.1)
 
 
-@pytest.mark.parametrize("value", [0.1, 1, Fraction(1, 2), None, "1/0", "abc", ""])
+@pytest.mark.parametrize(
+    "value",
+    [0.1, 1, Fraction(1, 2), None, "1/0", "abc", ""]
+    # Fraction reads all of these but "1/00" as numbers: "1.2" as 6/5, "1e3" as 1000
+    + ["1.5", "1e3", " 3/4 ", "1_000", "+2", "1.2", "1/00", "3\n", "\u0663"],
+)
 def test_parse_rational_takes_only_rational_strings(value):
     # a float 0.1 would otherwise parse to its binary value
     with pytest.raises(ValueError, match=f"expected a 'p/q' string, got {re.escape(repr(value))}"):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from dr2calc import surfaces
 from dr2calc.chow import RELATIONS, DivisorM22, TautClass2, dr2_class, swap_markings
 from dr2calc.ct import CtClass
 from dr2calc.polyq import D
@@ -228,6 +229,38 @@ def test_parse_surface_refuses_malformed_shapes(edit, message):
     with pytest.raises(ValueError, match=re.escape(f"{doc['name']}: {message}")):
         _parse_surface(doc)
 
+
+def _load_with_family03(monkeypatch, blob):
+    blobs = {**_fixture_bytes(), "family03.json": blob}
+    monkeypatch.setattr(surfaces, "_fixture_bytes", lambda: blobs)
+    return builtin_surfaces()
+
+
+@pytest.mark.parametrize(
+    "field", ["name", "family", "generators", "gram", "restrictions", "rhs", "rationale"]
+)
+def test_fixture_without_a_required_field_names_file_and_field(monkeypatch, field):
+    doc = json.loads(_fixture_bytes()["family03.json"])
+    del doc[field]
+    with pytest.raises(ValueError, match=re.escape(f"family03.json: missing field {field!r}")):
+        _load_with_family03(monkeypatch, json.dumps(doc).encode())
+
+
+@pytest.mark.parametrize(
+    "blob, message",
+    [
+        (b"[]", "missing field 'name'"),
+        (b"{", "Expecting property name"),
+        (
+            json.dumps({**json.loads(_fixture_bytes()["family03.json"]), "restrictions": []}).encode(),
+            "restrictions must map generators to vectors",
+        ),
+    ],
+    ids=["not-an-object", "not-json", "restrictions-list"],
+)
+def test_malformed_fixture_names_the_file(monkeypatch, blob, message):
+    with pytest.raises(ValueError, match=f"^family03.json: .*{message}"):
+        _load_with_family03(monkeypatch, blob)
 
 
 def _assert_integer_pairings_match_fractions(s):
