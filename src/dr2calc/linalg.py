@@ -9,15 +9,24 @@ pivoting, so pivots are chosen as the first nonzero entry in row order;
 output is therefore deterministic across runs and platforms.  Entries may be
 ints, Fractions or strings; a float raises ``TypeError``, as in
 ``polyq.exact``, and a row whose length differs from row 0's raises
-``ValueError`` naming it.
+``ValueError`` naming it.  Both checks run on every call.
+
+Eliminations that ``solve_unique`` and ``row_dependencies`` read are
+memoized by content in one bounded cache, keyed by the coefficient rows
+cleared to integers: the elimination of [A | I] records the row operations
+once, and each call applies them to its own right-hand side.  The cached
+values are tuples and every call builds its own result, so no caller can
+alter what the next one gets.  ``rank`` and ``reduced_echelon`` run the
+kernel on every call.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from operator import mul
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .polyq import clear_denominators, exact
 
@@ -49,13 +58,24 @@ def _width(rows: Sequence[Sequence]) -> int:
     return width
 
 
+def _exact_row(row) -> List[Fraction]:
+    """The entries as ints or Fractions; a float raises TypeError naming it."""
+    return [x if type(x) is Fraction else exact(x) for x in row]
+
+
+def _cleared(rows) -> Tuple[List[List[int]], List[int]]:
+    """Each row times the lcm of its denominators, and those lcms."""
+    out, scales = [], []
+    for row in rows:
+        [ints], den = clear_denominators([_exact_row(row)])
+        out.append(ints)
+        scales.append(den)
+    return out, scales
+
+
 def _integer_rows(rows) -> List[List[int]]:
     """Each row times the lcm of its denominators; floats refused first."""
-    out = []
-    for row in rows:
-        [ints], _ = clear_denominators([[x if type(x) is Fraction else exact(x) for x in row]])
-        out.append(ints)
-    return out
+    return _cleared(rows)[0]
 
 
 def _gauss_jordan(
@@ -110,6 +130,47 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return len(_gauss_jordan(_integer_rows(rows))[0])
 
 
+class _Elimination(NamedTuple):
+    pivots: Tuple[int, ...]
+    inverse: Tuple[Tuple[int, ...], ...]
+    inverse_den: Tuple[int, ...]
+    dependencies: Tuple[Tuple[int, Tuple[Tuple[int, Fraction], ...]], ...]
+
+
+@lru_cache(maxsize=32)
+def _elimination(rows: Tuple[Tuple[int, ...], ...]) -> _Elimination:
+    """Eliminate [rows | I] on the columns of ``rows``, left to right.
+
+    Memoized by content.  The pivot choices depend on the columns of
+    ``rows`` alone, so the identity block records the row operations of
+    every elimination of [rows | b]: reduced row i is
+    sum_k inverse[i][k] * rows[k] / inverse_den[i], and the same combination
+    of b is the value of unknown pivots[i].  The identity block's rows below
+    the pivots span the y with y . rows == 0; in their reduced echelon form,
+    with columns tried from the last row to the first, the pivots are
+    exactly the rows that depend on earlier ones, and the vector with pivot
+    i is 1 at i and otherwise supported on earlier independent rows.
+    ``dependencies`` holds each such i with ((k, -y_k), ...): rows[i] ==
+    sum(-y_k * rows[k]).
+    """
+    n, width = len(rows), _width(rows)
+    pivots, m = _gauss_jordan(
+        [list(row) + [int(i == k) for i in range(n)] for k, row in enumerate(rows)], range(width)
+    )
+    r = len(pivots)
+    inverse, dens = _cleared(row[width:] for row in m[:r])
+    deps, null = _gauss_jordan([row[width:] for row in m[r:]], range(n - 1, -1, -1))
+    return _Elimination(
+        pivots=tuple(pivots),
+        inverse=tuple(map(tuple, inverse)),
+        inverse_den=tuple(dens),
+        dependencies=tuple(
+            (i, tuple((k, -y) for k, y in enumerate(row[:i]) if y))
+            for i, row in sorted(zip(deps, null))
+        ),
+    )
+
+
 def solve_unique(
     rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
 ) -> List[Fraction]:
@@ -118,25 +179,32 @@ def solve_unique(
     Raises UnderdeterminedSystemError if the coefficient rank is below the
     number of unknowns, and InconsistentSystemError naming the first original
     row that the candidate solution fails to satisfy.
+
+    With A_int the rows cleared to integers, A_int[k] = s_k * A[k], the
+    system is A_int x = s * b.  The cached elimination of [A_int | I] gives
+    each unknown as one integer combination of the scaled right-hand side,
+    divided once: the candidate that eliminating [A | b] gives.
     """
     if len(rows) != len(rhs):
         raise ValueError("row/rhs length mismatch")
     if not rows:
         raise UnderdeterminedSystemError("empty system")
     ncols = _width(rows)
-    augmented = _integer_rows([list(row) + [b] for row, b in zip(rows, rhs)])
-    pivots, m = _gauss_jordan(augmented, range(ncols))
-    if len(pivots) < ncols:
-        raise UnderdeterminedSystemError(f"rank {len(pivots)} < {ncols} unknowns")
+    ints, scales = _cleared(rows)
+    [b], cden = clear_denominators([_exact_row(rhs)])
+    elim = _elimination(tuple(map(tuple, ints)))
+    if len(elim.pivots) < ncols:
+        raise UnderdeterminedSystemError(f"rank {len(elim.pivots)} < {ncols} unknowns")
+    c = [s * x for s, x in zip(scales, b)]
     solution = [Fraction(0)] * ncols
-    for prow, pcol in zip(m, pivots):
-        solution[pcol] = prow[-1]
+    for pcol, combo, den in zip(elim.pivots, elim.inverse, elim.inverse_den):
+        solution[pcol] = Fraction(sum(map(mul, combo, c)), den * cden)
 
     # Verify against the original rows so the offending index is meaningful,
-    # in integers: with solution = X / den, row . X == rhs * den.
-    [point] = _integer_rows([solution + [-1]])
-    for k, row in enumerate(augmented):
-        if sum(map(mul, row, point)):
+    # in integers: with solution = X / xden, A_int[k] . X * cden == c[k] * xden.
+    [point], xden = clear_denominators([solution])
+    for k, (row, ck) in enumerate(zip(ints, c)):
+        if sum(map(mul, row, point)) * cden != ck * xden:
             raise InconsistentSystemError(k)
     return solution
 
@@ -149,16 +217,14 @@ def row_dependencies(
     Processing rows in order, the first maximal independent subset is kept;
     each remaining row is returned as ``(index, combo)`` where
     ``rows[index] == sum(combo[k] * rows[k] for k)`` over earlier kept rows.
-    Read off the reduced echelon form of the transpose: its pivot columns
-    are the kept rows, and every other column holds the combination.
+    Read off the cached elimination that ``solve_unique`` uses, with the
+    integer combination rescaled by the rows' clearing factors.
     """
     _width(rows)
-    pivots, m = _gauss_jordan(_integer_rows(zip(*rows)))
-    kept = set(pivots)
+    ints, scales = _cleared(rows)
     return [
-        (idx, {pivots[i]: m[i][idx] for i in range(len(pivots)) if m[i][idx] != 0})
-        for idx in range(len(rows))
-        if idx not in kept
+        (i, {k: y * scales[k] / scales[i] for k, y in combo})
+        for i, combo in _elimination(tuple(map(tuple, ints))).dependencies
     ]
 
 

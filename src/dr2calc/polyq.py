@@ -429,12 +429,21 @@ class PolyVector:
         return self._of(tuple(f * c for c in self.coeffs))
 
     def dot(self, weights: Sequence[Scalar]) -> PolyQ:
-        """The polynomial sum of weights[k] * coeffs[k]: a rational row times the vector."""
-        out = ZERO
-        for w, c in zip(weights, self.coeffs):
-            if w and c:
-                out = out + c * w
-        return out
+        """The polynomial sum of weights[k] * coeffs[k]: a rational row times the vector.
+
+        The terms' integer numerators are added over the lcm of their
+        denominators and reduced once.  A float weight raises TypeError.
+        """
+        terms = [(w, c) for w, c in zip(map(_rational, weights), self.coeffs) if w and c]
+        if not terms:
+            return ZERO
+        den = lcm(*[w.denominator * c.den for w, c in terms])
+        acc = [0] * max(len(c.num) for _, c in terms)
+        for w, c in terms:
+            f = w.numerator * (den // (w.denominator * c.den))
+            for k, x in enumerate(c.num):
+                acc[k] += f * x
+        return _poly(acc, den)
 
     def eval_at(self, x: Scalar):
         return type(self)(PolyQ.const(c(x)) for c in self.coeffs)

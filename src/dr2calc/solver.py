@@ -7,7 +7,11 @@ strategy is sample-then-interpolate:
   1. evaluate every right-hand side at each sample point (``row.rhs(x)``),
      and solve the rational system exactly at each point with
      ``linalg.solve_unique``; each solve certifies that the coefficient rank
-     equals the unknown count;
+     equals the unknown count.  The d-independent work is done once per
+     distinct input: ``linalg`` memoizes the elimination of the coefficient
+     matrix by content in a bounded cache, so each sample only applies it to
+     its right-hand side, and ``full_system`` parses the fixtures once per
+     distinct fixture content;
   2. interpolate all unknowns in one call, ``polyq.interpolate_columns``,
      which builds the point basis once for the sample set;
   3. re-substitute and demand a zero residual for every row, symbolically:

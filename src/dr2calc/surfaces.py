@@ -19,9 +19,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
 from operator import mul
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 from . import m21
 from .chow import BASIS_MONOMIALS, BASIS_NAMES, GENERATORS, MONOMIALS, Monomial, TautClass2
@@ -115,35 +116,56 @@ class EquationRow:
         }
 
 
+# Each fixture field, the JSON type it must have, and what the error says.
+_FIELDS = (
+    ("name", str, "must be a string"),
+    ("family", int, "must be an integer"),
+    ("generators", list, "must be a list of generator names"),
+    ("gram", list, "must be a list of rows of 'p/q' strings"),
+    ("restrictions", dict, "must map generators to vectors"),
+    ("rhs", list, "must be a list of 'p/q' strings"),
+    ("rationale", str, "must be a string"),
+)
+
+
 def _parse_surface(doc: dict) -> SurfaceModel:
-    for field in ("name", "family", "generators", "gram", "restrictions", "rhs", "rationale"):
+    for field, _, _ in _FIELDS:
         if not isinstance(doc, dict) or field not in doc:
             raise ValueError(f"missing field {field!r}")
-    if not isinstance(doc["restrictions"], dict):
-        raise ValueError(f"{doc['name']}: restrictions must map generators to vectors")
+    name = doc["name"]
+    if not isinstance(name, str):
+        raise ValueError("name must be a string")
+    # bool is an int subclass, and a JSON true is not a family number
+    for field, kind, requirement in _FIELDS[1:]:
+        if not isinstance(doc[field], kind) or isinstance(doc[field], bool):
+            raise ValueError(f"{name}: {field} {requirement}")
+    if not all(isinstance(g, str) for g in doc["generators"]):
+        raise ValueError(f"{name}: generators must be a list of generator names")
+    if not all(isinstance(row, list) for row in doc["gram"]):
+        raise ValueError(f"{name}: gram must be a list of rows of 'p/q' strings")
 
     def rational(x) -> Fraction:
         try:
             return parse_rational(x)
         except ValueError as exc:
-            raise ValueError(f"{doc['name']}: {exc}") from None
+            raise ValueError(f"{name}: {exc}") from None
 
     gram = tuple(tuple(rational(x) for x in row) for row in doc["gram"])
     n = len(doc["generators"])
     if len(gram) != n or any(len(row) != n for row in gram):
-        raise ValueError(f"{doc['name']}: gram shape does not match generators")
+        raise ValueError(f"{name}: gram shape does not match generators")
     restrictions = {}
     for gen, vec in doc["restrictions"].items():
         if gen not in GENERATORS:
-            raise ValueError(f"{doc['name']}: unknown generator {gen!r}")
+            raise ValueError(f"{name}: unknown generator {gen!r}")
+        if not isinstance(vec, list):
+            raise ValueError(f"{name}: restrictions must map generators to vectors")
         if len(vec) != n:
-            raise ValueError(f"{doc['name']}: restriction length for {gen!r}")
+            raise ValueError(f"{name}: restriction length for {gen!r}")
         restrictions[gen] = tuple(rational(x) for x in vec)
-    if not isinstance(doc["rhs"], list):
-        raise ValueError(f"{doc['name']}: rhs must be a list of 'p/q' strings")
     return SurfaceModel(
-        name=doc["name"],
-        family=int(doc["family"]),
+        name=name,
+        family=doc["family"],
         generators=tuple(doc["generators"]),
         gram=gram,
         restrictions=restrictions,
@@ -172,16 +194,21 @@ def fixture_checksums() -> Dict[str, str]:
     }
 
 
-def builtin_surfaces() -> Tuple[SurfaceModel, ...]:
-    """The ten test surfaces, loaded from the shipped fixtures; a malformed
-    fixture raises ValueError naming the file."""
+def _parse_fixtures(blobs: Iterable[Tuple[str, bytes]]) -> Tuple[SurfaceModel, ...]:
+    """Parse (file name, bytes) pairs; a malformed one raises ValueError naming the file."""
     out = []
-    for fname, blob in sorted(_fixture_bytes().items()):
+    for fname, blob in blobs:
         try:
             out.append(_parse_surface(json.loads(blob.decode("utf-8"))))
         except ValueError as exc:
             raise ValueError(f"{fname}: {exc}") from None
     return tuple(out)
+
+
+def builtin_surfaces() -> Tuple[SurfaceModel, ...]:
+    """The ten test surfaces, loaded from the shipped fixtures; a malformed
+    fixture raises ValueError naming the file."""
+    return _parse_fixtures(sorted(_fixture_bytes().items()))
 
 
 def equation_row(surface: SurfaceModel) -> EquationRow:
@@ -262,10 +289,21 @@ def pushforward_rows() -> Tuple[EquationRow, ...]:
     return tuple(rows)
 
 
+@lru_cache(maxsize=4)
+def _surface_rows(blobs: Tuple[Tuple[str, bytes], ...]) -> Tuple[EquationRow, ...]:
+    """The surface rows of the fixtures, memoized by the fixtures' bytes."""
+    return tuple(equation_row(s) for s in _parse_fixtures(blobs))
+
+
 def full_system_rows() -> Tuple[EquationRow, ...]:
-    """All 16 rows: the ten surfaces, then symmetry, then push-forward."""
+    """All 16 rows: the ten surfaces, then symmetry, then push-forward.
+
+    The surface rows are parsed and paired once per distinct fixture
+    content: the cache is keyed by each file's name and bytes, so edited
+    fixtures give fresh rows.  The rows are immutable and safe to share.
+    """
     return (
-        tuple(equation_row(s) for s in builtin_surfaces())
+        _surface_rows(tuple(sorted(_fixture_bytes().items())))
         + symmetry_rows()
         + pushforward_rows()
     )

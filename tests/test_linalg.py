@@ -373,3 +373,82 @@ def test_ragged_rows_are_refused_by_name(call, rows, bad):
 def test_solve_unique_refuses_a_rhs_of_another_length():
     with pytest.raises(ValueError, match="row/rhs length mismatch"):
         solve_unique([[F(1), F(0)], [F(0), F(1)]], [F(1)])
+
+
+# --- the memoized elimination against a plain elimination of [A | b] -------
+
+
+def _shipped_matrix():
+    from dr2calc.solver import full_system
+
+    system = full_system()
+    return system.matrix(), [row.rhs for row in system.rows]
+
+
+def _assert_solves_like_the_reference(rows, rhs):
+    got = _outcome(solve_unique, rows, rhs)
+    assert got == _outcome(_reference_solve_unique, rows, rhs)
+    return got[0]
+
+
+def _reference_solutions(rows, columns):
+    """One plain elimination of [A | b_1 ... b_k]; the solution for each b,
+    checked against every row."""
+    ncols = len(rows[0])
+    pivots, m = _fraction_gauss_jordan(
+        [list(row) + list(bs) for row, bs in zip(rows, zip(*columns))], range(ncols)
+    )
+    assert pivots == list(range(ncols))
+    out = []
+    for j, b in enumerate(columns):
+        x = [m[i][ncols + j] for i in range(ncols)]
+        assert all(_dot(row, x) == t for row, t in zip(rows, b))
+        out.append(x)
+    return out
+
+
+def test_shipped_solve_matches_a_plain_elimination_at_seeded_sample_sets():
+    matrix, rhs = _shipped_matrix()
+    rng = random.Random(41)
+    for _ in range(50):
+        points = [F(x) for x in rng.sample(range(-200, 201), rng.randint(6, 9))]
+        points[0] = F(rng.randint(-99, 99), rng.randint(2, 40))
+        columns = [[p(x) for p in rhs] for x in points]
+        assert [solve_unique(matrix, b) for b in columns] == _reference_solutions(matrix, columns)
+
+
+def test_shipped_solve_matches_a_plain_elimination_on_perturbed_systems():
+    matrix, rhs = _shipped_matrix()
+    at = [p(F(7, 2)) for p in rhs]
+    outcomes = set()
+    for k in range(len(matrix)):
+        bumped = list(at)
+        bumped[k] += 1
+        outcomes.add(_assert_solves_like_the_reference(matrix, bumped))
+        zeroed = [row if i != k else [F(0)] * len(row) for i, row in enumerate(matrix)]
+        outcomes.add(_assert_solves_like_the_reference(zeroed, at))
+    for size in (10, 1):
+        assert _assert_solves_like_the_reference(matrix[:size], at[:size]) is UnderdeterminedSystemError
+    assert outcomes == {"value", InconsistentSystemError, UnderdeterminedSystemError}
+
+
+def test_returned_lists_are_the_callers_own():
+    rows = [[F(1), F(0)], [F(0), F(1)], [F(2), F(3)], [F(1), F(1)]]
+    rhs = [F(1), F(2), F(8), F(3)]
+    solution = solve_unique(rows, rhs)
+    solution[0] = F(99)
+    solution.append(F(1))
+    assert solve_unique(rows, rhs) == [F(1), F(2)]
+
+    deps = row_dependencies(rows)
+    expected = [(i, dict(combo)) for i, combo in deps]
+    deps[0][1][0] = F(99)
+    deps[1][1].clear()
+    deps.pop()
+    assert row_dependencies(rows) == expected
+
+    entries = reduced_echelon(rows, [1, 0])
+    expected = [(col, list(row)) for col, row in entries]
+    entries[0][1][0] = F(99)
+    entries.pop()
+    assert reduced_echelon(rows, [1, 0]) == expected

@@ -249,6 +249,37 @@ def test_dot_is_the_rational_row_action():
     assert cls.dot(row) == sum((x * w for x, w in zip(cls.coeffs, row)), PolyQ())
 
 
+def test_dot_matches_the_term_by_term_sum():
+    from dr2calc import TautClass2
+    from dr2calc.polyq import ZERO
+
+    rng = random.Random(31)
+    for _ in range(200):
+        cls = TautClass2(
+            PolyQ(Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(rng.randint(0, 5)))
+            for _ in range(14)
+        )
+        weights = [
+            rng.choice((0, Fraction(0), rng.randint(-5, 5), Fraction(rng.randint(-7, 7), rng.randint(1, 9))))
+            for _ in range(14)
+        ]
+        expected = PolyQ()
+        for w, c in zip(weights, cls.coeffs):
+            expected = expected + c * w
+        got = cls.dot(weights)
+        assert (got.num, got.den) == (expected.num, expected.den)
+        if not got:
+            assert got is ZERO
+
+
+@pytest.mark.parametrize("weights", [(0.5, 0, 0), (1, 0, 0.0)], ids=["live-term", "zero-term"])
+def test_dot_refuses_float_weights(weights):
+    from dr2calc import DivisorM21
+
+    with pytest.raises(TypeError, match=re.escape(repr(next(w for w in weights if isinstance(w, float))))):
+        DivisorM21((D, 1, 0)).dot(weights)
+
+
 def _newton_interpolate(xs, ys):
     """Reference: divided differences over Fraction, expanded from Newton form."""
     coef = list(ys)

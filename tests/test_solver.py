@@ -180,3 +180,20 @@ def test_string_coefficients_solve_like_fractions():
     cert = solve_parametric(ParamSystem(rows=rows))
     assert cert.consistent
     assert cert.solution == dr2_class(D)
+
+
+@pytest.mark.parametrize("samples", [None, range(2, 8), [F(1, 2), 3, 5, 7, 11, 13, 17, 19, 23]])
+def test_each_sample_point_is_one_solve_unique_call(monkeypatch, samples):
+    from dr2calc import linalg
+
+    calls = []
+    real = linalg.solve_unique
+
+    def counted(rows, rhs):
+        calls.append(len(rows))
+        return real(rows, rhs)
+
+    monkeypatch.setattr(linalg, "solve_unique", counted)
+    cert = solve_parametric(full_system(), samples=samples)
+    assert cert.consistent
+    assert calls == [16] * len(cert.sample_points)

@@ -246,6 +246,11 @@ def test_fixture_without_a_required_field_names_file_and_field(monkeypatch, fiel
         _load_with_family03(monkeypatch, json.dumps(doc).encode())
 
 
+def _family03_with(**fields):
+    """family03.json with some fields replaced, as bytes."""
+    return json.dumps({**json.loads(_fixture_bytes()["family03.json"]), **fields}).encode()
+
+
 @pytest.mark.parametrize(
     "blob, message",
     [
@@ -255,8 +260,35 @@ def test_fixture_without_a_required_field_names_file_and_field(monkeypatch, fiel
             json.dumps({**json.loads(_fixture_bytes()["family03.json"]), "restrictions": []}).encode(),
             "restrictions must map generators to vectors",
         ),
+        (_family03_with(gram=5), "gram must be a list of rows of 'p/q' strings"),
+        (_family03_with(gram=["01", "10"]), "gram must be a list of rows of 'p/q' strings"),
+        (_family03_with(generators=3), "generators must be a list of generator names"),
+        (_family03_with(generators=["x1", 2]), "generators must be a list of generator names"),
+        (_family03_with(family="x"), "family must be an integer"),
+        (_family03_with(family=3.0), "family must be an integer"),
+        (_family03_with(family=True), "family must be an integer"),
+        (_family03_with(name=5), "name must be a string"),
+        (_family03_with(rationale=["a"]), "rationale must be a string"),
+        (
+            _family03_with(restrictions={"d0": "00"}),
+            "restrictions must map generators to vectors",
+        ),
     ],
-    ids=["not-an-object", "not-json", "restrictions-list"],
+    ids=[
+        "not-an-object",
+        "not-json",
+        "restrictions-list",
+        "gram-number",
+        "gram-string-rows",
+        "generators-number",
+        "generators-non-string",
+        "family-string",
+        "family-float",
+        "family-bool",
+        "name-number",
+        "rationale-list",
+        "restriction-string",
+    ],
 )
 def test_malformed_fixture_names_the_file(monkeypatch, blob, message):
     with pytest.raises(ValueError, match=f"^family03.json: .*{message}"):
@@ -308,3 +340,30 @@ def test_equation_row_matches_the_fraction_pairings_on_rational_lattices():
                 rationale="",
             )
         )
+
+
+def test_full_system_rows_follow_the_fixture_bytes(monkeypatch):
+    from dr2calc.solver import full_system
+
+    original = full_system().rows
+    doc = json.loads(_fixture_bytes()["family03.json"])
+    doc["restrictions"]["d0"] = ["12", "11"]
+    doc["rhs"] = ["1"]
+    blobs = {**_fixture_bytes(), "family03.json": json.dumps(doc).encode()}
+    monkeypatch.setattr(surfaces, "_fixture_bytes", lambda: blobs)
+    edited = full_system().rows
+    assert edited[2].rhs == 1 and edited[2].coefficients != original[2].coefficients
+    assert edited[:2] + edited[3:] == original[:2] + original[3:]
+    monkeypatch.undo()
+    assert full_system().rows == original
+
+
+def test_a_malformed_fixture_fails_on_every_call(monkeypatch):
+    from dr2calc.solver import full_system
+
+    full_system()
+    blobs = {**_fixture_bytes(), "family03.json": _family03_with(gram=5)}
+    monkeypatch.setattr(surfaces, "_fixture_bytes", lambda: blobs)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="^family03.json: .*gram must be a list of rows"):
+            full_system()
