@@ -43,7 +43,7 @@ from fractions import Fraction
 from typing import Dict, Mapping, Sequence, Tuple
 
 from .linalg import LinearSystemError, reduced_echelon
-from .polyq import PolyLike, PolyQ, PolyVector, _poly, as_poly, clear_denominators, poly_numerators
+from .polyq import PolyLike, PolyQ, PolyVector, _poly, as_poly, clear_denominators, parse_rational, poly_numerators
 
 GENERATORS = ("psi1", "psi2", "d0", "d2", "d11", "d12")
 PSI1, PSI2, D0, D2, D11, D12 = range(6)
@@ -158,12 +158,18 @@ class TautClass2(PolyVector):
 
     @classmethod
     def from_json_dict(cls, data: Mapping[str, Sequence[str]]) -> "TautClass2":
+        """Read ``to_json_dict`` output; every entry must be a ``parse_rational`` string."""
+        slots = {}
         for name, value in data.items():
             if name not in cls.names:
                 raise ValueError(f"unknown basis name in class JSON: {name!r}")
             if isinstance(value, str):
                 raise ValueError(f"{name!r} must be a list of rational strings, got {value!r}")
-        return cls(PolyQ.from_strings(data.get(name, ())) for name in cls.names)
+            try:
+                slots[name] = PolyQ(parse_rational(x) for x in value)
+            except ValueError as exc:
+                raise ValueError(f"{name!r}: {exc}") from None
+        return cls(slots.get(name, PolyQ()) for name in cls.names)
 
 
 class DivisorM22(PolyVector):

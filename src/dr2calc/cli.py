@@ -7,8 +7,9 @@ markdown rendering for human reading.  Exit status is 0 exactly when every
 computation and check performed by the command succeeded, 1 when one failed,
 and 2 on a usage error, including a strata table that cannot be loaded.  A
 computation that raises ``LinearSystemError`` or ``ArithmeticError`` (an
-identity a command derives from fails) prints ``<command> failed: <error>``
-on stderr, writes no report, and exits 1.
+identity a command derives from fails), or ``ValueError`` (a shipped fixture
+that cannot be loaded, named in the message), prints ``<command> failed:
+<error>`` on stderr, writes no report, and exits 1.
 
 Each ``cmd_*`` function returns ``(inputs, outputs, ok, lines)``: the inputs
 echoed in the report, its ``outputs`` object, whether every computation and
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Dict, List, Optional, Tuple
 
@@ -31,15 +33,12 @@ Result = Tuple[Dict[str, object], Dict[str, object], bool, List[str]]
 
 
 def _degree(value: str):
-    """Parse --d: an integer >= 1, or 'symbolic' for the polynomial variable D."""
+    """Parse --d: an integer >= 1 (ASCII digits), or 'symbolic' for the variable D."""
     if value == "symbolic":
         return D
-    try:
-        d = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"must be an integer or 'symbolic', got {value!r}"
-        ) from None
+    if not re.fullmatch(r"-?[0-9]+", value):
+        raise argparse.ArgumentTypeError(f"must be an integer or 'symbolic', got {value!r}")
+    d = int(value)
     if d < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1 or 'symbolic', got {d}")
     return d
@@ -277,7 +276,7 @@ def main(argv: Optional[list] = None) -> int:
             parser.error(f"--strata-table {args.strata_table!r}: {exc}")
     try:
         inputs, outputs, ok, lines = args.func(args)
-    except (LinearSystemError, ArithmeticError) as exc:
+    except (LinearSystemError, ArithmeticError, ValueError) as exc:
         sys.stderr.write(f"{args.command} failed: {exc}\n")
         return 1
     if args.emit == "json":

@@ -58,16 +58,12 @@ def _width(rows: Sequence[Sequence]) -> int:
     return width
 
 
-def _exact_row(row) -> List[Fraction]:
-    """The entries as ints or Fractions; a float raises TypeError naming it."""
-    return [x if type(x) is Fraction else exact(x) for x in row]
-
-
 def _cleared(rows) -> Tuple[List[List[int]], List[int]]:
-    """Each row times the lcm of its denominators, and those lcms."""
+    """Each row times the lcm of its denominators, and those lcms; entries may
+    be ints, Fractions or strings, and a float raises TypeError naming it."""
     out, scales = [], []
     for row in rows:
-        [ints], den = clear_denominators([_exact_row(row)])
+        [ints], den = clear_denominators([[x if type(x) is Fraction else exact(x) for x in row]])
         out.append(ints)
         scales.append(den)
     return out, scales
@@ -191,7 +187,7 @@ def solve_unique(
         raise UnderdeterminedSystemError("empty system")
     ncols = _width(rows)
     ints, scales = _cleared(rows)
-    [b], cden = clear_denominators([_exact_row(rhs)])
+    [b], [cden] = _cleared([rhs])
     elim = _elimination(tuple(map(tuple, ints)))
     if len(elim.pivots) < ncols:
         raise UnderdeterminedSystemError(f"rank {len(elim.pivots)} < {ncols} unknowns")

@@ -10,8 +10,9 @@ strategy is sample-then-interpolate:
      equals the unknown count.  The d-independent work is done once per
      distinct input: ``linalg`` memoizes the elimination of the coefficient
      matrix by content in a bounded cache, so each sample only applies it to
-     its right-hand side, and ``full_system`` parses the fixtures once per
-     distinct fixture content;
+     its right-hand side, and ``full_system`` takes the surface rows from the
+     one memoized fixture load in ``surfaces``, which reads each file once
+     per process and parses it once per distinct content;
   2. interpolate all unknowns in one call, ``polyq.interpolate_columns``,
      which builds the point basis once for the sample set;
   3. re-substitute and demand a zero residual for every row, symbolically:

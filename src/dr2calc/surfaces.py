@@ -6,7 +6,10 @@ rational Gram matrix), the restriction of each divisor generator to the base
 of the family, the polynomial count of fibers meeting the degree-d locus
 (the right-hand side), and a free-text provenance note.  Keeping the lattice
 data in versioned files rather than in code makes the transcription — the
-main error risk — auditable entry by entry.
+main error risk — auditable entry by entry.  The files are read once per
+process and parsed once per distinct content, for the surfaces, their rows
+and the report checksums alike; a malformed fixture, or one whose
+``family`` is not the number in its file name, raises ValueError naming it.
 
 Pairing restricted divisor monomials in the lattice turns each surface into
 a linear functional on class vectors; together with the three marking-swap
@@ -19,10 +22,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from importlib import resources
 from operator import mul
-from typing import Dict, Iterable, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, Mapping, Tuple
 
 from . import m21
 from .chow import BASIS_MONOMIALS, BASIS_NAMES, GENERATORS, MONOMIALS, Monomial, TautClass2
@@ -39,7 +43,7 @@ class SurfaceModel:
     family: int
     generators: Tuple[str, ...]
     gram: Tuple[Tuple[Fraction, ...], ...]
-    restrictions: Dict[str, Tuple[Fraction, ...]]
+    restrictions: Mapping[str, Tuple[Fraction, ...]]
     rhs: PolyQ
     rationale: str
 
@@ -51,23 +55,13 @@ class SurfaceModel:
             generator, (Fraction(0),) * len(self.generators)
         )
 
-    def pair_vectors(
-        self, u: Sequence[Fraction], v: Sequence[Fraction]
-    ) -> Fraction:
-        return sum(
-            (
-                ui * self.gram[i][j] * vj
-                for i, ui in enumerate(u)
-                if ui
-                for j, vj in enumerate(v)
-                if vj
-            ),
-            Fraction(0),
-        )
-
     def pair_generators(self, gen_a: str, gen_b: str) -> Fraction:
         """Intersection number of two restricted divisor generators."""
-        return self.pair_vectors(self.restriction(gen_a), self.restriction(gen_b))
+        u, v = self.restriction(gen_a), self.restriction(gen_b)
+        return sum(
+            (ui * self.gram[i][j] * vj for i, ui in enumerate(u) if ui for j, vj in enumerate(v) if vj),
+            Fraction(0),
+        )
 
     def monomial_pairings(self) -> Tuple[Dict[Monomial, int], int]:
         """The 21 generator monomials' intersection numbers over one denominator.
@@ -168,18 +162,17 @@ def _parse_surface(doc: dict) -> SurfaceModel:
         family=doc["family"],
         generators=tuple(doc["generators"]),
         gram=gram,
-        restrictions=restrictions,
+        restrictions=MappingProxyType(restrictions),
         rhs=PolyQ(rational(x) for x in doc["rhs"]),
         rationale=doc["rationale"],
     )
 
 
-def _fixture_bytes() -> Dict[str, bytes]:
-    out = {}
+@cache
+def _fixture_bytes() -> Mapping[str, bytes]:
+    """The shipped fixture files' bytes by file name, read once per process."""
     package = resources.files(__package__) / "fixtures"
-    for fname in FIXTURE_NAMES:
-        out[fname] = (package / fname).read_bytes()
-    return out
+    return MappingProxyType({fname: (package / fname).read_bytes() for fname in FIXTURE_NAMES})
 
 
 def fixture_checksums() -> Dict[str, str]:
@@ -194,21 +187,33 @@ def fixture_checksums() -> Dict[str, str]:
     }
 
 
-def _parse_fixtures(blobs: Iterable[Tuple[str, bytes]]) -> Tuple[SurfaceModel, ...]:
-    """Parse (file name, bytes) pairs; a malformed one raises ValueError naming the file."""
-    out = []
+@lru_cache(maxsize=4)
+def _load(
+    blobs: Tuple[Tuple[str, bytes], ...]
+) -> Tuple[Tuple[SurfaceModel, ...], Tuple[EquationRow, ...]]:
+    """The surfaces and surface rows of (file name, bytes) pairs, memoized by
+    content; a malformed fixture raises ValueError naming the file."""
+    surfaces, rows = [], []
     for fname, blob in blobs:
         try:
-            out.append(_parse_surface(json.loads(blob.decode("utf-8"))))
+            surface = _parse_surface(json.loads(blob.decode("utf-8")))
+            if fname != f"family{surface.family:02d}.json":
+                raise ValueError(f"family field {surface.family} does not match the file name")
+            rows.append(equation_row(surface))
         except ValueError as exc:
             raise ValueError(f"{fname}: {exc}") from None
-    return tuple(out)
+        surfaces.append(surface)
+    return tuple(surfaces), tuple(rows)
+
+
+def _loaded() -> Tuple[Tuple[SurfaceModel, ...], Tuple[EquationRow, ...]]:
+    return _load(tuple(sorted(_fixture_bytes().items())))
 
 
 def builtin_surfaces() -> Tuple[SurfaceModel, ...]:
-    """The ten test surfaces, loaded from the shipped fixtures; a malformed
-    fixture raises ValueError naming the file."""
-    return _parse_fixtures(sorted(_fixture_bytes().items()))
+    """The ten test surfaces from the shipped fixtures, shared between calls
+    (immutable); a malformed fixture raises ValueError naming the file."""
+    return _loaded()[0]
 
 
 def equation_row(surface: SurfaceModel) -> EquationRow:
@@ -289,24 +294,14 @@ def pushforward_rows() -> Tuple[EquationRow, ...]:
     return tuple(rows)
 
 
-@lru_cache(maxsize=4)
-def _surface_rows(blobs: Tuple[Tuple[str, bytes], ...]) -> Tuple[EquationRow, ...]:
-    """The surface rows of the fixtures, memoized by the fixtures' bytes."""
-    return tuple(equation_row(s) for s in _parse_fixtures(blobs))
-
-
 def full_system_rows() -> Tuple[EquationRow, ...]:
     """All 16 rows: the ten surfaces, then symmetry, then push-forward.
 
-    The surface rows are parsed and paired once per distinct fixture
-    content: the cache is keyed by each file's name and bytes, so edited
-    fixtures give fresh rows.  The rows are immutable and safe to share.
+    The surface rows come from the memoized fixture load; the symmetry and
+    push-forward rows are built on each call.  The rows are immutable and
+    safe to share.
     """
-    return (
-        _surface_rows(tuple(sorted(_fixture_bytes().items())))
-        + symmetry_rows()
-        + pushforward_rows()
-    )
+    return _loaded()[1] + symmetry_rows() + pushforward_rows()
 
 
 # Every intersection number displayed alongside the family constructions,

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -343,3 +344,10 @@ def test_class_json_refuses_bare_strings():
     # iterated, "12" would read as the characters "1" and "2", that is 2*d + 1
     with pytest.raises(ValueError, match="'psi1psi2' must be a list of rational strings, got '12'"):
         TautClass2.from_json_dict({"psi1psi2": "12"})
+
+
+@pytest.mark.parametrize("entry", ["1.5", " 2/4 ", "1e3", "+2", 0.5, 3])
+def test_class_json_entries_are_rational_strings(entry):
+    # Fraction() would read "1.5", " 2/4 " and "1e3" as 3/2, 1/2 and 1000
+    with pytest.raises(ValueError, match=re.escape(f"'psi1psi2': expected a 'p/q' string, got {entry!r}")):
+        TautClass2.from_json_dict({"psi1psi2": ["1", entry]})

@@ -303,3 +303,44 @@ def test_module_entry_point_rejects_bad_arguments():
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+
+def _family03_gram_entry(doc):
+    doc["gram"][0][0] = "1.5"
+
+
+def _family03_labelled_4(doc):
+    doc["family"] = 4
+
+
+@pytest.mark.parametrize("edit", [_family03_gram_entry, _family03_labelled_4], ids=["gram-entry", "family"])
+@pytest.mark.parametrize(
+    "argv", [["verify"], ["solve"], ["equations"], ["class", "--d", "2"]], ids=lambda argv: argv[0]
+)
+def test_malformed_fixture_fails_with_message(capsys, monkeypatch, argv, edit):
+    from dr2calc import surfaces
+
+    doc = json.loads(surfaces._fixture_bytes()["family03.json"])
+    edit(doc)
+    blobs = {**surfaces._fixture_bytes(), "family03.json": json.dumps(doc).encode()}
+    monkeypatch.setattr(surfaces, "_fixture_bytes", lambda: blobs)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{argv[0]} failed: family03.json: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["1_000", " 7", "7 ", "+2", "\u0663", "2.0"])
+def test_degree_takes_ascii_digits_only(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["class", "--d", value])
+    assert exc.value.code == 2
+    assert f"must be an integer or 'symbolic', got {value!r}" in capsys.readouterr().err
+
+
+def test_negative_degree_keeps_its_message(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["class", "--d", "-3"])
+    assert exc.value.code == 2
+    assert "must be >= 1 or 'symbolic', got -3" in capsys.readouterr().err

@@ -452,3 +452,8 @@ def test_returned_lists_are_the_callers_own():
     entries[0][1][0] = F(99)
     entries.pop()
     assert reduced_echelon(rows, [1, 0]) == expected
+
+
+def test_rows_and_right_hand_sides_take_the_same_entries():
+    assert solve_unique([["1/2", 0], [0, 3]], ["1/4", "-6"]) == [F(1, 2), F(-2)]
+    assert solve_unique([[F(1, 2), 0], [0, 3]], [F(1, 4), -6]) == [F(1, 2), F(-2)]

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -273,6 +275,7 @@ def _family03_with(**fields):
             _family03_with(restrictions={"d0": "00"}),
             "restrictions must map generators to vectors",
         ),
+        (_family03_with(family=4), "family field 4 does not match the file name"),
     ],
     ids=[
         "not-an-object",
@@ -288,6 +291,7 @@ def _family03_with(**fields):
         "name-number",
         "rationale-list",
         "restriction-string",
+        "family-mismatch",
     ],
 )
 def test_malformed_fixture_names_the_file(monkeypatch, blob, message):
@@ -367,3 +371,52 @@ def test_a_malformed_fixture_fails_on_every_call(monkeypatch):
     for _ in range(3):
         with pytest.raises(ValueError, match="^family03.json: .*gram must be a list of rows"):
             full_system()
+
+
+def test_a_cold_verify_parses_each_fixture_once(monkeypatch, capsys):
+    from dr2calc.cli import main
+
+    parsed = Counter()
+    parse = surfaces._parse_surface
+
+    def counted(doc):
+        parsed[doc["family"]] += 1
+        return parse(doc)
+
+    monkeypatch.setattr(surfaces, "_parse_surface", counted)
+    # bytes no earlier load has seen, so this run loads the fixtures cold
+    blobs = {name: blob + b"\n" for name, blob in _fixture_bytes().items()}
+    monkeypatch.setattr(surfaces, "_fixture_bytes", lambda: blobs)
+    assert main(["verify", "--emit", "json"]) == 0
+    capsys.readouterr()
+    assert parsed == Counter(range(1, 11))
+
+
+def test_fixture_bytes_are_one_read_only_mapping():
+    blobs = _fixture_bytes()
+    assert _fixture_bytes() is blobs
+    assert sorted(blobs) == list(surfaces.FIXTURE_NAMES)
+    with pytest.raises(TypeError):
+        blobs["family01.json"] = b"{}"
+
+
+def test_builtin_surfaces_are_shared_and_read_only():
+    first, second = builtin_surfaces(), builtin_surfaces()
+    assert len(first) == 10 and all(a is b for a, b in zip(first, second))
+    with pytest.raises(TypeError):
+        first[0].restrictions["psi1"] = (F(0),) * len(first[0].generators)
+    assert first == second
+
+
+def test_every_fixture_reader_follows_the_fixture_bytes(monkeypatch):
+    original = fixture_checksums(), builtin_surfaces(), full_system_rows()
+    blob = _family03_with(rhs=["1"])
+    blobs = {**_fixture_bytes(), "family03.json": blob}
+    monkeypatch.setattr(surfaces, "_fixture_bytes", lambda: blobs)
+    sums, edited, rows = fixture_checksums(), builtin_surfaces(), full_system_rows()
+    assert sums == {**original[0], "family03.json": hashlib.sha256(blob).hexdigest()}
+    assert sums["family03.json"] != original[0]["family03.json"]
+    assert edited[2].rhs == 1 and edited[:2] + edited[3:] == original[1][:2] + original[1][3:]
+    assert rows[2].rhs == 1 and rows[:2] + rows[3:] == original[2][:2] + original[2][3:]
+    monkeypatch.undo()
+    assert (fixture_checksums(), builtin_surfaces(), full_system_rows()) == original
