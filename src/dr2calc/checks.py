@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from . import cones, ct, m21, solver, surfaces
-from .chow import FUSED_SLOT, RELATIONS, dr2_class
+from . import chow, cones, ct, m21, solver, surfaces
+from .chow import FUSED_SLOT, GENERATORS, RELATIONS, dr2_class
 from .polyq import D, PolyQ
 
 
@@ -166,21 +166,38 @@ def check_hac() -> Tuple[bool, str]:
 @_check("ci-obstruction")
 def check_ci_obstruction() -> Tuple[bool, str]:
     rng = random.Random(20250817)
+    # Each weight is Fraction(randint(0, 12), randint(1, 6)), read from the
+    # 78 such Fractions built once.
+    weights = {(n, d): Fraction(n, d) for n in range(13) for d in range(1, 7)}
     for trial in range(1000):
         a, b = (
             cones.EffectiveDivisorPattern(
-                *[Fraction(rng.randint(0, 12), rng.randint(1, 6)) for _ in range(6)]
+                *[weights[rng.randint(0, 12), rng.randint(1, 6)] for _ in range(6)]
             )
             for _ in range(2)
         )
         got = cones.ci_obstruction(a, b)
         want = (a.psi1 * b.psi1 + a.psi2 * b.psi2) / 2
-        if got != want or got < 0:
+        if got != want or got.numerator < 0:
             return False, f"trial {trial}: {got} != {want}"
     slot = dr2_class(D).coeffs[FUSED_SLOT]
     negative = [d for d in range(2, 51) if not slot(d) < 0]
     if negative:
         return False, f"fused slot not negative at d in {negative}"
+    # Proof of the sampled statement: the fused slot of a product reads only
+    # psi1*psi1 and psi2*psi2, each at weight 1/2, and the class's is negative.
+    reducer = chow._REDUCER
+    fused = {
+        f"{GENERATORS[i]}*{GENERATORS[j]}": Fraction(w, reducer.den)
+        for (i, j), entry in reducer.rows.items()
+        for k, w in entry
+        if k == FUSED_SLOT
+    }
+    if fused != {"psi1*psi1": Fraction(1, 2), "psi2*psi2": Fraction(1, 2)}:
+        terms = ", ".join(f"{w} {m}" for m, w in fused.items())
+        return False, f"fused slot of a product reads {terms}, expected 1/2 psi1*psi1, 1/2 psi2*psi2"
+    if slot != (D * D - 1) * (2 - D * D) / 4:
+        return False, f"fused slot of the class is {slot}, expected (d^2-1)(2-d^2)/4"
     return True, (
         "1000 random effective products have non-negative fused slot; "
         "the class has negative fused slot for d = 2..50"

@@ -28,9 +28,11 @@ numerators over one denominator; a product reads each factor's.  Both then
 make one pass that adds weight * coefficient (for a product, weight * x * y
 over every nonzero pair of generators) straight into one preallocated
 integer list per basis slot, and one finisher hands each list and the
-denominator to ``polyq._poly``.  The table and the two
-kernels live in ``QuotientReducer``, which the compact-type ring of ``ct``
-builds from its own relations and basis.
+denominator to ``polyq._poly``.  A product of two constant factors, the
+numeric case, keeps one integer per slot instead of a list and builds each
+slot with ``polyq._const``.  The table and the two kernels live in
+``QuotientReducer``, which the compact-type ring of ``ct`` builds from its
+own relations and basis.
 
 A ``TautClass2`` is the 14-vector of coefficients in this basis, each entry a
 polynomial in the cover degree d.  A ``DivisorM22`` is the 6-vector of divisor
@@ -43,7 +45,7 @@ from fractions import Fraction
 from typing import Dict, Mapping, Sequence, Tuple
 
 from .linalg import LinearSystemError, reduced_echelon
-from .polyq import PolyLike, PolyQ, PolyVector, _poly, as_poly, clear_denominators, parse_rational, poly_numerators
+from .polyq import PolyLike, PolyQ, PolyVector, _const, _poly, as_poly, clear_denominators, parse_rational, poly_numerators
 
 GENERATORS = ("psi1", "psi2", "d0", "d2", "d11", "d12")
 PSI1, PSI2, D0, D2, D11, D12 = range(6)
@@ -211,6 +213,11 @@ class QuotientReducer:
     finisher, ``_finish``, hands each list and the common denominator to
     ``polyq._poly``, which reduces them (the shared zero polynomial in every
     empty slot), and builds the vector with ``_of``.
+
+    A product of two constant factors keeps one integer per slot instead:
+    one pass over ``terms`` (the monomials with a nonzero class) adds
+    weight * (x_i y_j + x_j y_i), or weight * x_i y_i on the diagonal, and
+    ``polyq._const`` builds each slot.
     """
 
     def __init__(
@@ -243,6 +250,7 @@ class QuotientReducer:
             for (col, _), c in zip(entries, classes)
         }
         self.table = tuple(tuple(self.rows[mono(i, j)] for j in range(6)) for i in range(6))
+        self.terms = tuple((i, j, entry) for (i, j), entry in self.rows.items() if entry)
 
     def __call__(self, expr: Mapping[Monomial, PolyLike]) -> PolyVector:
         """The class of a formal combination of the 21 monomials."""
@@ -260,6 +268,19 @@ class QuotientReducer:
         int_a, den_a = poly_numerators(a)
         int_b, den_b = poly_numerators(b)
         width = max(map(len, int_a)) + max(map(len, int_b)) - 1
+        if width == 1:
+            # Both factors constant, or one zero and the other linear (then
+            # every product below is 0): one integer per slot.
+            x = [c[0] if c else 0 for c in int_a]
+            y = [c[0] if c else 0 for c in int_b]
+            acc = [0] * self.vector_cls.dim
+            for i, j, entry in self.terms:
+                xy = x[i] * y[j] + x[j] * y[i] if i != j else x[i] * y[i]
+                if xy:
+                    for slot, weight in entry:
+                        acc[slot] += weight * xy
+            den = den_a * den_b * self.den
+            return self.vector_cls._of(tuple([_const(n, den) for n in acc]))
         acc = [[0] * width for _ in range(self.vector_cls.dim)]
         for ai, row in zip(int_a, self.table):
             if not ai:
@@ -298,8 +319,9 @@ def multiply_divisors(a: DivisorM22, b: DivisorM22) -> TautClass2:
     """Product of two divisor classes, reduced to the 14-basis.
 
     Equals ``reduce_to_basis(expand_product(a.coeffs, b.coeffs))``, computed
-    through the reducer's table in integers: constants are coefficient lists
-    of length one, polynomials in d longer ones, and both take this path.
+    through the reducer's table in integers: two constant divisors take the
+    one-integer-per-slot branch of ``QuotientReducer.multiply``, any
+    polynomial coefficient its general loop.
     """
     return _REDUCER.multiply(a.coeffs, b.coeffs)
 

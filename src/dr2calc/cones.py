@@ -21,7 +21,6 @@ but 0 at m = 0, which no single polynomial can match.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
@@ -35,7 +34,10 @@ from .chow import (
     dr2_class,
     multiply_divisors,
 )
-from .polyq import D, PolyLike, PolyQ, as_poly, exact, parse_rational, poly_interpolate
+from .polyq import D, PolyLike, PolyQ, _const, as_poly, exact, parse_json, parse_rational, poly_interpolate
+
+# The sign each pattern weight carries in its divisor class.
+_SIGNS = (1, 1, -1, -1, -1, -1)
 
 
 @dataclass(frozen=True)
@@ -60,14 +62,16 @@ class EffectiveDivisorPattern:
                 raise TypeError(
                     f"pattern coefficient {name} must be an int or Fraction, got {value!r}"
                 )
-            if value < 0:
+            if value.numerator < 0:
                 raise ValueError(
                     f"pattern coefficient {name} = {value} violates non-negativity"
                 )
 
     def to_divisor(self) -> DivisorM22:
-        return DivisorM22(
-            (self.psi1, self.psi2, -self.d0, -self.d2, -self.d11, -self.d12)
+        # __post_init__ has checked that every weight is an int or a Fraction.
+        weights = (self.psi1, self.psi2, self.d0, self.d2, self.d11, self.d12)
+        return DivisorM22._of(
+            tuple([_const(s * w.numerator, w.denominator) for s, w in zip(_SIGNS, weights)])
         )
 
 
@@ -135,10 +139,11 @@ def _rational(name: str, index: int, value) -> Fraction:
 def load_strata_table(path: str) -> StrataTable:
     """Load a strata table: a JSON map from the names in ``REQUIRED_STRATA``
     to 14-entry arrays of rational strings in the class basis.  Missing or
-    unknown names, the shape and the "p/q" form of each entry are validated;
-    the values themselves are the caller's responsibility."""
+    unknown names, duplicated keys, the shape and the "p/q" form of each
+    entry are validated; the values themselves are the caller's
+    responsibility."""
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        raw = parse_json(fh.read())
     if not isinstance(raw, dict):
         raise ValueError("strata table must be a JSON object")
     unknown = [name for name in raw if name not in REQUIRED_STRATA]

@@ -32,14 +32,15 @@ the package is a fixed-length vector of such polynomials on a named basis.
 Construction contract: the public constructors (``PolyQ(...)``,
 ``PolyQ.const``, ``PolyVector(...)`` and its subclasses) validate, taking
 ints, Fractions and "p/q" strings and refusing floats and wrong lengths.
-The internal constructors ``_poly`` and ``PolyVector._of`` skip that work
-and take only values the package computed itself: a list of integer
-numerators and a positive denominator, which ``_poly`` reduces, and tuples
-of ``PolyQ`` of the right length.
+The internal constructors ``_poly``, ``_const`` and ``PolyVector._of`` skip
+that work and take only values the package computed itself: integer
+numerators (a list, or one int for ``_const``) and a positive denominator,
+which they reduce, and tuples of ``PolyQ`` of the right length.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from fractions import Fraction
 from itertools import zip_longest
@@ -82,6 +83,24 @@ def parse_rational(s: str) -> Fraction:
     raise ValueError(f"expected a 'p/q' string, got {s!r}")
 
 
+def _unique_keys(pairs: List[Tuple[str, object]]) -> dict:
+    out: dict = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"duplicate key {key!r}")
+        out[key] = value
+    return out
+
+
+def parse_json(text: str):
+    """``json.loads`` for input files: a duplicated key, or nesting too deep
+    for the parser, is a ValueError like any other malformed JSON."""
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to parse") from None
+
+
 def clear_denominators(rows: Sequence[Sequence[Scalar]]) -> Tuple[List[List[int]], int]:
     """Integer rows over one denominator: ``rows[i][k] == out[i][k] / den``.
 
@@ -118,15 +137,9 @@ class PolyQ:
 
     @classmethod
     def const(cls, value: Union[Scalar, str]) -> "PolyQ":
-        # The one-coefficient case of the constructor, without its list work:
-        # an int or a Fraction is already in lowest terms.
+        # The one-coefficient case of the constructor, without its list work.
         q = _rational(value)
-        if not q:
-            return ZERO
-        p = object.__new__(PolyQ)
-        p.num = (q.numerator,)
-        p.den = q.denominator
-        return p
+        return _const(q.numerator, q.denominator)
 
     @classmethod
     def from_strings(cls, strings: Sequence[str]) -> "PolyQ":
@@ -274,6 +287,18 @@ def _poly(num: List[int], den: int = 1) -> PolyQ:
     p = object.__new__(PolyQ)
     p.num = tuple(num)
     p.den = den
+    return p
+
+
+def _const(n: int, den: int = 1) -> PolyQ:
+    """Internal constructor: the constant n / den, for ints n and den >= 1;
+    reduces them by their gcd, and is ``ZERO`` when n is 0."""
+    if not n:
+        return ZERO
+    g = gcd(n, den)
+    p = object.__new__(PolyQ)
+    p.num = (n // g,)
+    p.den = den // g
     return p
 
 

@@ -19,7 +19,6 @@ symmetry rows and the three push-forward rows this gives the full system of
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
@@ -30,7 +29,7 @@ from typing import Dict, Mapping, Tuple
 
 from . import m21
 from .chow import BASIS_MONOMIALS, BASIS_NAMES, GENERATORS, MONOMIALS, Monomial, TautClass2
-from .polyq import D, PolyQ, clear_denominators, parse_rational
+from .polyq import D, PolyQ, clear_denominators, parse_json, parse_rational
 
 FIXTURE_NAMES = tuple(f"family{k:02d}.json" for k in range(1, 11))
 
@@ -196,7 +195,7 @@ def _load(
     surfaces, rows = [], []
     for fname, blob in blobs:
         try:
-            surface = _parse_surface(json.loads(blob.decode("utf-8")))
+            surface = _parse_surface(parse_json(blob.decode("utf-8")))
             if fname != f"family{surface.family:02d}.json":
                 raise ValueError(f"family field {surface.family} does not match the file name")
             rows.append(equation_row(surface))

@@ -2,12 +2,13 @@
 verifies breaks.  Each case replaces the function the check relies on with a
 wrong one, or feeds the check wrong input, and runs the check."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
-from dr2calc import checks, cones, ct, m21, solver, surfaces
-from dr2calc.chow import D11, D12, TautClass2, mono
+from dr2calc import checks, chow, cones, ct, m21, solver, surfaces
+from dr2calc.chow import D0, D11, D12, FUSED_SLOT, PSI1, TautClass2, dr2_class, mono
 from dr2calc.linalg import InconsistentSystemError
 from dr2calc.polyq import D, PolyQ
 
@@ -88,6 +89,14 @@ def _hain_plus_d2_e0(monkeypatch):
     return {}
 
 
+def _psi1_d0_reads_the_fused_slot(monkeypatch):
+    # the product table's fused slot picks up a psi1*d0 term
+    reducer = chow._REDUCER
+    entry = reducer.rows[mono(PSI1, D0)] + ((FUSED_SLOT, reducer.den),)
+    monkeypatch.setattr(reducer, "rows", {**reducer.rows, mono(PSI1, D0): entry})
+    return {}
+
+
 def _zero_strata_table(monkeypatch):
     return {"strata_table": {name: TautClass2.zero() for name in cones.REQUIRED_STRATA}}
 
@@ -165,6 +174,17 @@ FAILURES = [
         "family 1: psi1.psi1 = 3, expected 2",
     ),
     ("hac", _hain_plus_d2_e0, "re-substitution into the Hain expansion failed"),
+    (
+        "ci-obstruction",
+        _psi1_d0_reads_the_fused_slot,
+        "fused slot of a product reads 1/2 psi1*psi1, 1 psi1*d0, 1/2 psi2*psi2, "
+        "expected 1/2 psi1*psi1, 1/2 psi2*psi2",
+    ),
+    (
+        "ci-obstruction",
+        _patch(checks, "dr2_class", lambda d: dr2_class(d).scale(2)),
+        "fused slot of the class is -1/2*d^4 + 3/2*d^2 - 1, expected (d^2-1)(2-d^2)/4",
+    ),
 ]
 
 
@@ -193,3 +213,28 @@ def test_run_checks_rejects_unknown_names():
 def test_run_checks_with_an_empty_selection_runs_none():
     assert checks.run_checks(only=[]) == []
     assert checks.run_checks([]) == []
+
+
+def test_ci_obstruction_trials_are_pinned(monkeypatch):
+    # The trials' draws, their number and their route through the product
+    # are fixed: the digest is of the 1000 pattern pairs as first drawn.
+    pairs, products = [], []
+    ci_obstruction, multiply = cones.ci_obstruction, cones.multiply_divisors
+
+    def record_pair(a, b):
+        pairs.append((a, b))
+        return ci_obstruction(a, b)
+
+    def record_product(a, b):
+        products.append(None)
+        return multiply(a, b)
+
+    monkeypatch.setattr(cones, "ci_obstruction", record_pair)
+    monkeypatch.setattr(cones, "multiply_divisors", record_product)
+    assert checks.CHECKS["ci-obstruction"]().passed
+    assert len(pairs) == 1000
+    assert len(products) == 1000
+    text = "\n".join(" ".join(str(getattr(p, n)) for p in pair for n in chow.GENERATORS) for pair in pairs)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "5377c5ef7e49fba98cfa37cf2acb77998ff7da0eb8f8ff3384f4031ec0f38089"
+    )

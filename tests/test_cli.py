@@ -344,3 +344,46 @@ def test_negative_degree_keeps_its_message(capsys):
         main(["class", "--d", "-3"])
     assert exc.value.code == 2
     assert "must be >= 1 or 'symbolic', got -3" in capsys.readouterr().err
+
+
+def test_malformed_strata_json_is_a_usage_error(capsys, tmp_path):
+    zero_row = json.dumps(["0"] * 14)
+    rows = ", ".join(f'"{name}": {zero_row}' for name in ("d11|", "d01|", "d0|", "d00"))
+    cases = {
+        "deep.json": ("{" + rows + ', "d11|": ' + "[" * 100_000 + "]" * 100_000 + "}", "JSON nested too deeply to parse"),
+        "twice.json": ("{" + rows + f', "d11|": {zero_row}' + "}", "duplicate key 'd11|'"),
+    }
+    for name, (text, message) in cases.items():
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--only", "nonextremality", "--strata-table", str(path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        [line] = [ln for ln in captured.err.splitlines() if "error:" in ln]
+        assert line.endswith(f"--strata-table {str(path)!r}: {message}")
+
+
+def _family03_family_twice(text):
+    return text.replace('"rhs":', '"family": 3,\n  "rhs":', 1), "duplicate key 'family'"
+
+
+def _family03_nested_deep(text):
+    deep = "[" * 100_000 + "]" * 100_000
+    return text.replace('"rhs":', f'"deep": {deep},\n  "rhs":', 1), "JSON nested too deeply to parse"
+
+
+@pytest.mark.parametrize("edit", [_family03_family_twice, _family03_nested_deep], ids=["twice", "deep"])
+@pytest.mark.parametrize("argv", [["verify"], ["class", "--d", "2"]], ids=lambda argv: argv[0])
+def test_malformed_fixture_json_fails_with_message(capsys, monkeypatch, argv, edit):
+    from dr2calc import surfaces
+
+    text, message = edit(surfaces._fixture_bytes()["family03.json"].decode())
+    blobs = {**surfaces._fixture_bytes(), "family03.json": text.encode()}
+    monkeypatch.setattr(surfaces, "_fixture_bytes", lambda: blobs)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{argv[0]} failed: family03.json: {message}\n"
