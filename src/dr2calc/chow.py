@@ -180,10 +180,6 @@ class DivisorM22(PolyVector):
     __slots__ = ()
     names = GENERATORS
 
-    @classmethod
-    def generator(cls, index: int) -> "DivisorM22":
-        return cls.unit(index)
-
 
 # ---------------------------------------------------------------------------
 # Reduction onto a quotient basis.
@@ -302,7 +298,6 @@ class QuotientReducer:
 
 
 _REDUCER = QuotientReducer(TautClass2, RELATIONS, BASIS_MONOMIALS)
-_PRODUCT_TABLE, _PRODUCT_DEN = _REDUCER.table, _REDUCER.den
 
 
 def reduce_to_basis(expr: Mapping[Monomial, PolyLike]) -> TautClass2:

@@ -7,9 +7,9 @@ operation pays for a Fraction's gcd, and its results equal those of the
 same elimination over Fraction.  Exact arithmetic needs no numerical
 pivoting, so pivots are chosen as the first nonzero entry in row order;
 output is therefore deterministic across runs and platforms.  Entries may be
-ints, Fractions or strings; a float raises ``TypeError``, as in
-``polyq.exact``, and a row whose length differs from row 0's raises
-``ValueError`` naming it.  Both checks run on every call.
+ints, Fractions or "p/q" strings; another string raises ``ValueError`` and a
+float ``TypeError``, as in ``polyq.exact``, and a row whose length differs
+from row 0's raises ``ValueError`` naming it.  These checks run on every call.
 
 Eliminations that ``solve_unique`` and ``row_dependencies`` read are
 memoized by content in one bounded cache, keyed by the coefficient rows
@@ -60,7 +60,7 @@ def _width(rows: Sequence[Sequence]) -> int:
 
 def _cleared(rows) -> Tuple[List[List[int]], List[int]]:
     """Each row times the lcm of its denominators, and those lcms; entries may
-    be ints, Fractions or strings, and a float raises TypeError naming it."""
+    be ints, Fractions or "p/q" strings, and a float raises TypeError naming it."""
     out, scales = [], []
     for row in rows:
         [ints], den = clear_denominators([[x if type(x) is Fraction else exact(x) for x in row]])
@@ -69,17 +69,12 @@ def _cleared(rows) -> Tuple[List[List[int]], List[int]]:
     return out, scales
 
 
-def _integer_rows(rows) -> List[List[int]]:
-    """Each row times the lcm of its denominators; floats refused first."""
-    return _cleared(rows)[0]
-
-
 def _gauss_jordan(
     rows: Sequence[List[int]], column_order: Optional[Sequence[int]] = None
 ) -> Tuple[List[int], List[list]]:
     """Fraction-free Gauss-Jordan elimination of integer rows: the one kernel.
 
-    ``rows`` come from ``_integer_rows`` and are left unchanged.  Columns are
+    ``rows`` come from ``_cleared`` and are left unchanged.  Columns are
     tried in ``column_order`` (default: left to right); the pivot row is the
     first not-yet-pivoted row that is nonzero there.  With pivot p, a row
     with entry f in the pivot column becomes p*row - f*pivot_row, divided by
@@ -123,7 +118,7 @@ def _gauss_jordan(
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     """Rank of the matrix."""
-    return len(_gauss_jordan(_integer_rows(rows))[0])
+    return len(_gauss_jordan(_cleared(rows)[0])[0])
 
 
 class _Elimination(NamedTuple):
@@ -232,7 +227,7 @@ def reduced_echelon(
     Returns ``(pivot_col, row)`` pairs where each row is normalized to 1 at
     its pivot and zero at every other pivot column.
     """
-    pivots, m = _gauss_jordan(_integer_rows(rows), column_order)
+    pivots, m = _gauss_jordan(_cleared(rows)[0], column_order)
     if any(any(r) for r in m[len(pivots):]):
         raise LinearSystemError("column order did not sweep all pivots")
     return list(zip(pivots, m))

@@ -3,7 +3,7 @@
 The Picard group has basis (psi, d0, d1); here d0 is the irreducible nodal
 divisor and d1 the divisor of curves with an elliptic tail.  The module
 provides the standard named divisors (lambda, the pointed Weierstrass divisor,
-Rulla's moving-cone generators), the push-forward of degree-2 classes from
+Rulla's moving-cone generator D), the push-forward of degree-2 classes from
 the 2-pointed space along the point-forgetting maps, the Diaz divisor of
 curves with an exceptional point and its pull-back pipeline, the psi^3
 pairing, and classification of divisors against Rulla's cone description:
@@ -16,9 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .chow import TautClass2, swap_markings
+from .linalg import InconsistentSystemError, solve_unique
 from .polyq import PolyQ, PolyLike, PolyVector, as_poly
 
 M21_NAMES = ("psi", "d0", "d1")
@@ -49,16 +50,8 @@ LAMBDA_CLASS = DivisorM21((0, Fraction(1, 10), Fraction(1, 5)))
 #: Closure of the pointed Weierstrass divisor: 3 psi - (1/10) d0 - (6/5) d1.
 WEIERSTRASS_CLASS = DivisorM21((3, Fraction(-1, 10), Fraction(-6, 5)))
 
-#: Rulla's extra moving-cone generators.
+#: Rulla's moving-cone generator D = 30(W + psi).
 MOVING_D = (WEIERSTRASS_CLASS + DivisorM21((1, 0, 0))).scale(30)
-MOVING_E = WEIERSTRASS_CLASS.scale(20) + DivisorM21((0, 3, 6))
-
-#: Nef cone generators: psi, lambda, 12*lambda - d0.
-NEF_GENERATORS = (
-    DivisorM21((1, 0, 0)),
-    LAMBDA_CLASS,
-    LAMBDA_CLASS.scale(12) - DivisorM21((0, 1, 0)),
-)
 
 # Push-forward of each 14-basis element along the map forgetting point 1,
 # as a (psi, d0, d1) triple.  The fused slot psi1^2 + psi2^2 maps to
@@ -108,6 +101,11 @@ def pushforward_class_formula(d: PolyLike) -> DivisorM21:
     return DivisorM21((f * (d2 + 1), -tail / 12, -tail))
 
 
+def _check_genus_type(g) -> None:
+    if not isinstance(g, int) or isinstance(g, bool):
+        raise TypeError(f"genus must be an int, got {g!r}")
+
+
 def pencil_count(g: int) -> int:
     """Pencils of degree g+1 on a general 1-pointed genus-g curve with a
     point of total ramification and a ramification at the marked point.
@@ -116,6 +114,7 @@ def pencil_count(g: int) -> int:
     the degree-(g+1) count on a genus-(g+1) curve with an elliptic tail
     splits into tail cases ((g+1)^2 - 1 torsion choices) and these pencils.
     """
+    _check_genus_type(g)
     if g < 1:
         raise ValueError("genus must be at least 1")
     return (g + 2) * g * g
@@ -144,14 +143,9 @@ class DiazDivisor:
     delta0_coeff: Fraction
     delta_coeffs: Dict[int, Fraction]
 
-    def delta(self, i: int) -> Fraction:
-        g = self.genus
-        if not 1 <= i <= g - 1:
-            raise ValueError(f"no boundary index {i} in genus {g}")
-        return Fraction(_diaz_boundary(g, i * (g - i)))
-
 
 def diaz_divisor(g: int) -> DiazDivisor:
+    _check_genus_type(g)
     if g < 3:
         raise ValueError("the exceptional-point divisor needs genus >= 3")
     return DiazDivisor(
@@ -226,20 +220,21 @@ class ConeReport:
     in_moving_d_psi_cone: Optional[bool]
 
 
+def _coordinates(values: Sequence[Fraction], generators: Sequence[DivisorM21]) -> Tuple[Fraction, ...]:
+    """The coordinates of a numeric class in numeric generators; raises
+    InconsistentSystemError when the class is outside their span."""
+    columns = [[x.constant_value() for x in g.coeffs] for g in generators]
+    return tuple(solve_unique(list(zip(*columns)), values))
+
+
 def classify_effective_cone(c: DivisorM21) -> ConeReport:
     """Express a (numeric) divisor class in the effective generators (W, d0, d1)
     and report its cone position."""
-    vals = []
-    for coeff in c.coeffs:
-        if not coeff.is_constant():
-            raise ValueError("cone classification needs numeric coefficients")
-        vals.append(coeff.constant_value())
-    a, b0, b1 = vals
-    # psi = (W + d0/10 + (6/5) d1)/3, so substitute W-coordinates directly.
-    w = a / 3
-    e0 = b0 + a / 30
-    e1 = b1 + Fraction(2, 5) * a
-    coords = (w, e0, e1)
+    if not all(coeff.is_constant() for coeff in c.coeffs):
+        raise ValueError("cone classification needs numeric coefficients")
+    vals = [coeff.constant_value() for coeff in c.coeffs]
+    psi, d0, d1 = (DivisorM21.unit(k) for k in range(3))
+    coords = _coordinates(vals, (WEIERSTRASS_CLASS, d0, d1))
 
     if all(x == 0 for x in coords):
         classification = "zero"
@@ -254,15 +249,10 @@ def classify_effective_cone(c: DivisorM21) -> ConeReport:
         else:
             classification = "boundary_face"
 
-    # The class lies in span(W, psi) iff 12 * d0-coordinate = d1-coordinate.
-    w_psi = None
-    in_d_psi = None
-    if 12 * e0 == e1:
-        beta = 30 * e0  # psi contributes (1/30, 2/5) to (e0, e1)
-        alpha = w - beta / 3
-        w_psi = (alpha, beta)
-        # D = 30 W + 30 psi; c = s*D + t*psi with s = alpha/30, t = beta - alpha
-        s = alpha / 30
-        t = beta - alpha
+    try:
+        w_psi = _coordinates(vals, (WEIERSTRASS_CLASS, psi))
+        s, t = _coordinates(vals, (MOVING_D, psi))
         in_d_psi = s >= 0 and t >= 0
+    except InconsistentSystemError:
+        w_psi = in_d_psi = None
     return ConeReport(coords, classification, w_psi, in_d_psi)

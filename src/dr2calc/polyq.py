@@ -31,7 +31,8 @@ the package is a fixed-length vector of such polynomials on a named basis.
 
 Construction contract: the public constructors (``PolyQ(...)``,
 ``PolyQ.const``, ``PolyVector(...)`` and its subclasses) validate, taking
-ints, Fractions and "p/q" strings and refusing floats and wrong lengths.
+ints, Fractions and "p/q" strings (any other string is a ValueError) and
+refusing floats and wrong lengths.
 The internal constructors ``_poly``, ``_const`` and ``PolyVector._of`` skip
 that work and take only values the package computed itself: integer
 numerators (a list, or one int for ``_const``) and a positive denominator,
@@ -55,7 +56,10 @@ NEG_INF = float("-inf")
 
 
 def exact(value: Union[Scalar, str]) -> Fraction:
-    """``Fraction(value)``, refusing floats: their rounding would pass silently."""
+    """``Fraction(value)``, refusing floats: their rounding would pass silently.
+    A string goes through ``parse_rational``, so it must be "p/q" or "p"."""
+    if isinstance(value, str):
+        return parse_rational(value)
     if isinstance(value, float):
         raise TypeError(f"float {value!r} is not exact; pass an int, Fraction or str")
     return Fraction(value)
@@ -140,10 +144,6 @@ class PolyQ:
         # The one-coefficient case of the constructor, without its list work.
         q = _rational(value)
         return _const(q.numerator, q.denominator)
-
-    @classmethod
-    def from_strings(cls, strings: Sequence[str]) -> "PolyQ":
-        return cls(strings)
 
     @property
     def coeffs(self) -> Tuple[Fraction, ...]:

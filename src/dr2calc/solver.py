@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .chow import BASIS_NAMES, TautClass2
@@ -63,7 +63,7 @@ class ParamSystem:
     """Rows with constant rational coefficients and polynomial right-hand sides."""
 
     rows: Tuple[EquationRow, ...]
-    unknowns: Tuple[str, ...] = BASIS_NAMES
+    unknowns: ClassVar[Tuple[str, ...]] = BASIS_NAMES
 
     def matrix(self) -> List[List[Fraction]]:
         return [list(r.coefficients) for r in self.rows]

@@ -28,7 +28,7 @@ from types import MappingProxyType
 from typing import Dict, Mapping, Tuple
 
 from . import m21
-from .chow import BASIS_MONOMIALS, BASIS_NAMES, GENERATORS, MONOMIALS, Monomial, TautClass2
+from .chow import _SWAP, BASIS_MONOMIALS, BASIS_NAMES, GENERATORS, MONOMIALS, Monomial, TautClass2
 from .polyq import D, PolyQ, clear_denominators, parse_json, parse_rational
 
 FIXTURE_NAMES = tuple(f"family{k:02d}.json" for k in range(1, 11))
@@ -241,19 +241,16 @@ def equation_row(surface: SurfaceModel) -> EquationRow:
     )
 
 
-_SYMMETRY_PAIRS = ((2, 3, "psi*d11"), (4, 5, "psi*d12"), (6, 7, "psi*d0"))
-
-
 def symmetry_rows() -> Tuple[EquationRow, ...]:
-    """Marking symmetry: the paired psi1/psi2 coefficients must agree."""
+    """Marking symmetry: the two slots of each pair that ``chow._SWAP`` exchanges agree."""
     rows = []
-    for a, b, what in _SYMMETRY_PAIRS:
-        coeffs = [Fraction(0)] * 14
-        coeffs[a] = Fraction(1)
-        coeffs[b] = Fraction(-1)
+    for a, b in enumerate(_SWAP):
+        if a >= b:
+            continue
+        what = BASIS_NAMES[a].replace("psi1", "psi*")
         rows.append(
             EquationRow(
-                coefficients=tuple(coeffs),
+                coefficients=tuple(Fraction((k == a) - (k == b)) for k in range(len(_SWAP))),
                 rhs=PolyQ(),
                 label=f"symmetry-{what}",
                 kind="symmetry",

@@ -17,8 +17,7 @@ from dr2calc.chow import (
     PSI1,
     RELATIONS,
     TautClass2,
-    _PRODUCT_DEN,
-    _PRODUCT_TABLE,
+    _REDUCER,
     dr2_class,
     expand_product,
     mono,
@@ -200,11 +199,11 @@ def test_multiply_divisors_examples():
     assert sq.coeffs[FUSED_SLOT] == 1
     assert all(c.is_zero() for k, c in enumerate(sq.coeffs) if k > 1)
 
-    psi1 = DivisorM22.generator(PSI1)
-    d2 = DivisorM22.generator(D2)
+    psi1 = DivisorM22.unit(PSI1)
+    d2 = DivisorM22.unit(D2)
     assert multiply_divisors(psi1, d2).is_zero()
 
-    d0 = DivisorM22.generator(D0)
+    d0 = DivisorM22.unit(D0)
     assert multiply_divisors(d0, d0) == TautClass2.unit(13)
 
 
@@ -227,15 +226,15 @@ def test_multiply_with_polynomial_coefficients():
 
 def test_product_table_entries_are_reduced_monomials():
     # 60 = lcm of the denominators 2, 5, 10, 12 and 20 in the reduced squares
-    assert _PRODUCT_DEN == 60
+    assert _REDUCER.den == 60
     for i in range(6):
         for j in range(6):
-            entry = _PRODUCT_TABLE[i][j]
-            assert entry == _PRODUCT_TABLE[j][i]
+            entry = _REDUCER.table[i][j]
+            assert entry == _REDUCER.table[j][i]
             coeffs = [0] * 14
             for slot, n in entry:
                 assert type(n) is int and n != 0
-                coeffs[slot] = F(n, _PRODUCT_DEN)
+                coeffs[slot] = F(n, _REDUCER.den)
             assert TautClass2(coeffs) == reduce_to_basis({mono(i, j): 1})
 
 
@@ -253,7 +252,7 @@ def _kernel_pairs():
     each other, then signed Fractions with denominators up to 10^9 and
     polynomial entries of degree 0-4 mixed with constants."""
     rng = random.Random(2026)
-    special = [DivisorM22.zero()] + [DivisorM22.generator(k) for k in range(6)]
+    special = [DivisorM22.zero()] + [DivisorM22.unit(k) for k in range(6)]
     vectors = []
     for kind in ("small", "wide", "poly"):
         for _ in range(15):

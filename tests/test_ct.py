@@ -120,7 +120,7 @@ def test_ct_product_matches_expand_and_reduce():
     # seeded pairs: zero and single generators against each other, then
     # random Fraction and polynomial entries, d0 included
     rng = random.Random(2028)
-    special = [DivisorM22.zero()] + [DivisorM22.generator(k) for k in range(6)]
+    special = [DivisorM22.zero()] + [DivisorM22.unit(k) for k in range(6)]
     pairs = [(a, b) for a in special for b in special]
     vectors = [DivisorM22(_random_entry(rng) for _ in range(6)) for _ in range(40)]
     pairs += [(rng.choice(vectors), rng.choice(vectors)) for _ in range(60)]

@@ -3,11 +3,12 @@
 Each CLI report's ``outputs`` object is compared, through the digest defined
 in ``perfbench/outputs.py``, with the copy recorded in
 ``perfbench/golden.json``; that file is only read here.  The markdown
-rendering of each key is run too and checked by exit code, except for
-``class`` at degrees other than a few: every ``class`` key is checked in
-JSON only, by its own test, since each call re-solves the 16-row system.
-Left out for speed: the full ``verify`` run, which a CI step and the
-``perfbench`` workloads check against the same file.
+rendering of each key is run too, and its SHA-256 is compared with the one
+recorded in ``tests/md_golden.json``, except for ``class`` at degrees other
+than a few: every ``class`` key is checked in JSON only, by its own test,
+since each call re-solves the 16-row system.  Left out for speed: the full
+``verify`` run, which a CI step and the ``perfbench`` workloads check
+against the same file.
 
 Each demo's stdout is compared with its recording in ``tests/demo_golden/``
 (``<demo>.txt``), which covers the ``str`` of polynomials and the ``repr``
@@ -17,8 +18,10 @@ output is meant to change.
 
 import contextlib
 import functools
+import hashlib
 import importlib.util
 import io
+import json
 import os
 import subprocess
 import sys
@@ -76,6 +79,22 @@ def test_cli_outputs_match_golden(key, emit):
         code = cli.main(key.split() + ["--emit", emit])
     problem = OUTPUTS.check_cli(key, emit, code, buf.getvalue().encode("utf-8"), GOLDEN)
     assert problem is None, problem
+
+
+MD_GOLDEN = json.loads((Path(__file__).resolve().parent / "md_golden.json").read_text(encoding="utf-8"))
+
+
+def test_every_key_has_a_markdown_recording():
+    assert sorted(MD_GOLDEN) == KEYS
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_markdown_matches_recording(key):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(key.split() + ["--emit", "md"])
+    assert code == 0
+    assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == MD_GOLDEN[key]
 
 
 DEMOS = sorted(p.name for p in (ROOT / "demos").glob("*.py"))

@@ -5,6 +5,8 @@ from itertools import zip_longest
 
 import pytest
 
+from dr2calc import linalg
+from dr2calc.m21 import DivisorM21
 from dr2calc.polyq import (
     D,
     NEG_INF,
@@ -126,7 +128,7 @@ def test_division_and_power():
 def test_string_roundtrip():
     p = PolyQ(("-1/2", "0", "3"))
     assert p.to_strings() == ["-1/2", "0", "3"]
-    assert PolyQ.from_strings(p.to_strings()) == p
+    assert PolyQ(p.to_strings()) == p
 
 
 def test_vector_subclasses_stay_type_distinct():
@@ -167,7 +169,6 @@ def test_vector_arithmetic_across_classes_fails():
         lambda x: PolyQ((x,)),
         lambda x: PolyQ((1, x)),
         lambda x: PolyQ.const(x),
-        lambda x: PolyQ.from_strings([x]),
         lambda x: D(x),
         lambda x: D / x,
         lambda x: D + x,
@@ -175,7 +176,7 @@ def test_vector_arithmetic_across_classes_fails():
         lambda x: poly_interpolate([(x, 1)]),
         lambda x: poly_interpolate([(1, x)]),
     ],
-    ids=["init", "init-tail", "const", "from_strings", "call", "div", "add", "mul", "interp-x", "interp-y"],
+    ids=["init", "init-tail", "const", "call", "div", "add", "mul", "interp-x", "interp-y"],
 )
 def test_floats_are_refused_with_their_value(call):
     with pytest.raises(TypeError, match="0.1"):
@@ -510,3 +511,22 @@ def test_fields_are_integer_numerators_over_one_denominator():
     assert ((p / Fraction(-1, 2)).num, (p / Fraction(-1, 2)).den) == ((-1, 3, 0, -10), 3)
     with pytest.raises(AttributeError):
         p.coeffs = ()
+
+
+@pytest.mark.parametrize("text", ["1.5", "1e3", " 2/4 ", "1_0", "+2"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s: PolyQ((1, s)),
+        lambda s: PolyQ.const(s),
+        lambda s: DivisorM21((0, s, 0)),
+        lambda s: linalg.rank([[1, s]]),
+        lambda s: linalg.solve_unique([[1]], [s]),
+        lambda s: poly_interpolate([(1, s)]),
+    ],
+    ids=["init", "const", "vector", "rank", "solve-rhs", "interp"],
+)
+def test_strings_other_than_p_over_q_are_refused(call, text):
+    # Fraction() alone would read these as 3/2, 1000, 1/2, 10 and 2
+    with pytest.raises(ValueError, match="expected a 'p/q' string"):
+        call(text)
