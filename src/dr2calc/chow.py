@@ -159,13 +159,15 @@ class TautClass2(PolyVector):
     names = BASIS_NAMES
 
     @classmethod
-    def from_json_dict(cls, data: Mapping[str, Sequence[str]]) -> "TautClass2":
-        """Read ``to_json_dict`` output; every entry must be a ``parse_rational`` string."""
+    def from_json_dict(cls, data: Dict[str, list]) -> "TautClass2":
+        """Read ``to_json_dict`` output: an object of ``parse_rational`` string lists."""
+        if not isinstance(data, dict):
+            raise ValueError(f"class JSON must be an object, got {data!r}")
         slots = {}
         for name, value in data.items():
             if name not in cls.names:
                 raise ValueError(f"unknown basis name in class JSON: {name!r}")
-            if isinstance(value, str):
+            if not isinstance(value, list):
                 raise ValueError(f"{name!r} must be a list of rational strings, got {value!r}")
             try:
                 slots[name] = PolyQ(parse_rational(x) for x in value)

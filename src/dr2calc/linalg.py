@@ -1,23 +1,23 @@
 """Exact dense linear algebra over the rationals for small systems.
 
 Everything here is one Gauss-Jordan kernel, ``_gauss_jordan``, with short
-wrappers around it.  The kernel is fraction-free: it eliminates on rows
-scaled to integers and divides by the pivots only at the end, so no
-operation pays for a Fraction's gcd, and its results equal those of the
-same elimination over Fraction.  Exact arithmetic needs no numerical
-pivoting, so pivots are chosen as the first nonzero entry in row order;
-output is therefore deterministic across runs and platforms.  Entries may be
-ints, Fractions or "p/q" strings; another string raises ``ValueError`` and a
-float ``TypeError``, as in ``polyq.exact``, and a row whose length differs
-from row 0's raises ``ValueError`` naming it.  These checks run on every call.
+wrappers around it.  The kernel is fraction-free: it eliminates rows scaled
+to integers and returns integer rows, so no operation pays for a Fraction's
+gcd; ``reduced_echelon`` divides each pivot row by its pivot entry, which
+gives exactly the rows of the same elimination over Fraction.  Exact
+arithmetic needs no numerical pivoting, so pivots are chosen as the first
+nonzero entry in row order; output is therefore deterministic across runs
+and platforms.  Entries may be ints, Fractions or "p/q" strings; another
+string raises ``ValueError`` and a float ``TypeError``, as in
+``polyq.exact``, and a row whose length differs from row 0's raises
+``ValueError`` naming it.  These checks run on every call.
 
-Eliminations that ``solve_unique`` and ``row_dependencies`` read are
-memoized by content in one bounded cache, keyed by the coefficient rows
-cleared to integers: the elimination of [A | I] records the row operations
-once, and each call applies them to its own right-hand side.  The cached
-values are tuples and every call builds its own result, so no caller can
-alter what the next one gets.  ``rank`` and ``reduced_echelon`` run the
-kernel on every call.
+``solve_unique`` and ``row_dependencies`` read the integer row operations
+of one elimination of [A | I], memoized by content in a bounded cache;
+for ``row_dependencies``, A is the transpose.  The cached values are tuples
+of ints and every call builds its own result, so no caller can alter what
+the next one gets.  ``rank`` and ``reduced_echelon`` run the kernel on
+every call.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from math import gcd
 from operator import mul
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .polyq import clear_denominators, exact
+from .polyq import _rational, clear_denominators
 
 Row = List[Fraction]
 
@@ -44,9 +44,9 @@ class UnderdeterminedSystemError(LinearSystemError):
 class InconsistentSystemError(LinearSystemError):
     """Raised when a row contradicts the rest of the system."""
 
-    def __init__(self, row_index: int, message: Optional[str] = None):
+    def __init__(self, row_index: int):
         self.row_index = row_index
-        super().__init__(message or f"system is inconsistent at row {row_index}")
+        super().__init__(f"system is inconsistent at row {row_index}")
 
 
 def _width(rows: Sequence[Sequence]) -> int:
@@ -61,17 +61,13 @@ def _width(rows: Sequence[Sequence]) -> int:
 def _cleared(rows) -> Tuple[List[List[int]], List[int]]:
     """Each row times the lcm of its denominators, and those lcms; entries may
     be ints, Fractions or "p/q" strings, and a float raises TypeError naming it."""
-    out, scales = [], []
-    for row in rows:
-        [ints], den = clear_denominators([[x if type(x) is Fraction else exact(x) for x in row]])
-        out.append(ints)
-        scales.append(den)
-    return out, scales
+    cleared = [clear_denominators([[_rational(x) for x in row]]) for row in rows]
+    return [ints for [ints], _ in cleared], [den for _, den in cleared]
 
 
 def _gauss_jordan(
     rows: Sequence[List[int]], column_order: Optional[Sequence[int]] = None
-) -> Tuple[List[int], List[list]]:
+) -> Tuple[List[int], List[List[int]]]:
     """Fraction-free Gauss-Jordan elimination of integer rows: the one kernel.
 
     ``rows`` come from ``_cleared`` and are left unchanged.  Columns are
@@ -80,12 +76,11 @@ def _gauss_jordan(
     with entry f in the pivot column becomes p*row - f*pivot_row, divided by
     its gcd.  Each integer row is thus a nonzero multiple of the row that
     elimination over Fraction holds at the same step: the zero pattern, the
-    pivots and the swaps are the same, and dividing each pivot row by its
-    pivot at the end gives exactly the Fraction rows.
+    pivots and the swaps are the same.
 
-    Returns the pivot columns and the rows: row i < len(pivots) holds
-    Fractions, 1 at pivots[i] and 0 at every other pivot; the rows after
-    them are integer rows, zero on every column tried.
+    Returns the pivot columns and the integer rows: row i < len(pivots) is
+    0 at every other pivot, and divided by its entry at pivots[i] it is the
+    Fraction elimination's row; the later rows are 0 on every column tried.
     """
     m = list(rows)
     width = _width(m)
@@ -109,10 +104,6 @@ def _gauss_jordan(
                 g = gcd(*row)
                 m[i] = [x // g for x in row] if g > 1 else row
         pivots.append(col)
-    zero = Fraction(0)
-    for i, col in enumerate(pivots):
-        lead = m[i][col]
-        m[i] = [Fraction(x, lead) if x else zero for x in m[i]]
     return pivots, m
 
 
@@ -125,7 +116,6 @@ class _Elimination(NamedTuple):
     pivots: Tuple[int, ...]
     inverse: Tuple[Tuple[int, ...], ...]
     inverse_den: Tuple[int, ...]
-    dependencies: Tuple[Tuple[int, Tuple[Tuple[int, Fraction], ...]], ...]
 
 
 @lru_cache(maxsize=32)
@@ -134,31 +124,19 @@ def _elimination(rows: Tuple[Tuple[int, ...], ...]) -> _Elimination:
 
     Memoized by content.  The pivot choices depend on the columns of
     ``rows`` alone, so the identity block records the row operations of
-    every elimination of [rows | b]: reduced row i is
-    sum_k inverse[i][k] * rows[k] / inverse_den[i], and the same combination
-    of b is the value of unknown pivots[i].  The identity block's rows below
-    the pivots span the y with y . rows == 0; in their reduced echelon form,
-    with columns tried from the last row to the first, the pivots are
-    exactly the rows that depend on earlier ones, and the vector with pivot
-    i is 1 at i and otherwise supported on earlier independent rows.
-    ``dependencies`` holds each such i with ((k, -y_k), ...): rows[i] ==
-    sum(-y_k * rows[k]).
+    every elimination of [rows | b]: with inverse[i] the identity block of
+    the kernel's integer row i and inverse_den[i] its pivot entry, reduced
+    row i is sum_k inverse[i][k] * rows[k] / inverse_den[i], and the same
+    combination of b is the value of unknown pivots[i].
     """
     n, width = len(rows), _width(rows)
     pivots, m = _gauss_jordan(
         [list(row) + [int(i == k) for i in range(n)] for k, row in enumerate(rows)], range(width)
     )
-    r = len(pivots)
-    inverse, dens = _cleared(row[width:] for row in m[:r])
-    deps, null = _gauss_jordan([row[width:] for row in m[r:]], range(n - 1, -1, -1))
     return _Elimination(
         pivots=tuple(pivots),
-        inverse=tuple(map(tuple, inverse)),
-        inverse_den=tuple(dens),
-        dependencies=tuple(
-            (i, tuple((k, -y) for k, y in enumerate(row[:i]) if y))
-            for i, row in sorted(zip(deps, null))
-        ),
+        inverse=tuple(tuple(row[width:]) for row in m[: len(pivots)]),
+        inverse_den=tuple(row[col] for row, col in zip(m, pivots)),
     )
 
 
@@ -208,14 +186,23 @@ def row_dependencies(
     Processing rows in order, the first maximal independent subset is kept;
     each remaining row is returned as ``(index, combo)`` where
     ``rows[index] == sum(combo[k] * rows[k] for k)`` over earlier kept rows.
-    Read off the cached elimination that ``solve_unique`` uses, with the
-    integer combination rescaled by the rows' clearing factors.
+
+    With A_int[k] = s_k * A[k] the rows cleared to integers, the cached
+    elimination of A_int's transpose has the kept rows as its pivots, and
+    row i's coefficient on kept row pivots[j] is s_pivots[j] / s_i times
+    sum_k inverse[j][k] * A_int[i][k] / inverse_den[j].
     """
     _width(rows)
     ints, scales = _cleared(rows)
+    elim = _elimination(tuple(zip(*ints)))
     return [
-        (i, {k: y * scales[k] / scales[i] for k, y in combo})
-        for i, combo in _elimination(tuple(map(tuple, ints))).dependencies
+        (i, {
+            k: Fraction(y * scales[k], den * scales[i])
+            for k, combo, den in zip(elim.pivots, elim.inverse, elim.inverse_den)
+            if (y := sum(map(mul, combo, row)))
+        })
+        for i, row in enumerate(ints)
+        if i not in elim.pivots
     ]
 
 
@@ -230,4 +217,4 @@ def reduced_echelon(
     pivots, m = _gauss_jordan(_cleared(rows)[0], column_order)
     if any(any(r) for r in m[len(pivots):]):
         raise LinearSystemError("column order did not sweep all pivots")
-    return list(zip(pivots, m))
+    return [(col, [Fraction(x, row[col]) for x in row]) for col, row in zip(pivots, m)]

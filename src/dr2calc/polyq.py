@@ -112,6 +112,8 @@ def clear_denominators(rows: Sequence[Sequence[Scalar]]) -> Tuple[List[List[int]
     The entries must already be exact: ints or Fractions.
     """
     den = lcm(*[x.denominator for row in rows for x in row])
+    if den == 1:  # the common case, without a division per entry
+        return [[x.numerator for x in row] for row in rows], 1
     return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
 
 

@@ -8,11 +8,12 @@ strategy is sample-then-interpolate:
      and solve the rational system exactly at each point with
      ``linalg.solve_unique``; each solve certifies that the coefficient rank
      equals the unknown count.  The d-independent work is done once per
-     distinct input: ``linalg`` memoizes the elimination of the coefficient
-     matrix by content in a bounded cache, so each sample only applies it to
-     its right-hand side, and ``full_system`` takes the surface rows from the
-     one memoized fixture load in ``surfaces``, which reads each file once
-     per process and parses it once per distinct content;
+     distinct input: ``linalg`` memoizes the integer row operations that
+     eliminate the coefficient matrix, by content, in a bounded cache, so
+     each sample only applies them to its right-hand side, and
+     ``full_system`` takes the surface rows from the one memoized fixture
+     load in ``surfaces``, which reads each file once per process and
+     parses it once per distinct content;
   2. interpolate all unknowns in one call, ``polyq.interpolate_columns``,
      which builds the point basis once for the sample set;
   3. re-substitute and demand a zero residual for every row, symbolically:
@@ -154,7 +155,8 @@ def redundancy_report(system: ParamSystem) -> List[DependentRow]:
     """Rows expressible as rational combinations of earlier independent rows.
 
     The shipped 16-row system reports exactly two; they act as checks on the
-    whole transcription, since their right-hand sides are forced.
+    whole transcription, since their right-hand sides are forced.  They are
+    read off ``linalg``'s memoized elimination of the transposed matrix.
     """
     deps = linalg.row_dependencies(system.matrix())
     return [

@@ -109,7 +109,7 @@ class EquationRow:
         }
 
 
-# Each fixture field, the JSON type it must have, and what the error says.
+# The only fixture fields, the JSON type each must have, and what the error says.
 _FIELDS = (
     ("name", str, "must be a string"),
     ("family", int, "must be an integer"),
@@ -128,6 +128,9 @@ def _parse_surface(doc: dict) -> SurfaceModel:
     name = doc["name"]
     if not isinstance(name, str):
         raise ValueError("name must be a string")
+    for field in doc:
+        if field not in {known for known, _, _ in _FIELDS}:
+            raise ValueError(f"{name}: unknown field {field!r}")
     # bool is an int subclass, and a JSON true is not a family number
     for field, kind, requirement in _FIELDS[1:]:
         if not isinstance(doc[field], kind) or isinstance(doc[field], bool):

@@ -350,3 +350,16 @@ def test_class_json_entries_are_rational_strings(entry):
     # Fraction() would read "1.5", " 2/4 " and "1e3" as 3/2, 1/2 and 1000
     with pytest.raises(ValueError, match=re.escape(f"'psi1psi2': expected a 'p/q' string, got {entry!r}")):
         TautClass2.from_json_dict({"psi1psi2": ["1", entry]})
+
+
+@pytest.mark.parametrize("value", [{"1": 2}, 5, None, True, ("1",)], ids=repr)
+def test_class_json_values_must_be_lists(value):
+    # iterated, the object {"1": 2} would read as its key "1", the constant 1
+    with pytest.raises(ValueError, match=re.escape(f"'psi1psi2' must be a list of rational strings, got {value!r}")):
+        TautClass2.from_json_dict({"psi1psi2": value})
+
+
+@pytest.mark.parametrize("document", [[], ["psi1psi2"], "psi1psi2", 6, None], ids=repr)
+def test_class_json_must_be_an_object(document):
+    with pytest.raises(ValueError, match=re.escape(f"class JSON must be an object, got {document!r}")):
+        TautClass2.from_json_dict(document)

@@ -387,3 +387,19 @@ def test_malformed_fixture_json_fails_with_message(capsys, monkeypatch, argv, ed
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"{argv[0]} failed: family03.json: {message}\n"
+
+
+def test_unknown_fixture_field_fails_with_message(capsys, monkeypatch):
+    from dr2calc import surfaces
+
+    doc = json.loads(surfaces._fixture_bytes()["family03.json"])
+    doc["restriction"] = doc["restrictions"]
+    blobs = {**surfaces._fixture_bytes(), "family03.json": json.dumps(doc).encode()}
+    monkeypatch.setattr(surfaces, "_fixture_bytes", lambda: blobs)
+    assert main(["verify", "--only", "solver"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "verify failed: family03.json: two_elliptic_pencils_on_a_4_pointed_rational_curve: "
+        "unknown field 'restriction'\n"
+    )

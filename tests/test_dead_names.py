@@ -3,9 +3,11 @@
 A module-level name or a non-dunder method defined in ``src/dr2calc`` must be
 read by another statement of the package or by a demo, or be listed in
 ``dr2calc.__all__`` or in ``perfbench/spans.py`` ``SPANNED``.  A check that
-``@_check`` registers counts as read.  Reads are matched by name: a loaded
-name or an attribute, so a local variable or another class's method of the
-same name hides a dead one.
+``@_check`` registers counts as read.  Reads are matched by name.  A
+module-level name is read by a loaded name or an attribute, and a method
+only by an attribute (``x.method``), so a local variable of the same name
+does not hide a dead method; another class's attribute of the same name
+still does.
 """
 
 import ast
@@ -14,14 +16,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "dr2calc"
 
-#: The inverse of ``to_json_dict``, kept for class JSON as an input surface.
-ALLOWED = {"TautClass2.from_json_dict"}
+ALLOWED = {
+    # The inverse of ``to_json_dict``, kept for class JSON as an input surface.
+    "TautClass2.from_json_dict",
+    # Part of the polynomial type's interface, next to ``coefficient`` and
+    # ``is_constant``; only the tests read it.
+    "PolyQ.degree",
+}
 
 
 def _reads(nodes) -> set:
-    """The names loaded and the attributes read in some AST nodes."""
+    """The names loaded, and as ".name" the attributes read, in some AST nodes."""
     return {
-        n.id if isinstance(n, ast.Name) else n.attr
+        n.id if isinstance(n, ast.Name) else "." + n.attr
         for node in nodes
         for n in ast.walk(node)
         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) or isinstance(n, ast.Attribute)
@@ -82,9 +89,15 @@ def dead_names(src: Path, demos: Path, spans: Path) -> list:
         qualname
         for k, (defined, _) in enumerate(units)
         for qualname in defined
-        if (name := qualname.rpartition(".")[2]) not in outside
-        and not any(name in r for j, r in enumerate(reads) if j != k)
+        if not (forms := _read_as(qualname)) & outside
+        and not any(forms & r for j, r in enumerate(reads) if j != k)
     )
+
+
+def _read_as(qualname: str) -> set:
+    """The reads that use a definition: a method only as an attribute."""
+    owner, _, name = qualname.rpartition(".")
+    return {"." + name} if owner else {name, "." + name}
 
 
 def test_every_defined_name_is_read():
@@ -113,3 +126,19 @@ def test_dead_names_are_found(tmp_path):
     spans = tmp_path / "spans.py"
     spans.write_text("SPANNED: dict = {'mod': ('spanned',)}\n")
     assert dead_names(src, demos, spans) == ["B", "K", "K.alias", "recursive"]
+
+
+def test_a_local_of_the_same_name_does_not_hide_a_dead_method(tmp_path):
+    src, demos = tmp_path / "src", tmp_path / "demos"
+    src.mkdir()
+    demos.mkdir()
+    (src / "__init__.py").write_text("__all__ = ['f']\n")
+    (src / "mod.py").write_text(
+        "def f(degree, used): return degree + used + K().used()\n"
+        "class K:\n"
+        "    def degree(self): pass\n"
+        "    def used(self): pass\n"
+    )
+    spans = tmp_path / "spans.py"
+    spans.write_text("SPANNED: dict = {}\n")
+    assert dead_names(src, demos, spans) == ["K.degree"]

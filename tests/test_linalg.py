@@ -324,8 +324,9 @@ def test_kernel_matches_the_fraction_elimination():
         ref_pivots, ref = _fraction_gauss_jordan(rows, order)
         assert pivots == ref_pivots
         n = len(pivots)
-        assert m[:n] == ref[:n]
-        assert all(type(x) is Fraction for row in m[:n] for x in row)
+        assert all(type(x) is int for row in m for x in row)
+        # each pivot row, divided by its pivot entry, is the reference row
+        assert [[F(x, row[col]) for x in row] for col, row in zip(pivots, m)] == ref[:n]
         # every later row is a nonzero multiple of the reference row
         for row, ref_row in zip(m[n:], ref[n:]):
             assert [x != 0 for x in row] == [x != 0 for x in ref_row]
@@ -457,3 +458,34 @@ def test_returned_lists_are_the_callers_own():
 def test_rows_and_right_hand_sides_take_the_same_entries():
     assert solve_unique([["1/2", 0], [0, 3]], ["1/4", "-6"]) == [F(1, 2), F(-2)]
     assert solve_unique([[F(1, 2), 0], [0, 3]], [F(1, 4), -6]) == [F(1, 2), F(-2)]
+
+
+def test_a_second_redundancy_report_runs_no_elimination(monkeypatch):
+    from dr2calc import linalg
+    from dr2calc.solver import full_system, redundancy_report, solve_parametric
+
+    kernel, elimination = linalg._gauss_jordan, linalg._elimination
+    calls, seen = [], []
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    def recorded(rows):
+        seen.append(elimination(rows))
+        return seen[-1]
+
+    monkeypatch.setattr(linalg, "_gauss_jordan", counted)
+    monkeypatch.setattr(linalg, "_elimination", recorded)
+    elimination.cache_clear()
+    system = full_system()
+    solve_parametric(system)
+    first = redundancy_report(system)
+    assert len(calls) == 2  # one miss for the matrix, one for its transpose
+    assert redundancy_report(system) == first
+    assert len(calls) == 2
+    assert elimination.cache_info().currsize == len(set(seen)) == 2
+    for elim in seen:
+        assert elim._fields == ("pivots", "inverse", "inverse_den")
+        entries = [*elim.pivots, *elim.inverse_den, *(x for row in elim.inverse for x in row)]
+        assert all(type(x) is int for x in entries)

@@ -276,6 +276,11 @@ def _family03_with(**fields):
             "restrictions must map generators to vectors",
         ),
         (_family03_with(family=4), "family field 4 does not match the file name"),
+        (
+            _family03_with(restriction={"d0": ["0"] * 4}),
+            "two_elliptic_pencils_on_a_4_pointed_rational_curve: unknown field 'restriction'",
+        ),
+        (_family03_with(notes="x"), "unknown field 'notes'"),
     ],
     ids=[
         "not-an-object",
@@ -292,6 +297,8 @@ def _family03_with(**fields):
         "rationale-list",
         "restriction-string",
         "family-mismatch",
+        "misspelled-field",
+        "extra-field",
     ],
 )
 def test_malformed_fixture_names_the_file(monkeypatch, blob, message):
