@@ -45,9 +45,12 @@ def _degree(value: str):
 
 
 def _numeric_degree(value: str) -> int:
-    d = _degree(value)
-    if isinstance(d, PolyQ):
-        raise argparse.ArgumentTypeError("cone-m21 needs a numeric --d")
+    """Parse cone-m21's --d: an integer >= 1 (ASCII digits) only."""
+    if not re.fullmatch(r"-?[0-9]+", value):
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {value!r}")
+    d = int(value)
+    if d < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {d}")
     return d
 
 

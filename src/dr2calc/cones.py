@@ -17,12 +17,18 @@ a supplied table the check reports itself skipped rather than guessing.
 Fourth, the non-polynomiality witness: on spaces with three or more marked
 points the analogous fiber count is 2(m^2-1) for a nonzero marking index m
 but 0 at m = 0, which no single polynomial can match.
+
+The two rays do not depend on d: the limit class (``dr_infinity``) and the
+degree-2 class are zero-argument memos, built once per process on first use
+and shared after (both are immutable).  No function taking a degree is
+memoized, so every degree still passes ``polyq``'s checks on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Dict, Optional, Tuple
 
 from .chow import (
@@ -88,10 +94,17 @@ def ci_obstruction(
     return product.coeffs[FUSED_SLOT].constant_value()
 
 
+@cache
 def dr_infinity() -> TautClass2:
     """Slot-wise degree-4 leading coefficients of the degree-d class."""
     symbolic = dr2_class(D)
     return TautClass2(PolyQ.const(c.coefficient(4)) for c in symbolic.coeffs)
+
+
+@cache
+def _degree_two_class() -> TautClass2:
+    """The degree-2 class, the other ray of the cone."""
+    return dr2_class(2)
 
 
 def cone_decomposition(d: PolyLike) -> Tuple[PolyQ, PolyQ]:
@@ -106,7 +119,7 @@ def cone_decomposition(d: PolyLike) -> Tuple[PolyQ, PolyQ]:
     d2 = as_poly(d) * as_poly(d)
     coeff_base = (d2 - 1) / 3
     coeff_limit = (d2 - 1) * (d2 - 4)
-    recombined = dr2_class(2).scale(coeff_base) + dr_infinity().scale(coeff_limit)
+    recombined = _degree_two_class().scale(coeff_base) + dr_infinity().scale(coeff_limit)
     if recombined != dr2_class(d):
         raise ArithmeticError("two-ray decomposition failed slot-wise")
     return coeff_base, coeff_limit
@@ -192,7 +205,7 @@ def nonextremality_check(table: Optional[StrataTable] = None) -> NonExtremalityR
         return NonExtremalityReport(
             status="skipped_missing_data", residual=None, weights=weights
         )
-    classes = {**table, "dr2(2)": dr2_class(2)}
+    classes = {**table, "dr2(2)": _degree_two_class()}
     classes.update((n, TautClass2.unit(BASIS_NAMES.index(n))) for n in ("d12d2", "d0d2"))
     combo = sum((classes[n].scale(w) for n, w in weights.items()), TautClass2.zero())
     residual = dr_infinity() - combo

@@ -37,12 +37,19 @@ difference of the two classes is
     d22 + (2d^2-1) d11| + (d^2 - 6/5) d12*d2,
 
 supported on curves with a rational component containing both markings.
+
+The decorated rows do not depend on d, so their derivation and its
+re-substitution proof run once per process, on first use, and are kept per
+pair of the class constructors they read: the module's ``hain_class`` and
+``dr2_class``, looked up at call time.  Replacing either name runs the
+derivation again, and a derivation that raises is not kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Mapping, Tuple
 
 from .chow import (
@@ -176,10 +183,17 @@ def derive_decorated_rows() -> DecoratedRows:
     off the constant coefficients of the restricted class.  Re-substituting
     x and y into both expansions is the proof: it fails unless the Hain class
     is a pure d^4 multiple and the restricted class has exactly that shape.
+    Memoized per pair of the module's current ``hain_class`` and ``dr2_class``.
     """
+    return _decorated_rows(hain_class, dr2_class)
+
+
+@cache
+def _decorated_rows(hain_of, class_of) -> DecoratedRows:
+    """``derive_decorated_rows`` for the given class constructors; a raise is not cached."""
     e5 = CtClass.unit(4)
-    hain = hain_class(D)
-    restricted = restrict_to_ct(dr2_class(D))
+    hain = hain_of(D)
+    restricted = restrict_to_ct(class_of(D))
     sum_xy = CtClass(c.coefficient(4) for c in hain.coeffs) + e5.scale(Fraction(1, 5))
     diff_xy = e5.scale(Fraction(6, 5)) - CtClass(c.coefficient(0) for c in restricted.coeffs)
     d22 = (sum_xy + diff_xy).scale(Fraction(1, 2))

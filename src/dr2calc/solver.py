@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -66,7 +67,7 @@ class ParamSystem:
     rows: Tuple[EquationRow, ...]
     unknowns: ClassVar[Tuple[str, ...]] = BASIS_NAMES
 
-    def matrix(self) -> List[List[Fraction]]:
+    def matrix(self) -> List[List[Rational]]:
         return [list(r.coefficients) for r in self.rows]
 
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from importlib import resources
+from numbers import Rational
 from operator import mul
 from types import MappingProxyType
 from typing import Dict, Mapping, Tuple
@@ -81,7 +82,7 @@ class SurfaceModel:
 class EquationRow:
     """A linear functional on class vectors, with its polynomial target value."""
 
-    coefficients: Tuple[Fraction, ...]
+    coefficients: Tuple[Rational, ...]  # an int wherever the value is integral
     rhs: PolyQ
     label: str
     kind: str
@@ -218,14 +219,20 @@ def builtin_surfaces() -> Tuple[SurfaceModel, ...]:
     return _loaded()[0]
 
 
+def _narrowed(q: Fraction) -> Rational:
+    """q as an int when it is integral: an int passes ``linalg``'s input gate
+    and ``clear_denominators`` faster than a Fraction, and prints the same."""
+    return q.numerator if q.denominator == 1 else q
+
+
 def equation_row(surface: SurfaceModel) -> EquationRow:
     """The linear equation a surface imposes on the 14 class coefficients.
 
     Coefficient k is the Gram pairing of the k-th basis monomial with the
     surface; the fused slot receives the psi1^2 pairing plus the psi2^2
     pairing.  The pairings are read off ``monomial_pairings`` in integers
-    and each coefficient is divided once.  Raises ValueError on an
-    asymmetric Gram matrix.
+    and each coefficient is divided once, staying an int when integral.
+    Raises ValueError on an asymmetric Gram matrix.
     """
     n = len(surface.generators)
     for i in range(n):
@@ -235,7 +242,8 @@ def equation_row(surface: SurfaceModel) -> EquationRow:
     pairings, den = surface.monomial_pairings()
     return EquationRow(
         coefficients=tuple(
-            Fraction(sum(pairings[m] for m in monomials), den) for monomials in BASIS_MONOMIALS
+            _narrowed(Fraction(sum(pairings[m] for m in monomials), den))
+            for monomials in BASIS_MONOMIALS
         ),
         rhs=surface.rhs,
         label=f"surface-{surface.family:02d}",
@@ -253,7 +261,7 @@ def symmetry_rows() -> Tuple[EquationRow, ...]:
         what = BASIS_NAMES[a].replace("psi1", "psi*")
         rows.append(
             EquationRow(
-                coefficients=tuple(Fraction((k == a) - (k == b)) for k in range(len(_SWAP))),
+                coefficients=tuple((k == a) - (k == b) for k in range(len(_SWAP))),
                 rhs=PolyQ(),
                 label=f"symmetry-{what}",
                 kind="symmetry",
@@ -280,7 +288,7 @@ def pushforward_rows() -> Tuple[EquationRow, ...]:
     for name, coeffs, rhs in zip(m21.M21_NAMES, columns, target.coeffs):
         rows.append(
             EquationRow(
-                coefficients=coeffs,
+                coefficients=tuple(map(_narrowed, coeffs)),
                 rhs=rhs,
                 label=f"pushforward-{name}",
                 kind="pushforward",

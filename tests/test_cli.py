@@ -346,6 +346,18 @@ def test_negative_degree_keeps_its_message(capsys):
     assert "must be >= 1 or 'symbolic', got -3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "value, shown", [("0", "0"), ("-3", "-3"), ("x", "'x'"), ("symbolic", "'symbolic'"), ("2.0", "'2.0'")]
+)
+def test_numeric_degree_has_its_own_message(capsys, value, shown):
+    with pytest.raises(SystemExit) as exc:
+        main(["cone-m21", "--d", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --d: must be an integer >= 1, got {shown}" in err
+    assert "symbolic" not in err.replace(shown, "")
+
+
 def test_malformed_strata_json_is_a_usage_error(capsys, tmp_path):
     zero_row = json.dumps(["0"] * 14)
     rows = ", ".join(f'"{name}": {zero_row}' for name in ("d11|", "d01|", "d0|", "d00"))

@@ -206,3 +206,24 @@ def test_strata_table_must_be_a_json_object(tmp_path):
     path.write_text(json.dumps([["0"] * 14] * 4))
     with pytest.raises(ValueError, match="strata table must be a JSON object"):
         load_strata_table(str(path))
+
+
+def test_float_degrees_are_refused_after_warm_calls():
+    # hash(2.0) == hash(2): no cache may answer a float degree for its int
+    from dr2calc.ct import verify_hac
+
+    assert cone_decomposition(2) == (1, 0)
+    assert verify_hac(2).ok
+    assert dr2_class(2) == dr2_class(PolyQ.const(2))
+    for call in (cone_decomposition, verify_hac, dr2_class):
+        with pytest.raises(TypeError, match="float 2.0 is not exact"):
+            call(2.0)
+
+
+def test_memoized_rays_equal_a_fresh_computation():
+    from dr2calc import cones
+
+    assert dr_infinity() is dr_infinity()
+    assert dr_infinity() == dr_infinity.__wrapped__()
+    assert cones._degree_two_class() is cones._degree_two_class()
+    assert cones._degree_two_class() == dr2_class(2)

@@ -282,3 +282,43 @@ def test_decorated_rows_faults_fail_resubstitution(monkeypatch, name, wrong, exp
     monkeypatch.setattr(ct, name, wrong)
     with pytest.raises(ArithmeticError, match=f"re-substitution into the {expansion} expansion failed"):
         derive_decorated_rows()
+
+
+@pytest.mark.parametrize(
+    "name, wrong, expansion",
+    [
+        ("hain_class", _hain_plus(CtClass.unit(0).scale(D * D)), "Hain"),
+        ("dr2_class", _class_plus(8, 1), "class"),
+    ],
+    ids=["hain+d2*e0", "class+1@8"],
+)
+def test_warm_decorated_rows_do_not_outlive_a_replaced_constructor(
+    monkeypatch, name, wrong, expansion
+):
+    # the memo is keyed on the constructors the derivation reads, so a warm
+    # memo must not answer for a replaced one, and a failure is not kept
+    derive_decorated_rows()
+    size = ct._decorated_rows.cache_info().currsize
+    monkeypatch.setattr(ct, name, wrong)
+    with pytest.raises(ArithmeticError, match=f"re-substitution into the {expansion} expansion failed"):
+        derive_decorated_rows()
+    with pytest.raises(ArithmeticError, match=f"re-substitution into the {expansion} expansion failed"):
+        verify_hac(3)
+    assert ct._decorated_rows.cache_info().currsize == size
+    monkeypatch.undo()
+    assert verify_hac(3).ok
+
+
+def test_second_numeric_verify_hac_is_a_memo_hit():
+    verify_hac(5)
+    before = ct._decorated_rows.cache_info()
+    report = verify_hac(5)
+    after = ct._decorated_rows.cache_info()
+    assert report.ok
+    assert (after.hits, after.misses, after.currsize) == (before.hits + 1, before.misses, before.currsize)
+
+
+def test_memoized_decorated_rows_equal_a_fresh_derivation():
+    rows = derive_decorated_rows()
+    assert derive_decorated_rows() is rows
+    assert ct._decorated_rows.__wrapped__(hain_class, dr2_class) == rows

@@ -427,3 +427,11 @@ def test_every_fixture_reader_follows_the_fixture_bytes(monkeypatch):
     assert rows[2].rhs == 1 and rows[:2] + rows[3:] == original[2][:2] + original[2][3:]
     monkeypatch.undo()
     assert (fixture_checksums(), builtin_surfaces(), full_system_rows()) == original
+
+
+def test_row_coefficients_are_ints_exactly_where_integral():
+    # an int passes linalg's input gate faster than a Fraction and prints the same
+    entries = [c for row in full_system_rows() for c in row.coefficients]
+    for c in entries:
+        assert type(c) is (int if c.denominator == 1 else Fraction)
+    assert sorted(c for c in entries if type(c) is Fraction) == [F(1, 5), F(7, 5)]
