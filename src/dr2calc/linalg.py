@@ -7,10 +7,10 @@ gcd; ``reduced_echelon`` divides each pivot row by its pivot entry, which
 gives exactly the rows of the same elimination over Fraction.  Exact
 arithmetic needs no numerical pivoting, so pivots are chosen as the first
 nonzero entry in row order; output is therefore deterministic across runs
-and platforms.  Entries may be ints, Fractions or "p/q" strings; another
-string raises ``ValueError`` and a float ``TypeError``, as in
-``polyq.exact``, and a row whose length differs from row 0's raises
-``ValueError`` naming it.  These checks run on every call.
+and platforms.  Every entry passes ``polyq.exact``, the package's input
+gate: ints, Fractions or "p/q" strings; another string raises
+``ValueError`` and a float ``TypeError``.  A row whose length differs from
+row 0's raises ``ValueError`` naming it.  These checks run on every call.
 
 ``solve_unique`` and ``row_dependencies`` read the integer row operations
 of one elimination of [A | I], memoized by content in a bounded cache;
@@ -28,7 +28,7 @@ from math import gcd
 from operator import mul
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .polyq import _rational, clear_denominators
+from .polyq import clear_denominators, exact
 
 Row = List[Fraction]
 
@@ -61,7 +61,7 @@ def _width(rows: Sequence[Sequence]) -> int:
 def _cleared(rows) -> Tuple[List[List[int]], List[int]]:
     """Each row times the lcm of its denominators, and those lcms; entries may
     be ints, Fractions or "p/q" strings, and a float raises TypeError naming it."""
-    cleared = [clear_denominators([[_rational(x) for x in row]]) for row in rows]
+    cleared = [clear_denominators([[exact(x) for x in row]]) for row in rows]
     return [ints for [ints], _ in cleared], [den for _, den in cleared]
 
 

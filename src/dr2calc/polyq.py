@@ -1,14 +1,14 @@
 """Exact rational and polynomial arithmetic in the cover degree d.
 
-Rationals are ``fractions.Fraction``: arbitrary precision, always stored in
-lowest terms with positive denominator.  A polynomial in d is stored as
-integer numerators over one denominator: ``num``, a tuple of ints in
-ascending order of degree with no trailing zero, and ``den``, an int >= 1
-with gcd(den, *num) == 1, so the coefficient of d^k is ``num[k] / den``.  The zero polynomial is ``((), 1)`` and reports degree
-``-inf``.  Each polynomial has exactly one such form, so equality is a
-comparison of the two fields.  All arithmetic (``+``, ``-``, ``*``, ``/``,
-``**`` and evaluation) works on the integers and reduces once at the end;
-``coeffs`` builds the tuple of lowest-terms Fractions only when asked.
+Rationals are ints or ``fractions.Fraction``s, in lowest terms with positive
+denominator.  A polynomial in d is stored as integer numerators over one
+denominator: ``num``, a tuple of ints in ascending order of degree with no
+trailing zero, and ``den``, an int >= 1 with gcd(den, *num) == 1, so the
+coefficient of d^k is ``num[k] / den``.  The zero polynomial is ``((), 1)``
+and reports degree ``-inf``.  Each polynomial has exactly one such form, so
+equality is a comparison of the two fields.  All arithmetic (``+``, ``-``,
+``*``, ``/``, ``**`` and evaluation) works on the integers and reduces once
+at the end; ``coeffs`` builds the tuple of lowest-terms Fractions only when asked.
 
 Nothing in this module ever rounds.  Fixed-width integers are deliberately
 avoided: lattice pairings and interpolation denominators elsewhere in the
@@ -30,9 +30,9 @@ polynomial renders as the ascending list of such strings.
 the package is a fixed-length vector of such polynomials on a named basis.
 
 Construction contract: the public constructors (``PolyQ(...)``,
-``PolyQ.const``, ``PolyVector(...)`` and its subclasses) validate, taking
-ints, Fractions and "p/q" strings (any other string is a ValueError) and
-refusing floats and wrong lengths.
+``PolyQ.const``, ``PolyVector(...)`` and its subclasses) refuse wrong
+lengths and pass every value through ``exact``, the one gate for rationals
+(also of evaluation, ``/``, ``dot`` and ``linalg``), which refuses floats.
 The internal constructors ``_poly``, ``_const`` and ``PolyVector._of`` skip
 that work and take only values the package computed itself: integer
 numerators (a list, or one int for ``_const``) and a positive denominator,
@@ -55,20 +55,17 @@ Scalar = Union[int, Fraction]
 NEG_INF = float("-inf")
 
 
-def exact(value: Union[Scalar, str]) -> Fraction:
-    """``Fraction(value)``, refusing floats: their rounding would pass silently.
-    A string goes through ``parse_rational``, so it must be "p/q" or "p"."""
+def exact(value: Union[Scalar, str]) -> Scalar:
+    """The package's one gate for exact values: an int or Fraction as it is, a
+    string through ``parse_rational`` ("p/q" or "p"), any other rational as
+    ``Fraction(value)``; a float is a TypeError, as its rounding would pass silently."""
+    if type(value) is int or type(value) is Fraction:
+        return value
     if isinstance(value, str):
         return parse_rational(value)
     if isinstance(value, float):
         raise TypeError(f"float {value!r} is not exact; pass an int, Fraction or str")
     return Fraction(value)
-
-
-def _rational(value: Union[Scalar, str]) -> Scalar:
-    """An int or Fraction as it is (both carry ``numerator`` and
-    ``denominator``); anything else through ``exact``."""
-    return value if type(value) is Fraction or type(value) is int else exact(value)
 
 
 def format_rational(q: Fraction) -> str:
@@ -135,7 +132,7 @@ class PolyQ:
     __slots__ = ("num", "den")
 
     def __init__(self, coeffs: Iterable[Union[Scalar, str]] = ()):
-        [num], den = clear_denominators([[_rational(c) for c in coeffs]])
+        [num], den = clear_denominators([[exact(c) for c in coeffs]])
         while num and not num[-1]:
             num.pop()
         self.num: Tuple[int, ...] = tuple(num)
@@ -144,7 +141,7 @@ class PolyQ:
     @classmethod
     def const(cls, value: Union[Scalar, str]) -> "PolyQ":
         # The one-coefficient case of the constructor, without its list work.
-        q = _rational(value)
+        q = exact(value)
         return _const(q.numerator, q.denominator)
 
     @property
@@ -180,7 +177,7 @@ class PolyQ:
 
     def __call__(self, x: Scalar) -> Fraction:
         # Horner on x = p / q: acc = sum num[k] p^k q^(n-1-k), over den * q^(n-1).
-        x = _rational(x)
+        x = exact(x)
         p, q = x.numerator, x.denominator
         acc, power = 0, 1
         for c in reversed(self.num):
@@ -216,7 +213,7 @@ class PolyQ:
     __rmul__ = __mul__
 
     def __truediv__(self, scalar: Scalar) -> "PolyQ":
-        q = _rational(scalar)
+        q = exact(scalar)
         if not q:
             raise ZeroDivisionError("polynomial division by zero")
         n, d = (q.numerator, q.denominator) if q > 0 else (-q.numerator, -q.denominator)
@@ -459,9 +456,12 @@ class PolyVector:
         """The polynomial sum of weights[k] * coeffs[k]: a rational row times the vector.
 
         The terms' integer numerators are added over the lcm of their
-        denominators and reduced once.  A float weight raises TypeError.
+        denominators and reduced once.  A float weight raises TypeError, a
+        row of another length than the vector ValueError.
         """
-        terms = [(w, c) for w, c in zip(map(_rational, weights), self.coeffs) if w and c]
+        if len(weights) != self.dim:
+            raise ValueError(f"{len(weights)} weights for a vector of {self.dim} coefficients")
+        terms = [(w, c) for w, c in zip(map(exact, weights), self.coeffs) if w and c]
         if not terms:
             return ZERO
         den = lcm(*[w.denominator * c.den for w, c in terms])

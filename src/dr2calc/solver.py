@@ -11,7 +11,7 @@ strategy is sample-then-interpolate:
      distinct input: ``linalg`` memoizes the integer row operations that
      eliminate the coefficient matrix, by content, in a bounded cache, so
      each sample only applies them to its right-hand side, and
-     ``full_system`` takes the surface rows from the one memoized fixture
+     ``full_system`` takes all 16 rows from the one memoized fixture
      load in ``surfaces``, which reads each file once per process and
      parses it once per distinct content;
   2. interpolate all unknowns in one call, ``polyq.interpolate_columns``,
@@ -82,7 +82,7 @@ class SolveCertificate:
     rank: int
     consistent: bool
     residuals: Tuple[PolyQ, ...]
-    sample_points: Tuple[Fraction, ...]
+    sample_points: Tuple[Rational, ...]
 
     def to_json_dict(self) -> Dict[str, object]:
         return {

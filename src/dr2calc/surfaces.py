@@ -29,7 +29,7 @@ from types import MappingProxyType
 from typing import Dict, Mapping, Tuple
 
 from . import m21
-from .chow import _SWAP, BASIS_MONOMIALS, BASIS_NAMES, GENERATORS, MONOMIALS, Monomial, TautClass2
+from .chow import _SWAP, BASIS_MONOMIALS, BASIS_NAMES, GENERATORS, MONOMIALS, Monomial, TautClass2, mono
 from .polyq import D, PolyQ, clear_denominators, parse_json, parse_rational
 
 FIXTURE_NAMES = tuple(f"family{k:02d}.json" for k in range(1, 11))
@@ -56,20 +56,20 @@ class SurfaceModel:
         )
 
     def pair_generators(self, gen_a: str, gen_b: str) -> Fraction:
-        """Intersection number of two restricted divisor generators."""
-        u, v = self.restriction(gen_a), self.restriction(gen_b)
-        return sum(
-            (ui * self.gram[i][j] * vj for i, ui in enumerate(u) if ui for j, vj in enumerate(v) if vj),
-            Fraction(0),
-        )
+        """Intersection number of two restricted divisor generators, read off
+        ``monomial_pairings``; an unknown name raises ``restriction``'s KeyError."""
+        self.restriction(gen_a), self.restriction(gen_b)
+        pairings, den = self.monomial_pairings()
+        return Fraction(pairings[mono(GENERATORS.index(gen_a), GENERATORS.index(gen_b))], den)
 
     def monomial_pairings(self) -> Tuple[Dict[Monomial, int], int]:
-        """The 21 generator monomials' intersection numbers over one denominator.
+        """The 21 generator monomials' intersection numbers over one denominator:
+        the package's one pairing kernel.
 
         Gram and restrictions are cleared of denominators, Gram times the
         restriction is formed once per generator, and monomial (a, b) reads
-        restriction_a . (Gram restriction_b) off it: ``pairings[(a, b)] / den``
-        is ``pair_generators(GENERATORS[a], GENERATORS[b])``.
+        restriction_a . (Gram restriction_b) off it, so ``pairings[(a, b)] / den``
+        is the intersection number of generators a and b.
         """
         gram, gden = clear_denominators(self.gram)
         vectors, rden = clear_denominators([self.restriction(g) for g in GENERATORS])
@@ -194,8 +194,9 @@ def fixture_checksums() -> Dict[str, str]:
 def _load(
     blobs: Tuple[Tuple[str, bytes], ...]
 ) -> Tuple[Tuple[SurfaceModel, ...], Tuple[EquationRow, ...]]:
-    """The surfaces and surface rows of (file name, bytes) pairs, memoized by
-    content; a malformed fixture raises ValueError naming the file."""
+    """The surfaces of (file name, bytes) pairs and all 16 rows, the surface
+    rows first, memoized by content; a malformed fixture raises ValueError
+    naming the file."""
     surfaces, rows = [], []
     for fname, blob in blobs:
         try:
@@ -206,7 +207,7 @@ def _load(
         except ValueError as exc:
             raise ValueError(f"{fname}: {exc}") from None
         surfaces.append(surface)
-    return tuple(surfaces), tuple(rows)
+    return tuple(surfaces), tuple(rows) + symmetry_rows() + pushforward_rows()
 
 
 def _loaded() -> Tuple[Tuple[SurfaceModel, ...], Tuple[EquationRow, ...]]:
@@ -304,11 +305,10 @@ def pushforward_rows() -> Tuple[EquationRow, ...]:
 def full_system_rows() -> Tuple[EquationRow, ...]:
     """All 16 rows: the ten surfaces, then symmetry, then push-forward.
 
-    The surface rows come from the memoized fixture load; the symmetry and
-    push-forward rows are built on each call.  The rows are immutable and
-    safe to share.
+    All 16 are built once per distinct fixture content, by the memoized
+    fixture load, and shared between calls: the rows are immutable.
     """
-    return _loaded()[1] + symmetry_rows() + pushforward_rows()
+    return _loaded()[1]
 
 
 # Every intersection number displayed alongside the family constructions,

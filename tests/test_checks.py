@@ -25,6 +25,20 @@ def _off_by_one_pairing(monkeypatch):
     return {}
 
 
+def _off_by_one_pairing_table(monkeypatch):
+    # the integer kernel itself: family 1's psi1*psi1 numerator is 1 too large
+    table = surfaces.SurfaceModel.monomial_pairings
+
+    def wrong(self):
+        pairings, den = table(self)
+        if self.family == 1:
+            pairings = {**pairings, mono(PSI1, PSI1): pairings[mono(PSI1, PSI1)] + 1}
+        return pairings, den
+
+    monkeypatch.setattr(surfaces.SurfaceModel, "monomial_pairings", wrong)
+    return {}
+
+
 def _symmetry_rows_only(monkeypatch):
     return {"system": solver.ParamSystem(rows=surfaces.symmetry_rows())}
 
@@ -108,7 +122,7 @@ FAILURES = [
     (
         "solver",
         _wrong_certificate,
-        "rank 13 != 14; nonzero symbolic residual; 0 redundant rows, expected 2; "
+        "nonzero symbolic residual; 0 redundant rows, expected 2; "
         "solution differs from the closed-form class",
     ),
     (
@@ -185,6 +199,7 @@ FAILURES = [
         _patch(checks, "dr2_class", lambda d: dr2_class(d).scale(2)),
         "fused slot of the class is -1/2*d^4 + 3/2*d^2 - 1, expected (d^2-1)(2-d^2)/4",
     ),
+    ("surfaces", _off_by_one_pairing_table, "family 1: psi1.psi1 = 3, expected 2"),
 ]
 
 

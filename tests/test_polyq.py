@@ -12,6 +12,7 @@ from dr2calc.polyq import (
     NEG_INF,
     PolyQ,
     clear_denominators,
+    exact,
     format_rational,
     interpolate_columns,
     parse_rational,
@@ -237,6 +238,31 @@ def test_parse_rational_takes_only_rational_strings(value):
     # a float 0.1 would otherwise parse to its binary value
     with pytest.raises(ValueError, match=f"expected a 'p/q' string, got {re.escape(repr(value))}"):
         parse_rational(value)
+
+
+def test_exact_is_the_one_gate():
+    # ints and Fractions pass as they are; strings parse; floats are refused
+    n, q = 10**30 + 7, Fraction(-3, 4)
+    assert exact(n) is n and exact(q) is q
+    assert exact("-3/4") == q and type(exact("-3/4")) is Fraction
+    assert exact(True) == 1 and type(exact(True)) is Fraction
+    with pytest.raises(TypeError, match="1.5"):
+        exact(1.5)
+    with pytest.raises(ValueError, match=re.escape("got '1.5'")):
+        exact("1.5")
+
+
+@pytest.mark.parametrize("length", [13, 15])
+def test_dot_refuses_a_row_of_another_length(length):
+    from dr2calc import TautClass2
+    from dr2calc.surfaces import EquationRow
+
+    # zip would drop the 15th weight, or read a 13-weight row as 0 on slot 13
+    weights, unit = (1,) * length, TautClass2.unit(13)
+    row = EquationRow(coefficients=weights, rhs=PolyQ(), label="wrong-length", kind="surface")
+    for call in (lambda: unit.dot(weights), lambda: row.apply(unit), lambda: row.residual(unit)):
+        with pytest.raises(ValueError, match=f"^{length} weights for a vector of 14 coefficients$"):
+            call()
 
 
 def test_dot_is_the_rational_row_action():

@@ -50,6 +50,12 @@ def test_absent_generator_restricts_to_zero():
         s.restriction("nonsense")
 
 
+@pytest.mark.parametrize("gen_a, gen_b", [("nonsense", "psi1"), ("psi1", "nonsense")])
+def test_pair_generators_refuses_unknown_names(gen_a, gen_b):
+    with pytest.raises(KeyError, match="unknown divisor generator 'nonsense'"):
+        SURFACES[1].pair_generators(gen_a, gen_b)
+
+
 def test_relations_pair_to_zero_on_every_surface():
     # the surface functionals are well-defined on the quotient
     for s in SURFACES.values():
@@ -306,15 +312,23 @@ def test_malformed_fixture_names_the_file(monkeypatch, blob, message):
         _load_with_family03(monkeypatch, blob)
 
 
+def _fraction_pairing(s, gen_a, gen_b):
+    """Reference: restriction_a . Gram . restriction_b, summed over Fraction."""
+    u, v = s.restriction(gen_a), s.restriction(gen_b)
+    return sum((ui * s.gram[i][j] * vj for i, ui in enumerate(u) for j, vj in enumerate(v)), F(0))
+
+
 def _assert_integer_pairings_match_fractions(s):
     from dr2calc.chow import BASIS_MONOMIALS, GENERATORS
 
     def pair(i, j):
-        return s.pair_generators(GENERATORS[i], GENERATORS[j])
+        return _fraction_pairing(s, GENERATORS[i], GENERATORS[j])
 
     pairings, den = s.monomial_pairings()
     for (i, j), value in pairings.items():
         assert F(value, den) == pair(i, j), (s.name, i, j)
+        for a, b in ((i, j), (j, i)):
+            assert s.pair_generators(GENERATORS[a], GENERATORS[b]) == pair(i, j), (s.name, a, b)
     expected = tuple(
         sum((pair(i, j) for i, j in monomials), F(0)) for monomials in BASIS_MONOMIALS
     )
@@ -427,6 +441,20 @@ def test_every_fixture_reader_follows_the_fixture_bytes(monkeypatch):
     assert rows[2].rhs == 1 and rows[:2] + rows[3:] == original[2][:2] + original[2][3:]
     monkeypatch.undo()
     assert (fixture_checksums(), builtin_surfaces(), full_system_rows()) == original
+
+
+def test_the_16_rows_are_built_once_per_fixture_content(monkeypatch):
+    from dr2calc import m21
+
+    rows = full_system_rows()
+    assert len(rows) == 16 and [r.kind for r in rows[10:]] == ["symmetry"] * 3 + ["pushforward"] * 3
+    assert rows[10:] == symmetry_rows() + pushforward_rows()
+
+    def rebuilt(d):
+        raise AssertionError("push-forward rows rebuilt")
+
+    monkeypatch.setattr(m21, "pushforward_class_formula", rebuilt)
+    assert full_system_rows() is rows
 
 
 def test_row_coefficients_are_ints_exactly_where_integral():
