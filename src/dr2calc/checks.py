@@ -18,11 +18,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import chow, cones, ct, m21, solver, surfaces
 from .chow import FUSED_SLOT, GENERATORS, RELATIONS, dr2_class
-from .polyq import D, PolyQ
+from .polyq import D, PolyQ, clear_denominators
 
 
 @dataclass(frozen=True)
@@ -49,26 +50,73 @@ def _check(name: str):
     return register
 
 
+def _inertia(gram: Sequence[Sequence[Fraction]]) -> Tuple[int, int, int]:
+    """The (positive, negative, zero) eigenvalue counts of a symmetric
+    rational matrix, by congruence diagonalisation in exact integers.
+
+    The matrix is cleared of denominators, a positive scale.  Each step takes
+    a nonzero diagonal entry p as pivot (when the diagonal is zero and some
+    entry (i, j) is not, adding row and column j to row and column i puts
+    2·(i, j) on the diagonal) and replaces the other rows and columns by |p|
+    times their Schur complement: p's sign is one eigenvalue sign, and the
+    rest keep their inertia.
+    """
+    m, _ = clear_denominators(gram)
+    n = len(m)
+    positive = negative = 0
+    while m:
+        k = next((i for i, row in enumerate(m) if row[i]), None)
+        if k is None:
+            entry = next(((i, j) for i, row in enumerate(m) for j, x in enumerate(row) if x), None)
+            if entry is None:
+                break
+            k, j = entry
+            m[k] = [x + y for x, y in zip(m[k], m[j])]
+            for row in m:
+                row[k] += row[j]
+        pivot = m.pop(k)
+        p = pivot.pop(k)
+        sign = 1 if p > 0 else -1
+        positive, negative = positive + (p > 0), negative + (p < 0)
+        column = [row.pop(k) for row in m]
+        m = [[abs(p) * x - sign * f * y for x, y in zip(row, pivot)] for row, f in zip(m, column)]
+    return positive, negative, n - positive - negative
+
+
 @_check("surfaces")
 def check_surfaces() -> Tuple[bool, str]:
-    """Displayed intersection numbers, then: each relation pairs to zero.
+    """Displayed intersection numbers, then on each surface: each relation
+    pairs to zero, and the Gram matrix has one positive eigenvalue.
 
-    The relations (``RELATIONS[k]``, named by k) are paired with every
-    surface only once every displayed number matches.
+    Each surface's pairing table is built once and read by both the
+    displayed numbers and the relations (``RELATIONS[k]``, named by k).  The
+    relations and the Hodge index are checked only once every displayed
+    number matches.
     """
     by_family = {s.family: s for s in surfaces.builtin_surfaces()}
+    tables = {fam: surface.monomial_pairings() for fam, surface in by_family.items()}
     bad = []
     for fam, a, b, want in surfaces.DISPLAYED_INTERSECTIONS:
-        got = by_family[fam].pair_generators(a, b)
+        got = by_family[fam].pair_generators(a, b, tables[fam])
         if got != want:
             bad.append(f"family {fam}: {a}.{b} = {got}, expected {want}")
     if not bad:
-        for fam, surface in by_family.items():
-            pairings, den = surface.monomial_pairings()
-            for k, relation in enumerate(RELATIONS):
-                value = sum(c.constant_value() * pairings[m] for m, c in relation.items())
+        # each relation's coefficients as integers over one denominator
+        relations = [
+            (relation, *clear_denominators([[c.constant_value() for c in relation.values()]]))
+            for relation in RELATIONS
+        ]
+        for fam, (pairings, den) in tables.items():
+            for k, (relation, [ints], rden) in enumerate(relations):
+                value = sum(map(mul, ints, map(pairings.__getitem__, relation)))
                 if value:
-                    bad.append(f"family {fam}: relation {k} pairs to {value / den}, expected 0")
+                    value = Fraction(value, den * rden)
+                    bad.append(f"family {fam}: relation {k} pairs to {value}, expected 0")
+            positive = _inertia(by_family[fam].gram)[0]
+            if positive != 1:
+                bad.append(
+                    f"family {fam}: Gram matrix has {positive} positive eigenvalues, expected 1"
+                )
     n = len(surfaces.DISPLAYED_INTERSECTIONS)
     return not bad, "; ".join(bad) or f"all {n} displayed intersection numbers reproduced"
 
@@ -136,7 +184,14 @@ def check_pencil_count() -> Tuple[bool, str]:
         for g in range(1, 101)
         if g * (g + 1) * (g + 2) != ((g + 1) ** 2 - 1) + m21.pencil_count(g)
     ]
-    return not bad, f"fails at g in {bad}" if bad else "splitting identity holds for g = 1..100"
+    if bad:
+        return False, f"fails at g in {bad}"
+    # The scan shows that pencil_count is (g+2)g^2; this proves the splitting
+    # of that formula for every g.
+    residual = D * (D + 1) * (D + 2) - ((D + 1) ** 2 - 1) - (D + 2) * D * D
+    if not residual.is_zero():
+        return False, f"g(g+1)(g+2) - ((g+1)^2 - 1) - (g+2)g^2 = {residual}, expected 0"
+    return True, "splitting identity holds for g = 1..100"
 
 
 @_check("hac")

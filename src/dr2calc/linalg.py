@@ -10,7 +10,9 @@ nonzero entry in row order; output is therefore deterministic across runs
 and platforms.  Every entry passes ``polyq.exact``, the package's input
 gate: ints, Fractions or "p/q" strings; another string raises
 ``ValueError`` and a float ``TypeError``.  A row whose length differs from
-row 0's raises ``ValueError`` naming it.  These checks run on every call.
+row 0's raises ``ValueError`` naming it.  These checks run once per
+``GatedMatrix``: ``solve_unique`` and ``row_dependencies`` take one in place
+of plain rows and gate it no further, and gate plain rows on every call.
 
 ``solve_unique`` and ``row_dependencies`` read the integer row operations
 of one elimination of [A | I], memoized by content in a bounded cache;
@@ -26,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from operator import mul
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .polyq import clear_denominators, exact
 
@@ -63,6 +65,30 @@ def _cleared(rows) -> Tuple[List[List[int]], List[int]]:
     be ints, Fractions or "p/q" strings, and a float raises TypeError naming it."""
     cleared = [clear_denominators([[exact(x) for x in row]]) for row in rows]
     return [ints for [ints], _ in cleared], [den for _, den in cleared]
+
+
+class GatedMatrix:
+    """Rows that passed the input gate, cleared to integers once.
+
+    ``ints[i]`` is row i times ``scales[i]``, the lcm of its denominators,
+    as a tuple of ints, and ``width`` is the common row length.  The
+    constructor is the gate: a ragged row, then a float or a malformed
+    string entry, raises as plain rows do.  ``len`` is the row count.
+    """
+
+    __slots__ = ("ints", "scales", "width")
+
+    def __init__(self, rows: Sequence[Sequence]):
+        self.width = _width(rows)
+        ints, scales = _cleared(rows)
+        self.ints, self.scales = tuple(map(tuple, ints)), tuple(scales)
+
+    def __len__(self) -> int:
+        return len(self.ints)
+
+
+def _gated(rows) -> GatedMatrix:
+    return rows if isinstance(rows, GatedMatrix) else GatedMatrix(rows)
 
 
 def _gauss_jordan(
@@ -141,7 +167,7 @@ def _elimination(rows: Tuple[Tuple[int, ...], ...]) -> _Elimination:
 
 
 def solve_unique(
-    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
+    rows: Union[GatedMatrix, Sequence[Sequence[Fraction]]], rhs: Sequence[Fraction]
 ) -> List[Fraction]:
     """Solve a (possibly overdetermined) system with a unique solution.
 
@@ -158,13 +184,13 @@ def solve_unique(
         raise ValueError("row/rhs length mismatch")
     if not rows:
         raise UnderdeterminedSystemError("empty system")
-    ncols = _width(rows)
-    ints, scales = _cleared(rows)
+    matrix = _gated(rows)
+    ncols = matrix.width
     [b], [cden] = _cleared([rhs])
-    elim = _elimination(tuple(map(tuple, ints)))
+    elim = _elimination(matrix.ints)
     if len(elim.pivots) < ncols:
         raise UnderdeterminedSystemError(f"rank {len(elim.pivots)} < {ncols} unknowns")
-    c = [s * x for s, x in zip(scales, b)]
+    c = [s * x for s, x in zip(matrix.scales, b)]
     solution = [Fraction(0)] * ncols
     for pcol, combo, den in zip(elim.pivots, elim.inverse, elim.inverse_den):
         solution[pcol] = Fraction(sum(map(mul, combo, c)), den * cden)
@@ -172,14 +198,14 @@ def solve_unique(
     # Verify against the original rows so the offending index is meaningful,
     # in integers: with solution = X / xden, A_int[k] . X * cden == c[k] * xden.
     [point], xden = clear_denominators([solution])
-    for k, (row, ck) in enumerate(zip(ints, c)):
+    for k, (row, ck) in enumerate(zip(matrix.ints, c)):
         if sum(map(mul, row, point)) * cden != ck * xden:
             raise InconsistentSystemError(k)
     return solution
 
 
 def row_dependencies(
-    rows: Sequence[Sequence[Fraction]],
+    rows: Union[GatedMatrix, Sequence[Sequence[Fraction]]],
 ) -> List[Tuple[int, Dict[int, Fraction]]]:
     """Find rows dependent on earlier ones.
 
@@ -192,16 +218,16 @@ def row_dependencies(
     row i's coefficient on kept row pivots[j] is s_pivots[j] / s_i times
     sum_k inverse[j][k] * A_int[i][k] / inverse_den[j].
     """
-    _width(rows)
-    ints, scales = _cleared(rows)
-    elim = _elimination(tuple(zip(*ints)))
+    matrix = _gated(rows)
+    scales = matrix.scales
+    elim = _elimination(tuple(zip(*matrix.ints)))
     return [
         (i, {
             k: Fraction(y * scales[k], den * scales[i])
             for k, combo, den in zip(elim.pivots, elim.inverse, elim.inverse_den)
             if (y := sum(map(mul, combo, row)))
         })
-        for i, row in enumerate(ints)
+        for i, row in enumerate(matrix.ints)
         if i not in elim.pivots
     ]
 

@@ -8,9 +8,11 @@ strategy is sample-then-interpolate:
      and solve the rational system exactly at each point with
      ``linalg.solve_unique``; each solve certifies that the coefficient rank
      equals the unknown count.  The d-independent work is done once per
-     distinct input: ``linalg`` memoizes the integer row operations that
-     eliminate the coefficient matrix, by content, in a bounded cache, so
-     each sample only applies them to its right-hand side, and
+     distinct input: the coefficient matrix passes ``linalg``'s input gate
+     once per rows tuple, memoized by its identity as a
+     ``linalg.GatedMatrix``, and ``linalg`` memoizes the integer row
+     operations that eliminate it, by content, in a bounded cache, so each
+     sample only gates and applies them to its right-hand side; and
      ``full_system`` takes all 16 rows from the one memoized fixture
      load in ``surfaces``, which reads each file once per process and
      parses it once per distinct content;
@@ -71,6 +73,31 @@ class ParamSystem:
         return [list(r.coefficients) for r in self.rows]
 
 
+# Gated coefficient matrices by the id of their rows tuple, oldest first.
+# Each entry holds its rows, so the id of a live entry is never reused.
+_GATED: Dict[int, Tuple[Tuple[EquationRow, ...], linalg.GatedMatrix]] = {}
+
+
+def _gated_matrix(system: ParamSystem) -> linalg.GatedMatrix:
+    """The system's coefficient matrix through ``linalg``'s input gate.
+
+    A tuple of frozen rows whose coefficients are tuples cannot change, so
+    its identity names its content: the last four such are memoized by it,
+    not by hashing their rows, which costs about as much as the gate.  Any
+    other system is gated on every call, and a gate that raises keeps nothing.
+    """
+    rows = system.rows
+    hit = _GATED.get(id(rows))
+    if hit is not None:
+        return hit[1]
+    matrix = linalg.GatedMatrix(system.matrix())
+    if type(rows) is tuple and all(type(r.coefficients) is tuple for r in rows):
+        if len(_GATED) >= 4:
+            del _GATED[next(iter(_GATED))]
+        _GATED[id(rows)] = rows, matrix
+    return matrix
+
+
 def full_system() -> ParamSystem:
     """The shipped 16-row system (10 surfaces + 3 symmetry + 3 push-forward)."""
     return ParamSystem(rows=full_system_rows())
@@ -106,7 +133,6 @@ def solve_parametric(
     Raises ValueError on an empty sample set and on one smaller than the
     deg + 1 points that interpolating the solution takes.
     """
-    matrix = system.matrix()
     needed = max((len(row.rhs.num) for row in system.rows), default=0)
     if samples is None:
         samples = range(2, 2 + max(6, needed + 1))
@@ -116,6 +142,8 @@ def solve_parametric(
             f"at least {needed} samples are needed for right-hand sides of degree"
             f" {needed - 1}, got {len(points)}"
         )
+    # no gate before the interpolation refuses an empty sample set
+    matrix = _gated_matrix(system) if points else None
     per_point = [linalg.solve_unique(matrix, [row.rhs(x) for row in system.rows]) for x in points]
     solution = TautClass2(interpolate_columns(points, zip(*per_point)))
     residuals = tuple(row.residual(solution) for row in system.rows)
@@ -159,7 +187,7 @@ def redundancy_report(system: ParamSystem) -> List[DependentRow]:
     whole transcription, since their right-hand sides are forced.  They are
     read off ``linalg``'s memoized elimination of the transposed matrix.
     """
-    deps = linalg.row_dependencies(system.matrix())
+    deps = linalg.row_dependencies(_gated_matrix(system))
     return [
         DependentRow(index=i, label=system.rows[i].label, combination=combo)
         for i, combo in deps

@@ -26,7 +26,7 @@ from importlib import resources
 from numbers import Rational
 from operator import mul
 from types import MappingProxyType
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from . import m21
 from .chow import _SWAP, BASIS_MONOMIALS, BASIS_NAMES, GENERATORS, MONOMIALS, Monomial, TautClass2, mono
@@ -55,11 +55,14 @@ class SurfaceModel:
             generator, (Fraction(0),) * len(self.generators)
         )
 
-    def pair_generators(self, gen_a: str, gen_b: str) -> Fraction:
+    def pair_generators(
+        self, gen_a: str, gen_b: str, table: Optional[Tuple[Dict[Monomial, int], int]] = None
+    ) -> Fraction:
         """Intersection number of two restricted divisor generators, read off
-        ``monomial_pairings``; an unknown name raises ``restriction``'s KeyError."""
+        ``table``, this surface's ``monomial_pairings()``, which is built when
+        not given; an unknown name raises ``restriction``'s KeyError."""
         self.restriction(gen_a), self.restriction(gen_b)
-        pairings, den = self.monomial_pairings()
+        pairings, den = table or self.monomial_pairings()
         return Fraction(pairings[mono(GENERATORS.index(gen_a), GENERATORS.index(gen_b))], den)
 
     def monomial_pairings(self) -> Tuple[Dict[Monomial, int], int]:

@@ -2,7 +2,9 @@
 verifies breaks.  Each case replaces the function the check relies on with a
 wrong one, or feeds the check wrong input, and runs the check."""
 
+import dataclasses
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,8 +20,8 @@ F = Fraction
 def _off_by_one_pairing(monkeypatch):
     pair = surfaces.SurfaceModel.pair_generators
 
-    def wrong(self, a, b):
-        return pair(self, a, b) + ((self.family, a, b) == (1, "psi1", "psi1"))
+    def wrong(self, a, b, *table):
+        return pair(self, a, b, *table) + ((self.family, a, b) == (1, "psi1", "psi1"))
 
     monkeypatch.setattr(surfaces.SurfaceModel, "pair_generators", wrong)
     return {}
@@ -108,6 +110,19 @@ def _psi1_d0_reads_the_fused_slot(monkeypatch):
     reducer = chow._REDUCER
     entry = reducer.rows[mono(PSI1, D0)] + ((FUSED_SLOT, reducer.den),)
     monkeypatch.setattr(reducer, "rows", {**reducer.rows, mono(PSI1, D0): entry})
+    return {}
+
+
+def _inert_gram_entry(monkeypatch):
+    # family 10's D13.D13 entry read as 0 instead of -1: no restriction has a
+    # D13 component, so no row, displayed number or relation changes
+    loaded = surfaces.builtin_surfaces()
+    s = loaded[-1]
+    gram = tuple(
+        tuple(F(0) if i == j == 1 else x for j, x in enumerate(row)) for i, row in enumerate(s.gram)
+    )
+    wrong = loaded[:-1] + (dataclasses.replace(s, gram=gram),)
+    monkeypatch.setattr(surfaces, "builtin_surfaces", lambda: wrong)
     return {}
 
 
@@ -200,6 +215,12 @@ FAILURES = [
         "fused slot of the class is -1/2*d^4 + 3/2*d^2 - 1, expected (d^2-1)(2-d^2)/4",
     ),
     ("surfaces", _off_by_one_pairing_table, "family 1: psi1.psi1 = 3, expected 2"),
+    ("surfaces", _inert_gram_entry, "family 10: Gram matrix has 2 positive eigenvalues, expected 1"),
+    (
+        "m-count",
+        _patch(PolyQ, "__pow__", lambda self, n: self),
+        "g(g+1)(g+2) - ((g+1)^2 - 1) - (g+2)g^2 = d^2 + d, expected 0",
+    ),
 ]
 
 
@@ -253,3 +274,57 @@ def test_ci_obstruction_trials_are_pinned(monkeypatch):
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "5377c5ef7e49fba98cfa37cf2acb77998ff7da0eb8f8ff3384f4031ec0f38089"
     )
+
+
+def _descartes_inertia(a):
+    """(positive, negative, zero) roots of a symmetric matrix's characteristic
+    polynomial, from Faddeev-LeVerrier over Fraction; the roots are real, so
+    Descartes' rule of signs counts them exactly."""
+    n = len(a)
+
+    def times_a(m):
+        return [[sum(a[i][t] * m[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+
+    coeffs, m = [F(1)], [[F(0)] * n for _ in range(n)]  # coeffs[k] is that of x^(n-k)
+    for k in range(1, n + 1):
+        m = [[x + coeffs[-1] * (i == j) for j, x in enumerate(row)] for i, row in enumerate(times_a(m))]
+        coeffs.append(-sum(row[i] for i, row in enumerate(times_a(m))) / k)
+    zero = next((k for k, c in enumerate(reversed(coeffs)) if c), n)
+    nonzero = coeffs[: n + 1 - zero]
+
+    def changes(cs):
+        signs = [c > 0 for c in cs if c]
+        return sum(x != y for x, y in zip(signs, signs[1:]))
+
+    flipped = [c * (-1) ** (n - k) for k, c in enumerate(nonzero)]
+    return changes(nonzero), changes(flipped), zero
+
+
+def test_inertia_matches_the_characteristic_polynomial():
+    rng = random.Random(31)
+    for _ in range(100):
+        n = rng.randint(1, 6)
+        a = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                if rng.random() < 0.5:
+                    a[i][j] = a[j][i] = F(rng.randint(-4, 4), rng.randint(1, 3))
+        if rng.random() < 0.3:  # a zero diagonal, which needs the off-diagonal step
+            for i in range(n):
+                a[i][i] = F(0)
+        assert checks._inertia(a) == _descartes_inertia(a), a
+
+
+def test_every_gram_matrix_has_the_hodge_index():
+    inertia = {s.family: checks._inertia(s.gram) for s in surfaces.builtin_surfaces()}
+    n = {s.family: len(s.generators) for s in surfaces.builtin_surfaces()}
+    assert {fam: inertia[fam] for fam in (9, 10)} == {9: (1, 1, 3), 10: (1, 4, 5)}
+    assert all(inertia[fam] == (1, n[fam] - 1, 0) for fam in range(1, 9))
+    for s in surfaces.builtin_surfaces():
+        assert checks._inertia(s.gram) == _descartes_inertia(s.gram), s.family
+
+
+def test_the_inert_gram_entry_changes_no_equation_row(monkeypatch):
+    rows = [surfaces.equation_row(s) for s in surfaces.builtin_surfaces()]
+    _inert_gram_entry(monkeypatch)
+    assert [surfaces.equation_row(s) for s in surfaces.builtin_surfaces()] == rows

@@ -489,3 +489,89 @@ def test_a_second_redundancy_report_runs_no_elimination(monkeypatch):
         assert elim._fields == ("pivots", "inverse", "inverse_den")
         entries = [*elim.pivots, *elim.inverse_den, *(x for row in elim.inverse for x in row)]
         assert all(type(x) is int for x in entries)
+
+
+# --- a gated matrix against the plain rows it was built from ---------------
+
+
+def _outcome_or_error(call, *args):
+    """``_outcome``, or the class and text of a TypeError or ValueError."""
+    try:
+        return _outcome(call, *args)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _gated_outcome(call, rows, *args):
+    """``_outcome_or_error`` of a call on ``GatedMatrix(rows)``, or what the gate raised."""
+    from dr2calc.linalg import GatedMatrix
+
+    try:
+        matrix = GatedMatrix(rows)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return _outcome_or_error(call, matrix, *args)
+
+
+def test_a_gated_matrix_solves_and_finds_dependencies_like_its_rows():
+    rng = random.Random(23)
+    cases = [rows for rows in _matrices(23) if rows] + [rows for _, rows, _ in _differential_cases(24)]
+    for rows in cases:
+        ncols = len(rows[0])
+        assert _gated_outcome(row_dependencies, rows) == _outcome_or_error(row_dependencies, rows)
+        x = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(ncols)]
+        rhs = [_dot(row, x) for row in rows]
+        bumped = [t + rng.choice((0, 1, F(1, 7))) for t in rhs]
+        for target in (rhs, bumped, rhs[1:], [0.5] * len(rows)):
+            got = _gated_outcome(solve_unique, rows, target)
+            assert got == _outcome_or_error(solve_unique, rows, target)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[[1, 0], [0, 1, 5]], [[1, 0.5], [0, 1, 5]], [[1, 2], ["1/0", 1]], [[1, 2], ["1.5", 1]], [[0.25]]],
+)
+def test_the_gated_matrix_constructor_raises_what_plain_rows_raise(rows):
+    from dr2calc.linalg import GatedMatrix
+
+    with pytest.raises((TypeError, ValueError)) as gate:
+        GatedMatrix(rows)
+    for call in (lambda m: solve_unique(m, [1] * len(rows)), row_dependencies):
+        assert _outcome_or_error(call, rows) == (type(gate.value), str(gate.value))
+
+
+def test_a_gated_matrix_has_its_rows_length_and_is_not_gated_again(monkeypatch):
+    from dr2calc import linalg
+
+    matrix = linalg.GatedMatrix([[F(1, 2), 0], [0, 3], ["1/3", "2/3"]])
+    assert len(matrix) == 3 and matrix.width == 2
+    assert matrix.ints == ((1, 0), (0, 3), (1, 2)) and matrix.scales == (2, 1, 3)
+    cleared, gated = linalg._cleared, []
+
+    def counted(rows):
+        gated.append(len(rows))
+        return cleared(rows)
+
+    monkeypatch.setattr(linalg, "_cleared", counted)
+    assert solve_unique(matrix, [F(1, 4), -6, "-7/6"]) == [F(1, 2), F(-2)]
+    assert row_dependencies(matrix) == [(2, {0: F(2, 3), 1: F(2, 9)})]
+    assert gated == [1]  # the right-hand side alone
+
+
+def test_a_warm_solve_and_redundancy_report_run_no_matrix_gate(monkeypatch):
+    from dr2calc import linalg
+    from dr2calc.solver import full_system, redundancy_report, solve_parametric
+
+    solve_parametric(full_system())
+    redundancy_report(full_system())
+    cleared, gated = linalg._cleared, []
+
+    def counted(rows):
+        gated.append(len(rows))
+        return cleared(rows)
+
+    monkeypatch.setattr(linalg, "_cleared", counted)
+    cert = solve_parametric(full_system())
+    assert len(redundancy_report(full_system())) == 2
+    assert cert.consistent
+    assert gated == [1] * len(cert.sample_points)  # one right-hand side per sample

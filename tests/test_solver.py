@@ -197,3 +197,48 @@ def test_each_sample_point_is_one_solve_unique_call(monkeypatch, samples):
     cert = solve_parametric(full_system(), samples=samples)
     assert cert.consistent
     assert calls == [16] * len(cert.sample_points)
+
+
+def test_a_system_of_mutable_rows_is_gated_on_every_call():
+    # a list of rows can change between calls, so its matrix is not memoized
+    rows = list(full_system_rows())
+    system = ParamSystem(rows=rows)
+    assert solve_parametric(system).consistent
+    r = rows[0]
+    rows[0] = EquationRow(
+        coefficients=(r.coefficients[0] + 1,) + r.coefficients[1:],
+        rhs=r.rhs,
+        label=r.label,
+        kind=r.kind,
+    )
+    with pytest.raises(InconsistentSystemError):
+        solve_parametric(system)
+
+
+def _solve_outcome(system):
+    try:
+        cert = solve_parametric(system)
+    except InconsistentSystemError as exc:
+        return "inconsistent", exc.row_index
+    return cert.solution, cert.consistent
+
+
+def test_each_rows_tuple_is_solved_with_its_own_matrix():
+    # the tuple's matrix is memoized and the list's is not; both must solve
+    # the perturbed rows, not the shipped ones solved just before
+    shipped = full_system_rows()
+    outcomes = set()
+    for k in range(len(shipped)):
+        r = shipped[k]
+        bumped = EquationRow(
+            coefficients=(r.coefficients[0] + 1,) + r.coefficients[1:],
+            rhs=r.rhs,
+            label=r.label,
+            kind=r.kind,
+        )
+        rows = shipped[:k] + (bumped,) + shipped[k + 1:]
+        assert solve_parametric(ParamSystem(rows=shipped)).consistent
+        got = _solve_outcome(ParamSystem(rows=rows))
+        assert got == _solve_outcome(ParamSystem(rows=list(rows)))
+        outcomes.add(got[0] == "inconsistent")
+    assert outcomes == {True, False}
