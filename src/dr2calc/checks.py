@@ -122,8 +122,8 @@ def check_surfaces() -> Tuple[bool, str]:
 
 
 @_check("solver")
-def check_solver(system: Optional[solver.ParamSystem] = None) -> Tuple[bool, str]:
-    sys_ = system or solver.full_system()
+def check_solver() -> Tuple[bool, str]:
+    sys_ = solver.full_system()
     try:
         cert = solver.solve_parametric(sys_)
     except solver.UnderdeterminedSystemError as exc:
@@ -179,11 +179,11 @@ def check_psi3() -> Tuple[bool, str]:
 
 @_check("m-count")
 def check_pencil_count() -> Tuple[bool, str]:
-    bad = [
-        g
-        for g in range(1, 101)
-        if g * (g + 1) * (g + 2) != ((g + 1) ** 2 - 1) + m21.pencil_count(g)
-    ]
+    counts = [(g, m21.pencil_count(g)) for g in range(1, 101)]
+    for g, n in counts:
+        if type(n) is not int:
+            return False, f"count at g = {g} is {n!r}, expected an int"
+    bad = [g for g, n in counts if g * (g + 1) * (g + 2) != ((g + 1) ** 2 - 1) + n]
     if bad:
         return False, f"fails at g in {bad}"
     # The scan shows that pencil_count is (g+2)g^2; this proves the splitting

@@ -32,26 +32,24 @@ from .polyq import D, PolyQ
 Result = Tuple[Dict[str, object], Dict[str, object], bool, List[str]]
 
 
-def _degree(value: str):
-    """Parse --d: an integer >= 1 (ASCII digits), or 'symbolic' for the variable D."""
-    if value == "symbolic":
+def _degree(value: str, symbolic: bool = True):
+    """Parse --d: an integer >= 1 (ASCII digits), or if ``symbolic`` 'symbolic' for D."""
+    if symbolic and value == "symbolic":
         return D
-    if not re.fullmatch(r"-?[0-9]+", value):
-        raise argparse.ArgumentTypeError(f"must be an integer or 'symbolic', got {value!r}")
-    d = int(value)
-    if d < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1 or 'symbolic', got {d}")
-    return d
+    numeral = re.fullmatch(r"-?[0-9]+", value)
+    if numeral and int(value) >= 1:
+        return int(value)
+    if not symbolic:
+        expected = "an integer >= 1"
+    else:
+        expected = ">= 1 or 'symbolic'" if numeral else "an integer or 'symbolic'"
+    got = int(value) if numeral else repr(value)
+    raise argparse.ArgumentTypeError(f"must be {expected}, got {got}")
 
 
 def _numeric_degree(value: str) -> int:
-    """Parse cone-m21's --d: an integer >= 1 (ASCII digits) only."""
-    if not re.fullmatch(r"-?[0-9]+", value):
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {value!r}")
-    d = int(value)
-    if d < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {d}")
-    return d
+    """Parse cone-m21's --d: ``_degree`` without 'symbolic'."""
+    return _degree(value, symbolic=False)
 
 
 def _degree_echo(d) -> str:
@@ -242,12 +240,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    degree_help = {_degree: "integer >= 1 or 'symbolic'", _numeric_degree: "integer >= 1"}
-
     def add(name, func, degree=None, strata=False, only=False):
         p = sub.add_parser(name)
         if degree:
-            p.add_argument("--d", required=True, type=degree, help=degree_help[degree])
+            words = " or 'symbolic'" if degree is _degree else ""
+            p.add_argument("--d", required=True, type=degree, help="integer >= 1" + words)
         if strata:
             p.add_argument("--strata-table", default=None, help="path to a strata JSON table")
         if only:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -191,17 +191,19 @@ def solve_unique(
     if len(elim.pivots) < ncols:
         raise UnderdeterminedSystemError(f"rank {len(elim.pivots)} < {ncols} unknowns")
     c = [s * x for s, x in zip(matrix.scales, b)]
-    solution = [Fraction(0)] * ncols
-    for pcol, combo, den in zip(elim.pivots, elim.inverse, elim.inverse_den):
-        solution[pcol] = Fraction(sum(map(mul, combo, c)), den * cden)
+    # The candidate is point / (den * cden), over the lcm of the pivot
+    # entries; lcm is positive, so a negative pivot's sign goes to point.
+    den = lcm(*elim.inverse_den)
+    point = [0] * ncols
+    for pcol, combo, d in zip(elim.pivots, elim.inverse, elim.inverse_den):
+        point[pcol] = sum(map(mul, combo, c)) * (den // d)
 
     # Verify against the original rows so the offending index is meaningful,
-    # in integers: with solution = X / xden, A_int[k] . X * cden == c[k] * xden.
-    [point], xden = clear_denominators([solution])
+    # in integers: A_int[k] . point == c[k] * den.
     for k, (row, ck) in enumerate(zip(matrix.ints, c)):
-        if sum(map(mul, row, point)) * cden != ck * xden:
+        if sum(map(mul, row, point)) != ck * den:
             raise InconsistentSystemError(k)
-    return solution
+    return [Fraction(x, den * cden) for x in point]
 
 
 def row_dependencies(

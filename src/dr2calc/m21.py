@@ -20,7 +20,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from .chow import TautClass2, swap_markings
 from .linalg import InconsistentSystemError, solve_unique
-from .polyq import PolyQ, PolyLike, PolyVector, as_poly
+from .polyq import PolyQ, PolyLike, PolyVector, as_poly, exact
 
 M21_NAMES = ("psi", "d0", "d1")
 
@@ -150,11 +150,9 @@ def diaz_divisor(g: int) -> DiazDivisor:
         raise ValueError("the exceptional-point divisor needs genus >= 3")
     return DiazDivisor(
         genus=g,
-        lambda_coeff=Fraction(_diaz_lambda(g)),
-        delta0_coeff=Fraction(_diaz_d0(g)),
-        delta_coeffs={
-            i: Fraction(_diaz_boundary(g, i * (g - i))) for i in range(1, g // 2 + 1)
-        },
+        lambda_coeff=exact(_diaz_lambda(g)),
+        delta0_coeff=exact(_diaz_d0(g)),
+        delta_coeffs={i: exact(_diaz_boundary(g, i * (g - i))) for i in range(1, g // 2 + 1)},
     )
 
 

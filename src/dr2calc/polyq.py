@@ -4,11 +4,11 @@ Rationals are ints or ``fractions.Fraction``s, in lowest terms with positive
 denominator.  A polynomial in d is stored as integer numerators over one
 denominator: ``num``, a tuple of ints in ascending order of degree with no
 trailing zero, and ``den``, an int >= 1 with gcd(den, *num) == 1, so the
-coefficient of d^k is ``num[k] / den``.  The zero polynomial is ``((), 1)``
-and reports degree ``-inf``.  Each polynomial has exactly one such form, so
-equality is a comparison of the two fields.  All arithmetic (``+``, ``-``,
-``*``, ``/``, ``**`` and evaluation) works on the integers and reduces once
-at the end; ``coeffs`` builds the tuple of lowest-terms Fractions only when asked.
+coefficient of d^k is ``num[k] / den``.  The zero polynomial is ``((), 1)``.
+Each polynomial has exactly one such form, so equality is a comparison of
+the two fields.  All arithmetic (``+``, ``-``, ``*``, ``/``, ``**`` and
+evaluation) works on the integers and reduces once at the end; ``coeffs``
+builds the tuple of lowest-terms Fractions only when asked.
 
 Nothing in this module ever rounds.  Fixed-width integers are deliberately
 avoided: lattice pairings and interpolation denominators elsewhere in the
@@ -51,8 +51,6 @@ from typing import Dict, Iterable, List, Sequence, Tuple, Union
 Rational = Fraction
 
 Scalar = Union[int, Fraction]
-
-NEG_INF = float("-inf")
 
 
 def exact(value: Union[Scalar, str]) -> Scalar:
@@ -152,11 +150,6 @@ class PolyQ:
 
     def to_strings(self) -> list:
         return [format_rational(c) for c in self.coeffs]
-
-    @property
-    def degree(self):
-        """Degree of the polynomial; -inf for the zero polynomial."""
-        return len(self.num) - 1 if self.num else NEG_INF
 
     def coefficient(self, k: int) -> Fraction:
         if 0 <= k < len(self.num):

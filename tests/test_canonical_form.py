@@ -105,7 +105,7 @@ def test_reductions_are_canonical(ring, max_degree):
         m = mono(0, 1)
         lower[m] = lower.get(m, PolyQ()) + D
         _assert_canonical_vector(reducer(lower))
-        assert all(c.degree <= 1 for c in reducer(lower).coeffs)
+        assert all(len(c.num) <= 2 for c in reducer(lower).coeffs)
 
 
 def test_restriction_is_canonical():
@@ -124,7 +124,7 @@ def test_polyq_arithmetic_is_canonical():
             _assert_canonical_poly(r)
     # Cancellation to zero and degree drops, spelled out.
     assert (D**2 + D) - D**2 == D
-    assert (D**2 + D - D**2).degree == 1
+    assert len((D**2 + D - D**2).num) == 2
     assert (D - D).coeffs == () and (D + (-D)).coeffs == ()
     assert (PolyQ((1, 2)) + PolyQ((-1, -2))).coeffs == ()
     assert (D * 0).coeffs == () and (PolyQ() * D).coeffs == ()
@@ -158,7 +158,7 @@ def test_interpolation_is_canonical():
             ys = [Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**3)) for _ in xs]
         q = poly_interpolate(zip(xs, ys))
         _assert_canonical_poly(q)
-        assert q.degree < n
+        assert len(q.num) <= n
         assert [q(x) for x in xs] == ys
 
 

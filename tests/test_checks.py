@@ -42,7 +42,9 @@ def _off_by_one_pairing_table(monkeypatch):
 
 
 def _symmetry_rows_only(monkeypatch):
-    return {"system": solver.ParamSystem(rows=surfaces.symmetry_rows())}
+    system = solver.ParamSystem(rows=surfaces.symmetry_rows())
+    monkeypatch.setattr(solver, "full_system", lambda: system)
+    return {}
 
 
 def _inconsistent_solve(monkeypatch):
@@ -220,6 +222,11 @@ FAILURES = [
         "m-count",
         _patch(PolyQ, "__pow__", lambda self, n: self),
         "g(g+1)(g+2) - ((g+1)^2 - 1) - (g+2)g^2 = d^2 + d, expected 0",
+    ),
+    (
+        "m-count",
+        _patch(m21, "pencil_count", lambda g: (g + 2) * g * g / 1),
+        "count at g = 1 is 3.0, expected an int",
     ),
 ]
 

@@ -182,7 +182,7 @@ def test_verify_md_prints_pass_lines(capsys):
     assert "FAIL" not in out
 
 
-def test_corrupted_fixture_fails_solver_check(capsys):
+def test_corrupted_fixture_fails_solver_check(capsys, monkeypatch):
     # inject a corrupted system into the solver check: named failure
     from dr2calc import checks, solver
     from dr2calc.surfaces import EquationRow, full_system_rows
@@ -192,7 +192,9 @@ def test_corrupted_fixture_fails_solver_check(capsys):
     rows[0] = EquationRow(
         r0.coefficients, r0.rhs + 1, r0.label, r0.kind, r0.provenance
     )
-    result = checks.check_solver(system=solver.ParamSystem(rows=tuple(rows)))
+    corrupted = solver.ParamSystem(rows=tuple(rows))
+    monkeypatch.setattr(solver, "full_system", lambda: corrupted)
+    result = checks.check_solver()
     assert result.name == "solver"
     assert not result.passed
     assert "inconsistent" in result.details

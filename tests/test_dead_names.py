@@ -19,9 +19,6 @@ SRC = ROOT / "src" / "dr2calc"
 ALLOWED = {
     # The inverse of ``to_json_dict``, kept for class JSON as an input surface.
     "TautClass2.from_json_dict",
-    # Part of the polynomial type's interface, next to ``coefficient`` and
-    # ``is_constant``; only the tests read it.
-    "PolyQ.degree",
 }
 
 

@@ -8,7 +8,8 @@ recorded in ``tests/md_golden.json``, except for ``class`` at degrees other
 than a few: every ``class`` key is checked in JSON only, by its own test,
 since each call re-solves the 16-row system.  Left out for speed: the full
 ``verify`` run, which a CI step and the ``perfbench`` workloads check
-against the same file.
+against the same file.  Every JSON report is also parsed with a hook that
+refuses each float, NaN or infinity token: rationals travel as strings.
 
 Each demo's stdout is compared with its recording in ``tests/demo_golden/``
 (``<demo>.txt``), which covers the ``str`` of polynomials and the ``repr``
@@ -68,6 +69,21 @@ def test_golden_key_selection():
     }
 
 
+def _no_float(token):
+    raise AssertionError(f"report carries the JSON number {token}, not an int or a 'p/q' string")
+
+
+def _parse_exact(text):
+    """A JSON report, parsed with every float and NaN or Infinity refused."""
+    return json.loads(text, parse_float=_no_float, parse_constant=_no_float)
+
+
+@pytest.mark.parametrize("text", ['{"a": 1.5}', "[1e3]", "[NaN]", "[-Infinity]"])
+def test_float_tokens_are_refused(text):
+    with pytest.raises(AssertionError, match="report carries the JSON number"):
+        _parse_exact(text)
+
+
 @pytest.mark.parametrize(
     "key, emit",
     [pytest.param(k, "json", id=k) for k in KEYS]
@@ -79,6 +95,8 @@ def test_cli_outputs_match_golden(key, emit):
         code = cli.main(key.split() + ["--emit", emit])
     problem = OUTPUTS.check_cli(key, emit, code, buf.getvalue().encode("utf-8"), GOLDEN)
     assert problem is None, problem
+    if emit == "json":
+        _parse_exact(buf.getvalue())
 
 
 MD_GOLDEN = json.loads((Path(__file__).resolve().parent / "md_golden.json").read_text(encoding="utf-8"))

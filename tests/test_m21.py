@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from dr2calc import m21
 from dr2calc.chow import DivisorM22, TautClass2, dr2_class
 from dr2calc.ct import CtClass
 from dr2calc.m21 import (
@@ -77,6 +78,13 @@ def test_diaz_divisor_values():
     assert dz.delta_coeffs == {1: F(-24)}
     with pytest.raises(ValueError):
         diaz_divisor(2)
+
+
+def test_diaz_divisor_refuses_a_float_coefficient(monkeypatch):
+    # g^2 (g-1)(3g-1) / 2 with true division: 72.0 at g = 3, not Fraction(72)
+    monkeypatch.setattr(m21, "_diaz_lambda", lambda g: g * g * (g - 1) * (3 * g - 1) / 2)
+    with pytest.raises(TypeError, match=re.escape("float 72.0 is not exact")):
+        diaz_divisor(3)
 
 
 def test_chi_pipeline_symbolic_identity():
