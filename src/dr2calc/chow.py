@@ -169,10 +169,7 @@ class TautClass2(PolyVector):
                 raise ValueError(f"unknown basis name in class JSON: {name!r}")
             if not isinstance(value, list):
                 raise ValueError(f"{name!r} must be a list of rational strings, got {value!r}")
-            try:
-                slots[name] = PolyQ(parse_rational(x) for x in value)
-            except ValueError as exc:
-                raise ValueError(f"{name!r}: {exc}") from None
+            slots[name] = PolyQ(parse_rational(x, repr(name)) for x in value)
         return cls(slots.get(name, PolyQ()) for name in cls.names)
 
 
@@ -362,12 +359,3 @@ _SWAP = (0, 1, 3, 2, 5, 4, 7, 6, 8, 9, 10, 11, 12, 13)
 def swap_markings(c: TautClass2) -> TautClass2:
     """Exchange the roles of the two marked points (an involution)."""
     return TautClass2(c.coeffs[k] for k in _SWAP)
-
-
-def class_to_markdown(c: TautClass2) -> str:
-    """Human-readable coefficient table, one basis monomial per line."""
-    width = max(len(n) for n in BASIS_NAMES)
-    lines = [f"| {'monomial':<{width}} | coefficient |", f"|{'-' * (width + 2)}|-------------|"]
-    for name, coeff in zip(BASIS_NAMES, c.coeffs):
-        lines.append(f"| {name:<{width}} | {coeff} |")
-    return "\n".join(lines)

@@ -11,9 +11,13 @@ identity a command derives from fails), or ``ValueError`` (a shipped fixture
 that cannot be loaded, named in the message), prints ``<command> failed:
 <error>`` on stderr, writes no report, and exits 1.
 
-Each ``cmd_*`` function returns ``(inputs, outputs, ok, lines)``: the inputs
-echoed in the report, its ``outputs`` object, whether every computation and
-check succeeded, and the markdown lines.  ``main`` writes the report.
+Each ``cmd_*`` function returns ``(outputs, ok, lines)``: the report's
+``outputs`` object, whether every computation and check succeeded, and the
+markdown body.  ``main`` builds the rest of every report in one place: the
+JSON envelope (command, inputs, outputs, version, fixture checksums), whose
+``inputs`` echo the options the command declares (``d``, ``only``,
+``strata_table``), and the markdown title line that ``build_parser``
+registers for each command but ``verify``.
 """
 
 from __future__ import annotations
@@ -25,11 +29,11 @@ import sys
 from typing import Dict, List, Optional, Tuple
 
 from . import __version__, checks, cones, ct, m21, solver, surfaces
-from .chow import BASIS_NAMES, class_to_markdown, dr2_class
+from .chow import BASIS_NAMES, TautClass2, dr2_class
 from .linalg import LinearSystemError
-from .polyq import D, PolyQ
+from .polyq import D, PolyQ, PolyVector
 
-Result = Tuple[Dict[str, object], Dict[str, object], bool, List[str]]
+Result = Tuple[Dict[str, object], bool, List[str]]
 
 
 def _degree(value: str, symbolic: bool = True):
@@ -37,23 +41,38 @@ def _degree(value: str, symbolic: bool = True):
     if symbolic and value == "symbolic":
         return D
     numeral = re.fullmatch(r"-?[0-9]+", value)
-    if numeral and int(value) >= 1:
-        return int(value)
+    try:
+        number = int(value) if numeral else None
+    except ValueError:  # more digits than Python's int-conversion limit
+        raise argparse.ArgumentTypeError(
+            f"must have at most {sys.get_int_max_str_digits()} digits, the limit for"
+            f" integer conversion, got {len(value.lstrip('-'))}"
+        ) from None
+    if numeral and number >= 1:
+        return number
     if not symbolic:
         expected = "an integer >= 1"
     else:
         expected = ">= 1 or 'symbolic'" if numeral else "an integer or 'symbolic'"
-    got = int(value) if numeral else repr(value)
+    got = number if numeral else repr(value)
     raise argparse.ArgumentTypeError(f"must be {expected}, got {got}")
-
-
-def _numeric_degree(value: str) -> int:
-    """Parse cone-m21's --d: ``_degree`` without 'symbolic'."""
-    return _degree(value, symbolic=False)
 
 
 def _degree_echo(d) -> str:
     return "symbolic" if isinstance(d, PolyQ) else str(d)
+
+
+def class_to_markdown(c: TautClass2) -> str:
+    """Human-readable coefficient table, one basis monomial per line."""
+    width = max(len(n) for n in BASIS_NAMES)
+    lines = [f"| {'monomial':<{width}} | coefficient |", f"|{'-' * (width + 2)}|-------------|"]
+    for name, coeff in zip(BASIS_NAMES, c.coeffs):
+        lines.append(f"| {name:<{width}} | {coeff} |")
+    return "\n".join(lines)
+
+
+def _bullets(vector: PolyVector) -> List[str]:
+    return [f"- {name}: {coeff}" for name, coeff in zip(vector.names, vector.coeffs)]
 
 
 def _cone_coordinates(report: m21.ConeReport) -> Dict[str, str]:
@@ -73,8 +92,6 @@ def cmd_class(args) -> Result:
         "difference_is_zero": difference.is_zero(),
     }
     lines = [
-        f"# degree-{_degree_echo(d)} class",
-        "",
         class_to_markdown(closed),
         "",
         "solver recomputation difference is zero: "
@@ -83,7 +100,7 @@ def cmd_class(args) -> Result:
     if d == 1:
         outputs["note"] = "class vanishes at d = 1: every slot carries the factor d^2 - 1"
         lines.append(f"note: {outputs['note']}")
-    return {"d": _degree_echo(d)}, outputs, difference.is_zero(), lines
+    return outputs, difference.is_zero(), lines
 
 
 def cmd_solve(args) -> Result:
@@ -95,8 +112,6 @@ def cmd_solve(args) -> Result:
         "redundant_rows": [dr.to_json_dict(sys_) for dr in deps],
     }
     lines = [
-        "# parametric solve",
-        "",
         f"rank: {cert.rank}",
         f"consistent: {cert.consistent}",
         f"sample points: {', '.join(str(x) for x in cert.sample_points)}",
@@ -104,12 +119,12 @@ def cmd_solve(args) -> Result:
         "",
         class_to_markdown(cert.solution),
     ]
-    return {}, outputs, cert.consistent, lines
+    return outputs, cert.consistent, lines
 
 
 def cmd_equations(args) -> Result:
     rows = surfaces.full_system_rows()
-    lines = ["# equation rows"]
+    lines = []
     for r in rows:
         terms = " + ".join(
             f"({c})*A[{name}]"
@@ -120,7 +135,7 @@ def cmd_equations(args) -> Result:
         if r.provenance:
             lines.append(f"    note: {r.provenance}")
     outputs = {"rows": [r.to_json_dict() for r in rows], "count": len(rows)}
-    return {}, outputs, True, lines
+    return outputs, True, lines[1:]
 
 
 def cmd_pushforward(args) -> Result:
@@ -128,14 +143,13 @@ def cmd_pushforward(args) -> Result:
     cls = m21.pushforward_class_formula(d)
     matches = m21.pushforward(dr2_class(d), 1) == cls
     outputs = {"class": cls.to_json_dict(), "matches_pushforward_of_class": matches}
-    lines = [f"# push-forward at d = {_degree_echo(d)}", ""]
-    lines += [f"- {name}: {coeff}" for name, coeff in zip(m21.M21_NAMES, cls.coeffs)]
+    lines = _bullets(cls)
     if isinstance(d, int):
         report_cone = m21.classify_effective_cone(cls)
         outputs["cone_coordinates"] = _cone_coordinates(report_cone)
         outputs["classification"] = report_cone.classification
         lines.append(f"- cone position: {report_cone.classification}")
-    return {"d": _degree_echo(d)}, outputs, matches, lines
+    return outputs, matches, lines
 
 
 def cmd_cone_m21(args) -> Result:
@@ -150,14 +164,12 @@ def cmd_cone_m21(args) -> Result:
         "in_moving_d_psi_cone": report_cone.in_moving_d_psi_cone,
     }
     lines = [
-        f"# divisor cone position at d = {args.d}",
-        "",
         f"coordinates in (W, d0, d1): {outputs['cone_coordinates']}",
         f"classification: {report_cone.classification}",
         f"coordinates in (W, psi): {outputs['w_psi_coordinates']}",
         f"inside the moving cone ray span (D, psi): {report_cone.in_moving_d_psi_cone}",
     ]
-    return {"d": str(args.d)}, outputs, True, lines
+    return outputs, True, lines
 
 
 def cmd_ct(args) -> Result:
@@ -174,17 +186,15 @@ def cmd_ct(args) -> Result:
             "difference_formula_holds": hac.difference_formula_ok,
         },
     }
-    lines = [f"# compact-type comparison at d = {_degree_echo(args.d)}", ""]
+    lines = []
     for title, cls in (
         ("restricted class", hac.restricted),
         ("Hain class", hac.hain),
         ("difference", hac.difference),
     ):
-        lines.append(f"## {title}")
-        lines += [f"- {name}: {coeff}" for name, coeff in zip(ct.CT_BASIS_NAMES, cls.coeffs)]
-        lines.append("")
+        lines += [f"## {title}", *_bullets(cls), ""]
     lines.append(f"decomposition identity holds: {hac.decomposition_ok}")
-    return {"d": _degree_echo(args.d)}, outputs, hac.ok, lines
+    return outputs, hac.ok, lines
 
 
 def cmd_cone(args) -> Result:
@@ -203,14 +213,11 @@ def cmd_cone(args) -> Result:
         },
     }
     lines = [
-        f"# cone position at d = {_degree_echo(args.d)}",
-        "",
         f"coefficient on the degree-2 ray: {coeff_base}",
         f"coefficient on the limit ray: {coeff_limit}",
         f"non-extremality check: {nonext.status}",
     ]
-    inputs = {"d": _degree_echo(args.d), "strata_table": args.strata_table}
-    return inputs, outputs, nonext.ok, lines
+    return outputs, nonext.ok, lines
 
 
 def cmd_verify(args) -> Result:
@@ -226,8 +233,7 @@ def cmd_verify(args) -> Result:
     }
     lines = [f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.details}" for r in results]
     lines.append("all checks passed" if all_passed else "FAILURES present")
-    inputs = {"only": args.only, "strata_table": args.strata_table}
-    return inputs, outputs, all_passed, lines
+    return outputs, all_passed, lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -240,11 +246,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, degree=None, strata=False, only=False):
+    def add(name, func, title, degree=False, symbolic=True, strata=False, only=False):
         p = sub.add_parser(name)
         if degree:
-            words = " or 'symbolic'" if degree is _degree else ""
-            p.add_argument("--d", required=True, type=degree, help="integer >= 1" + words)
+            words = " or 'symbolic'" if symbolic else ""
+            p.add_argument(
+                "--d", required=True, type=lambda value: _degree(value, symbolic),
+                help="integer >= 1" + words,
+            )
         if strata:
             p.add_argument("--strata-table", default=None, help="path to a strata JSON table")
         if only:
@@ -253,16 +262,16 @@ def build_parser() -> argparse.ArgumentParser:
                 help="run a single named check",
             )
         p.add_argument("--emit", choices=("json", "md"), default="json")
-        p.set_defaults(func=func, table=None)
+        p.set_defaults(func=func, title=title, table=None)
 
-    add("class", cmd_class, _degree)
-    add("solve", cmd_solve)
-    add("equations", cmd_equations)
-    add("pushforward", cmd_pushforward, _degree)
-    add("cone-m21", cmd_cone_m21, _numeric_degree)
-    add("ct", cmd_ct, _degree)
-    add("cone", cmd_cone, _degree, strata=True)
-    add("verify", cmd_verify, strata=True, only=True)
+    add("class", cmd_class, "degree-{d} class", degree=True)
+    add("solve", cmd_solve, "parametric solve")
+    add("equations", cmd_equations, "equation rows")
+    add("pushforward", cmd_pushforward, "push-forward at d = {d}", degree=True)
+    add("cone-m21", cmd_cone_m21, "divisor cone position at d = {d}", degree=True, symbolic=False)
+    add("ct", cmd_ct, "compact-type comparison at d = {d}", degree=True)
+    add("cone", cmd_cone, "cone position at d = {d}", degree=True, strata=True)
+    add("verify", cmd_verify, None, strata=True, only=True)
     return parser
 
 
@@ -275,10 +284,14 @@ def main(argv: Optional[list] = None) -> int:
         except (OSError, ValueError) as exc:
             parser.error(f"--strata-table {args.strata_table!r}: {exc}")
     try:
-        inputs, outputs, ok, lines = args.func(args)
+        outputs, ok, lines = args.func(args)
     except (LinearSystemError, ArithmeticError, ValueError) as exc:
         sys.stderr.write(f"{args.command} failed: {exc}\n")
         return 1
+    options = vars(args)
+    inputs = {key: options[key] for key in ("d", "only", "strata_table") if key in options}
+    if "d" in inputs:
+        inputs["d"] = _degree_echo(args.d)
     if args.emit == "json":
         report = {
             "command": args.command,
@@ -289,6 +302,8 @@ def main(argv: Optional[list] = None) -> int:
         }
         sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
     else:
+        if args.title:
+            lines = [f"# {args.title.format(**inputs)}", ""] + lines
         sys.stdout.write("\n".join(lines) + "\n")
     return 0 if ok else 1
 

@@ -141,14 +141,6 @@ DECOMPOSITION_WEIGHTS: Dict[str, Fraction] = {
 StrataTable = Dict[str, TautClass2]
 
 
-def _rational(name: str, index: int, value) -> Fraction:
-    """A strata-table entry: a "p/q" string, never a JSON number or null."""
-    try:
-        return parse_rational(value)
-    except ValueError:
-        raise ValueError(f"stratum {name!r} entry {index} must be a 'p/q' string, got {value!r}") from None
-
-
 def load_strata_table(path: str) -> StrataTable:
     """Load a strata table: a JSON map from the names in ``REQUIRED_STRATA``
     to 14-entry arrays of rational strings in the class basis.  Missing or
@@ -170,7 +162,9 @@ def load_strata_table(path: str) -> StrataTable:
             raise ValueError(
                 f"stratum {name!r} must be a 14-entry coefficient array"
             )
-        table[name] = TautClass2(_rational(name, i, s) for i, s in enumerate(entry))
+        table[name] = TautClass2(
+            parse_rational(s, f"stratum {name!r} entry {i}") for i, s in enumerate(entry)
+        )
     missing = [s for s in REQUIRED_STRATA if s not in table]
     if missing:
         raise ValueError(f"strata table is missing {missing}")

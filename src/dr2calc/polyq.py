@@ -74,12 +74,19 @@ def format_rational(q: Fraction) -> str:
 _RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
 
 
-def parse_rational(s: str) -> Fraction:
+def parse_rational(s: str, where: str = "") -> Fraction:
     """Parse "p/q" or "p" (ASCII digits, optional "-", q nonzero) into a Fraction;
-    anything else, such as "1.2", "1e3", "+2" or " 3/4", is a ValueError."""
+    anything else, such as "1.2", "1e3", "+2" or " 3/4", is a ValueError, as is
+    a numeral over Python's int-conversion limit.  A nonempty ``where``, the
+    entry's place in an input file, prefixes the message as ``"<where>: "``."""
     if isinstance(s, str) and _RATIONAL.fullmatch(s):
-        return Fraction(s)
-    raise ValueError(f"expected a 'p/q' string, got {s!r}")
+        try:
+            return Fraction(s)
+        except ValueError as exc:  # the message names the limit and the digit count
+            message = str(exc)
+    else:
+        message = f"expected a 'p/q' string, got {s!r}"
+    raise ValueError(f"{where}: {message}" if where else message)
 
 
 def _unique_keys(pairs: List[Tuple[str, object]]) -> dict:

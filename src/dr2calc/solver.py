@@ -8,14 +8,14 @@ strategy is sample-then-interpolate:
      and solve the rational system exactly at each point with
      ``linalg.solve_unique``; each solve certifies that the coefficient rank
      equals the unknown count.  The d-independent work is done once per
-     distinct input: the coefficient matrix passes ``linalg``'s input gate
-     once per rows tuple, memoized by its identity as a
-     ``linalg.GatedMatrix``, and ``linalg`` memoizes the integer row
-     operations that eliminate it, by content, in a bounded cache, so each
-     sample only gates and applies them to its right-hand side; and
-     ``full_system`` takes all 16 rows from the one memoized fixture
-     load in ``surfaces``, which reads each file once per process and
-     parses it once per distinct content;
+     distinct input: ``full_system`` takes all 16 rows, and their
+     coefficient matrix already through ``linalg``'s input gate as a
+     ``linalg.GatedMatrix``, from the one memoized fixture load in
+     ``surfaces``, which reads each file once per process and parses it
+     once per distinct content; any other system's matrix is gated once
+     per solve.  ``linalg`` memoizes the integer row operations that
+     eliminate the matrix, by content, in a bounded cache, so each sample
+     only gates and applies them to its right-hand side;
   2. interpolate all unknowns in one call, ``polyq.interpolate_columns``,
      which builds the point basis once for the sample set;
   3. re-substitute and demand a zero residual for every row, symbolically:
@@ -49,7 +49,7 @@ from . import linalg
 from .chow import BASIS_NAMES, TautClass2
 from .linalg import InconsistentSystemError, UnderdeterminedSystemError
 from .polyq import PolyQ, exact, interpolate_columns
-from .surfaces import EquationRow, full_system_rows
+from .surfaces import EquationRow, _loaded, full_system_rows
 
 __all__ = [
     "ParamSystem",
@@ -73,29 +73,12 @@ class ParamSystem:
         return [list(r.coefficients) for r in self.rows]
 
 
-# Gated coefficient matrices by the id of their rows tuple, oldest first.
-# Each entry holds its rows, so the id of a live entry is never reused.
-_GATED: Dict[int, Tuple[Tuple[EquationRow, ...], linalg.GatedMatrix]] = {}
-
-
 def _gated_matrix(system: ParamSystem) -> linalg.GatedMatrix:
-    """The system's coefficient matrix through ``linalg``'s input gate.
-
-    A tuple of frozen rows whose coefficients are tuples cannot change, so
-    its identity names its content: the last four such are memoized by it,
-    not by hashing their rows, which costs about as much as the gate.  Any
-    other system is gated on every call, and a gate that raises keeps nothing.
-    """
-    rows = system.rows
-    hit = _GATED.get(id(rows))
-    if hit is not None:
-        return hit[1]
-    matrix = linalg.GatedMatrix(system.matrix())
-    if type(rows) is tuple and all(type(r.coefficients) is tuple for r in rows):
-        if len(_GATED) >= 4:
-            del _GATED[next(iter(_GATED))]
-        _GATED[id(rows)] = rows, matrix
-    return matrix
+    """The system's coefficient matrix through ``linalg``'s input gate: the
+    shipped rows' matrix from the memoized fixture load, any other system's
+    gated on every call."""
+    _, rows, matrix = _loaded()
+    return matrix if system.rows is rows else linalg.GatedMatrix(system.matrix())
 
 
 def full_system() -> ParamSystem:

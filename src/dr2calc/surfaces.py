@@ -7,9 +7,10 @@ of the family, the polynomial count of fibers meeting the degree-d locus
 (the right-hand side), and a free-text provenance note.  Keeping the lattice
 data in versioned files rather than in code makes the transcription — the
 main error risk — auditable entry by entry.  The files are read once per
-process and parsed once per distinct content, for the surfaces, their rows
-and the report checksums alike; a malformed fixture, or one whose
-``family`` is not the number in its file name, raises ValueError naming it.
+process and parsed once per distinct content, for the surfaces, their rows,
+the rows' gated matrix and the report checksums alike; a malformed fixture,
+or one whose ``family`` is not the number in its file name, raises
+ValueError naming it.
 
 Pairing restricted divisor monomials in the lattice turns each surface into
 a linear functional on class vectors; together with the three marking-swap
@@ -30,6 +31,7 @@ from typing import Dict, Mapping, Optional, Tuple
 
 from . import m21
 from .chow import _SWAP, BASIS_MONOMIALS, BASIS_NAMES, GENERATORS, MONOMIALS, Monomial, TautClass2, mono
+from .linalg import GatedMatrix
 from .polyq import D, PolyQ, clear_denominators, parse_json, parse_rational
 
 FIXTURE_NAMES = tuple(f"family{k:02d}.json" for k in range(1, 11))
@@ -144,13 +146,7 @@ def _parse_surface(doc: dict) -> SurfaceModel:
     if not all(isinstance(row, list) for row in doc["gram"]):
         raise ValueError(f"{name}: gram must be a list of rows of 'p/q' strings")
 
-    def rational(x) -> Fraction:
-        try:
-            return parse_rational(x)
-        except ValueError as exc:
-            raise ValueError(f"{name}: {exc}") from None
-
-    gram = tuple(tuple(rational(x) for x in row) for row in doc["gram"])
+    gram = tuple(tuple(parse_rational(x, name) for x in row) for row in doc["gram"])
     n = len(doc["generators"])
     if len(gram) != n or any(len(row) != n for row in gram):
         raise ValueError(f"{name}: gram shape does not match generators")
@@ -162,14 +158,14 @@ def _parse_surface(doc: dict) -> SurfaceModel:
             raise ValueError(f"{name}: restrictions must map generators to vectors")
         if len(vec) != n:
             raise ValueError(f"{name}: restriction length for {gen!r}")
-        restrictions[gen] = tuple(rational(x) for x in vec)
+        restrictions[gen] = tuple(parse_rational(x, name) for x in vec)
     return SurfaceModel(
         name=name,
         family=doc["family"],
         generators=tuple(doc["generators"]),
         gram=gram,
         restrictions=MappingProxyType(restrictions),
-        rhs=PolyQ(rational(x) for x in doc["rhs"]),
+        rhs=PolyQ(parse_rational(x, name) for x in doc["rhs"]),
         rationale=doc["rationale"],
     )
 
@@ -196,10 +192,11 @@ def fixture_checksums() -> Dict[str, str]:
 @lru_cache(maxsize=4)
 def _load(
     blobs: Tuple[Tuple[str, bytes], ...]
-) -> Tuple[Tuple[SurfaceModel, ...], Tuple[EquationRow, ...]]:
-    """The surfaces of (file name, bytes) pairs and all 16 rows, the surface
-    rows first, memoized by content; a malformed fixture raises ValueError
-    naming the file."""
+) -> Tuple[Tuple[SurfaceModel, ...], Tuple[EquationRow, ...], GatedMatrix]:
+    """The surfaces of (file name, bytes) pairs, all 16 rows, the surface
+    rows first, and their coefficient matrix through ``linalg``'s input
+    gate, memoized by content; a malformed fixture raises ValueError naming
+    the file."""
     surfaces, rows = [], []
     for fname, blob in blobs:
         try:
@@ -210,10 +207,11 @@ def _load(
         except ValueError as exc:
             raise ValueError(f"{fname}: {exc}") from None
         surfaces.append(surface)
-    return tuple(surfaces), tuple(rows) + symmetry_rows() + pushforward_rows()
+    rows = tuple(rows) + symmetry_rows() + pushforward_rows()
+    return tuple(surfaces), rows, GatedMatrix([list(r.coefficients) for r in rows])
 
 
-def _loaded() -> Tuple[Tuple[SurfaceModel, ...], Tuple[EquationRow, ...]]:
+def _loaded() -> Tuple[Tuple[SurfaceModel, ...], Tuple[EquationRow, ...], GatedMatrix]:
     return _load(tuple(sorted(_fixture_bytes().items())))
 
 

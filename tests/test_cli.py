@@ -67,6 +67,33 @@ def test_json_output_is_deterministic_and_roundtrips(capsys):
     assert json.dumps(parsed, sort_keys=True, indent=2) + "\n" == first
 
 
+@pytest.mark.parametrize(
+    "argv, inputs, first_md_line",
+    [
+        (["class", "--d", "2"], {"d": "2"}, "# degree-2 class"),
+        (["class", "--d", "symbolic"], {"d": "symbolic"}, "# degree-symbolic class"),
+        (["solve"], {}, "# parametric solve"),
+        (["equations"], {}, "# equation rows"),
+        (["pushforward", "--d", "3"], {"d": "3"}, "# push-forward at d = 3"),
+        (["cone-m21", "--d", "3"], {"d": "3"}, "# divisor cone position at d = 3"),
+        (["ct", "--d", "3"], {"d": "3"}, "# compact-type comparison at d = 3"),
+        (["cone", "--d", "3"], {"d": "3", "strata_table": None}, "# cone position at d = 3"),
+        (["verify", "--only", "solver"], {"only": "solver", "strata_table": None}, "PASS solver: "),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else "",
+)
+def test_every_report_has_the_same_envelope(capsys, argv, inputs, first_md_line):
+    _, out = _run(capsys, argv)
+    report = json.loads(out)
+    assert sorted(report) == ["command", "fixture_checksums", "inputs", "outputs", "version"]
+    assert report["command"] == argv[0]
+    assert report["inputs"] == inputs
+    _, md = _run(capsys, argv + ["--emit", "md"])
+    assert md.splitlines()[0].startswith(first_md_line)
+    if not first_md_line.startswith("PASS"):
+        assert md.splitlines()[0] == first_md_line and md.splitlines()[1] == ""
+
+
 def test_solve_report(capsys):
     code, out = _run(capsys, ["solve"])
     assert code == 0
@@ -358,6 +385,21 @@ def test_numeric_degree_has_its_own_message(capsys, value, shown):
     err = capsys.readouterr().err
     assert f"argument --d: must be an integer >= 1, got {shown}" in err
     assert "symbolic" not in err.replace(shown, "")
+
+
+@pytest.mark.parametrize("command", ["class", "cone-m21"])
+def test_degree_over_the_int_conversion_limit_names_the_limit(capsys, command):
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--d", "1" * (limit + 700)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "1" * 100 not in err
+    [line] = [ln for ln in err.splitlines() if "argument --d:" in ln]
+    assert line.endswith(
+        f"argument --d: must have at most {limit} digits, the limit for integer conversion,"
+        f" got {limit + 700}"
+    )
 
 
 def test_malformed_strata_json_is_a_usage_error(capsys, tmp_path):

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -206,6 +207,20 @@ def test_strata_table_must_be_a_json_object(tmp_path):
     path.write_text(json.dumps([["0"] * 14] * 4))
     with pytest.raises(ValueError, match="strata table must be a JSON object"):
         load_strata_table(str(path))
+
+
+def test_a_strata_entry_over_the_digit_limit_names_the_limit(tmp_path):
+    # a well-formed "p/q" whose numerator int() refuses is not a malformed string
+    limit = sys.get_int_max_str_digits()
+    doc = {name: ["0"] * 14 for name in ("d11|", "d01|", "d0|", "d00")}
+    doc["d00"][13] = "1" * (limit + 700) + "/3"
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape("stratum 'd00' entry 13: ")) as exc:
+        load_strata_table(str(path))
+    message = str(exc.value)
+    assert f"limit ({limit}" in message and f"has {limit + 700} digits" in message
+    assert "p/q" not in message and "1" * 100 not in message
 
 
 def test_float_degrees_are_refused_after_warm_calls():

@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -237,6 +238,16 @@ def test_parse_rational_takes_only_rational_strings(value):
     # a float 0.1 would otherwise parse to its binary value
     with pytest.raises(ValueError, match=f"expected a 'p/q' string, got {re.escape(repr(value))}"):
         parse_rational(value)
+
+
+def test_parse_rational_names_the_entry_and_the_digit_limit():
+    with pytest.raises(ValueError, match=re.escape("gram row 2: expected a 'p/q' string, got 'pi'")):
+        parse_rational("pi", "gram row 2")
+    # a numeral int() refuses is reported by its length, not echoed
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(ValueError, match=f"limit \\({limit}.*has {limit + 1} digits") as exc:
+        parse_rational("-1/" + "7" * (limit + 1))
+    assert "p/q" not in str(exc.value) and "7" * 100 not in str(exc.value)
 
 
 def test_exact_is_the_one_gate():

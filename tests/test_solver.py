@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -242,3 +243,22 @@ def test_each_rows_tuple_is_solved_with_its_own_matrix():
         assert got == _solve_outcome(ParamSystem(rows=list(rows)))
         outcomes.add(got[0] == "inconsistent")
     assert outcomes == {True, False}
+
+
+def test_the_gated_matrix_follows_the_fixture_bytes(monkeypatch):
+    # the shipped matrix is warm; an edited fixture must be solved with its own
+    from dr2calc import surfaces
+
+    shipped = full_system()
+    assert solve_parametric(shipped).solution == dr2_class(D)
+    doc = json.loads(surfaces._fixture_bytes()["family01.json"])
+    doc["gram"][0][0] = "1"  # f1.f1: 0 -> 1
+    blobs = {**surfaces._fixture_bytes(), "family01.json": json.dumps(doc).encode()}
+    monkeypatch.setattr(surfaces, "_fixture_bytes", lambda: blobs)
+    edited = full_system()
+    assert edited.rows[0].coefficients != shipped.rows[0].coefficients
+    got = _solve_outcome(edited)
+    assert got[0] == "inconsistent" or got[0] != dr2_class(D)
+    monkeypatch.undo()
+    cert = solve_parametric(full_system())
+    assert cert.consistent and cert.solution == dr2_class(D)
