@@ -41,7 +41,6 @@ coefficients.  All values are immutable; every operation is a pure function.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, Mapping, Sequence, Tuple
 
 from .linalg import LinearSystemError, reduced_echelon
@@ -119,20 +118,13 @@ def expand_product(a: Sequence[PolyLike], b: Sequence[PolyLike]) -> Expr:
     return {m: c for m, c in out.items() if not c.is_zero()}
 
 
-def _unit(index: int) -> Tuple[int, ...]:
-    v = [0] * 6
-    v[index] = 1
-    return tuple(v)
-
-
 def _build_relations() -> Tuple[Expr, ...]:
-    one = Fraction(1)
-    psi1, psi2 = _unit(PSI1), _unit(PSI2)
-    d0, d2, d11, d12 = _unit(D0), _unit(D2), _unit(D11), _unit(D12)
-    both_elliptic = (0, 0, one, 0, 12 * one, 12 * one)  # 12*d11 + 12*d12 + d0
-    psi_sum_d11 = (one, one, 0, 0, one, 0)  # psi1 + psi2 + d11
-    psi_diff = (one, -one, 0, 0, 0, 0)
-    mixed = (10 * one, 10 * one, -one, 0, -2 * one, -12 * one)
+    psi1, psi2, d0 = (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)
+    d2, d11, d12 = (0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1)
+    both_elliptic = (0, 0, 1, 0, 12, 12)  # 12*d11 + 12*d12 + d0
+    psi_sum_d11 = (1, 1, 0, 0, 1, 0)  # psi1 + psi2 + d11
+    psi_diff = (1, -1, 0, 0, 0, 0)
+    mixed = (10, 10, -1, 0, -2, -12)
     return (
         expand_product(d12, both_elliptic),
         expand_product(d11, both_elliptic),
@@ -226,11 +218,9 @@ class QuotientReducer:
         column = {m: k for k, m in enumerate(MONOMIALS)}
         rows = []
         for k, expr in enumerate([dict.fromkeys(slot, 1) for slot in basis] + list(relations)):
-            row = [Fraction(0)] * (n + dim)
+            row = [0] * n + [int(j == k) for j in range(dim)]  # e_k, or 0 for a relation
             for m, c in expr.items():
                 row[column[m]] += as_poly(c).constant_value()
-            if k < dim:
-                row[n + k] = Fraction(1)
             rows.append(row)
         try:
             entries = reduced_echelon(rows, range(n))

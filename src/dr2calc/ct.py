@@ -239,7 +239,7 @@ def verify_hac(d: PolyLike = D) -> HacReport:
 
     # Intermediate closed form of the difference.
     q = (2 * d2sq - 1) / 4
-    formula = CtClass((-q, q, q, PolyQ.const(-1), PolyQ.const(Fraction(-7, 10))))
+    formula = CtClass((-q, q, q, -1, Fraction(-7, 10)))
     difference_formula_ok = difference == formula
 
     rows = derive_decorated_rows()

@@ -20,7 +20,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from .chow import TautClass2, swap_markings
 from .linalg import InconsistentSystemError, solve_unique
-from .polyq import PolyQ, PolyLike, PolyVector, as_poly, exact
+from .polyq import PolyQ, PolyLike, PolyVector, Scalar, as_poly, exact
 
 M21_NAMES = ("psi", "d0", "d1")
 
@@ -55,24 +55,23 @@ MOVING_D = (WEIERSTRASS_CLASS + DivisorM21((1, 0, 0))).scale(30)
 
 # Push-forward of each 14-basis element along the map forgetting point 1,
 # as a (psi, d0, d1) triple.  The fused slot psi1^2 + psi2^2 maps to
-# kappa_1 + psi = 2 psi + (1/5) d0 + (7/5) d1.  Slots absent from the table
-# (psi2*d11 and every d0-product without a d2 or psi factor) push to zero.
-_F = Fraction
-PUSHFORWARD_TABLE_PI1: Tuple[Tuple[Fraction, Fraction, Fraction], ...] = (
-    (_F(3), _F(0), _F(0)),        # psi1psi2
-    (_F(2), _F(1, 5), _F(7, 5)),  # psi1sq+psi2sq
-    (_F(0), _F(0), _F(1)),        # psi1d11
-    (_F(0), _F(0), _F(0)),        # psi2d11
-    (_F(0), _F(0), _F(2)),        # psi1d12
-    (_F(0), _F(0), _F(1)),        # psi2d12
-    (_F(0), _F(3), _F(0)),        # psi1d0
-    (_F(0), _F(1), _F(0)),        # psi2d0
-    (_F(-1), _F(0), _F(0)),       # d2sq
-    (_F(0), _F(0), _F(1)),        # d12d2
-    (_F(0), _F(1), _F(0)),        # d0d2
-    (_F(0), _F(0), _F(0)),        # d0d11
-    (_F(0), _F(0), _F(0)),        # d0d12
-    (_F(0), _F(0), _F(0)),        # d0sq
+# kappa_1 + psi = 2 psi + (1/5) d0 + (7/5) d1.  Every slot has a row; those
+# of psi2*d11 and of the d0-products without a d2 or psi factor are zero.
+PUSHFORWARD_TABLE_PI1: Tuple[Tuple[Scalar, Scalar, Scalar], ...] = (
+    (3, 0, 0),                            # psi1psi2
+    (2, Fraction(1, 5), Fraction(7, 5)),  # psi1sq+psi2sq
+    (0, 0, 1),                            # psi1d11
+    (0, 0, 0),                            # psi2d11
+    (0, 0, 2),                            # psi1d12
+    (0, 0, 1),                            # psi2d12
+    (0, 3, 0),                            # psi1d0
+    (0, 1, 0),                            # psi2d0
+    (-1, 0, 0),                           # d2sq
+    (0, 0, 1),                            # d12d2
+    (0, 1, 0),                            # d0d2
+    (0, 0, 0),                            # d0d11
+    (0, 0, 0),                            # d0d12
+    (0, 0, 0),                            # d0sq
 )
 
 
@@ -177,9 +176,7 @@ def chi_pullback_pipeline(d: PolyLike) -> DivisorM21:
     d0c = _diaz_d0(g)
     tail_1_d = _diaz_boundary(g, dd)  # elliptic-tail splitting, i(g-i) = d
     node_2_dm1 = _diaz_boundary(g, 2 * (dd - 1))  # attaching node, maps to -psi
-    out = LAMBDA_CLASS.scale(lam) + DivisorM21((0, d0c, 0))
-    out = out + DivisorM21((0, 0, tail_1_d))
-    out = out + DivisorM21((-node_2_dm1, 0, 0))
+    out = LAMBDA_CLASS.scale(lam) + DivisorM21((-node_2_dm1, d0c, tail_1_d))
     correction = (dd + 1) * (dd - 1) * (dd - 1)
     return out - WEIERSTRASS_CLASS.scale(correction)
 
@@ -188,7 +185,7 @@ def chi_pullback_pipeline(d: PolyLike) -> DivisorM21:
 # computations of its tautological ring).
 PSI4 = Fraction(1, 1152)
 PSI3_D0 = Fraction(1, 48)
-PSI3_D1 = Fraction(0)
+PSI3_D1 = 0
 
 
 def psi_cubed_intersection(d: PolyLike) -> PolyQ:

@@ -290,7 +290,7 @@ def pushforward_rows() -> Tuple[EquationRow, ...]:
     for name, coeffs, rhs in zip(m21.M21_NAMES, columns, target.coeffs):
         rows.append(
             EquationRow(
-                coefficients=tuple(map(_narrowed, coeffs)),
+                coefficients=coeffs,
                 rhs=rhs,
                 label=f"pushforward-{name}",
                 kind="pushforward",
