@@ -44,7 +44,7 @@ from __future__ import annotations
 from typing import Dict, Mapping, Sequence, Tuple
 
 from .linalg import LinearSystemError, reduced_echelon
-from .polyq import PolyLike, PolyQ, PolyVector, _const, _poly, as_poly, clear_denominators, parse_rational, poly_numerators
+from .polyq import PolyLike, PolyQ, PolyVector, _const, _echo, _poly, as_poly, clear_denominators, parse_rational, poly_numerators
 
 GENERATORS = ("psi1", "psi2", "d0", "d2", "d11", "d12")
 PSI1, PSI2, D0, D2, D11, D12 = range(6)
@@ -154,13 +154,13 @@ class TautClass2(PolyVector):
     def from_json_dict(cls, data: Dict[str, list]) -> "TautClass2":
         """Read ``to_json_dict`` output: an object of ``parse_rational`` string lists."""
         if not isinstance(data, dict):
-            raise ValueError(f"class JSON must be an object, got {data!r}")
+            raise ValueError(f"class JSON must be an object, got {_echo(data)}")
         slots = {}
         for name, value in data.items():
             if name not in cls.names:
-                raise ValueError(f"unknown basis name in class JSON: {name!r}")
+                raise ValueError(f"unknown basis name in class JSON: {_echo(name)}")
             if not isinstance(value, list):
-                raise ValueError(f"{name!r} must be a list of rational strings, got {value!r}")
+                raise ValueError(f"{name!r} must be a list of rational strings, got {_echo(value)}")
             slots[name] = PolyQ(parse_rational(x, repr(name)) for x in value)
         return cls(slots.get(name, PolyQ()) for name in cls.names)
 

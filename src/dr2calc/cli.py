@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Tuple
 from . import __version__, checks, cones, ct, m21, solver, surfaces
 from .chow import BASIS_NAMES, TautClass2, dr2_class
 from .linalg import LinearSystemError
-from .polyq import D, PolyQ, PolyVector
+from .polyq import D, PolyQ, PolyVector, _echo
 
 Result = Tuple[Dict[str, object], bool, List[str]]
 
@@ -54,7 +54,7 @@ def _degree(value: str, symbolic: bool = True):
         expected = "an integer >= 1"
     else:
         expected = ">= 1 or 'symbolic'" if numeral else "an integer or 'symbolic'"
-    got = number if numeral else repr(value)
+    got = _echo(number if numeral else value)
     raise argparse.ArgumentTypeError(f"must be {expected}, got {got}")
 
 

@@ -73,6 +73,19 @@ def format_rational(q: Fraction) -> str:
 
 _RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
 
+#: The longest ``repr`` of an input that an error message echoes whole.
+_ECHO_LIMIT = 60
+
+
+def _echo(value) -> str:
+    """``repr(value)`` for an error message: whole up to ``_ECHO_LIMIT``
+    characters, else its start and its length, so that a long input cannot
+    flood the one-line message."""
+    text = repr(value)
+    if len(text) <= _ECHO_LIMIT:
+        return text
+    return f"{text[:_ECHO_LIMIT]}... ({len(text)} characters)"
+
 
 def parse_rational(s: str, where: str = "") -> Fraction:
     """Parse "p/q" or "p" (ASCII digits, optional "-", q nonzero) into a Fraction;
@@ -85,7 +98,7 @@ def parse_rational(s: str, where: str = "") -> Fraction:
         except ValueError as exc:  # the message names the limit and the digit count
             message = str(exc)
     else:
-        message = f"expected a 'p/q' string, got {s!r}"
+        message = f"expected a 'p/q' string, got {_echo(s)}"
     raise ValueError(f"{where}: {message}" if where else message)
 
 
@@ -291,7 +304,10 @@ def _poly(num: List[int], den: int = 1) -> PolyQ:
 
 def _const(n: int, den: int = 1) -> PolyQ:
     """Internal constructor: the constant n / den, for ints n and den >= 1;
-    reduces them by their gcd, and is ``ZERO`` when n is 0."""
+    reduces them by their gcd, and is ``ZERO`` when n is 0.  It is ``_poly``
+    without the list work: built through ``_poly``, the 14 slots of a
+    numeric product made ``multiply_divisors`` 45% slower (35 to 51 us,
+    in-process medians of 10 runs on a 2-CPU Xeon host)."""
     if not n:
         return ZERO
     g = gcd(n, den)

@@ -7,10 +7,11 @@ of the family, the polynomial count of fibers meeting the degree-d locus
 (the right-hand side), and a free-text provenance note.  Keeping the lattice
 data in versioned files rather than in code makes the transcription — the
 main error risk — auditable entry by entry.  The files are read once per
-process and parsed once per distinct content, for the surfaces, their rows,
-the rows' gated matrix and the report checksums alike; a malformed fixture,
-or one whose ``family`` is not the number in its file name, raises
-ValueError naming it.
+process, and the report checksums hash those bytes.  The surfaces, all 16
+rows and the rows' gated matrix are built once per distinct fixture content
+and ``m21`` push-forward table and class formula; a malformed fixture, or
+one whose ``family`` is not the number in its file name, raises ValueError
+naming it.
 
 Pairing restricted divisor monomials in the lattice turns each surface into
 a linear functional on class vectors; together with the three marking-swap
@@ -191,12 +192,15 @@ def fixture_checksums() -> Dict[str, str]:
 
 @lru_cache(maxsize=4)
 def _load(
-    blobs: Tuple[Tuple[str, bytes], ...]
+    blobs: Tuple[Tuple[str, bytes], ...], table, formula
 ) -> Tuple[Tuple[SurfaceModel, ...], Tuple[EquationRow, ...], GatedMatrix]:
     """The surfaces of (file name, bytes) pairs, all 16 rows, the surface
     rows first, and their coefficient matrix through ``linalg``'s input
-    gate, memoized by content; a malformed fixture raises ValueError naming
-    the file."""
+    gate; a malformed fixture raises ValueError naming the file.  Memoized
+    by everything the rows are built from: the fixture bytes, and the
+    push-forward table and class formula that ``pushforward_rows`` reads.
+    ``_loaded`` passes the ones in ``m21`` at call time, so a patched table
+    or formula gives fresh rows."""
     surfaces, rows = [], []
     for fname, blob in blobs:
         try:
@@ -212,7 +216,8 @@ def _load(
 
 
 def _loaded() -> Tuple[Tuple[SurfaceModel, ...], Tuple[EquationRow, ...], GatedMatrix]:
-    return _load(tuple(sorted(_fixture_bytes().items())))
+    blobs = tuple(sorted(_fixture_bytes().items()))
+    return _load(blobs, m21.PUSHFORWARD_TABLE_PI1, m21.pushforward_class_formula)
 
 
 def builtin_surfaces() -> Tuple[SurfaceModel, ...]:
@@ -306,8 +311,9 @@ def pushforward_rows() -> Tuple[EquationRow, ...]:
 def full_system_rows() -> Tuple[EquationRow, ...]:
     """All 16 rows: the ten surfaces, then symmetry, then push-forward.
 
-    All 16 are built once per distinct fixture content, by the memoized
-    fixture load, and shared between calls: the rows are immutable.
+    All 16 are built once per distinct fixture content and push-forward
+    table and formula, by the memoized fixture load, and shared between
+    calls: the rows are immutable.
     """
     return _loaded()[1]
 

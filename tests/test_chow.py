@@ -363,3 +363,16 @@ def test_class_json_values_must_be_lists(value):
 def test_class_json_must_be_an_object(document):
     with pytest.raises(ValueError, match=re.escape(f"class JSON must be an object, got {document!r}")):
         TautClass2.from_json_dict(document)
+
+
+@pytest.mark.parametrize(
+    "document",
+    [["x" * 5000], {"psi1psi2": "1" * 5000}, {"psi1psi2": ["1." + "1" * 4998]}, {"x" * 5000: []}],
+    ids=["document", "value", "entry", "name"],
+)
+def test_class_json_does_not_echo_a_long_input_whole(document):
+    with pytest.raises(ValueError) as exc:
+        TautClass2.from_json_dict(document)
+    message = str(exc.value)
+    assert "\n" not in message and len(message) < 200
+    assert re.search(r"\(500[0-9] characters\)$", message)

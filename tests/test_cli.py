@@ -459,3 +459,36 @@ def test_unknown_fixture_field_fails_with_message(capsys, monkeypatch):
         "verify failed: family03.json: two_elliptic_pencils_on_a_4_pointed_rational_curve: "
         "unknown field 'restriction'\n"
     )
+
+
+def _the_long_value_line(err, prefix, value):
+    # the one stderr line that carries the message: short, and it names the length
+    [line] = [ln for ln in err.splitlines() if prefix in ln]
+    assert len(line) < 200 and f"({len(repr(value))} characters)" in line
+    return line
+
+
+# a negative numeral under the int-conversion limit is echoed as the number it reads
+@pytest.mark.parametrize("value", ["x" * 5000, "-" + "1" * 4000], ids=["word", "negative"])
+def test_a_long_degree_is_not_echoed_whole(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["class", "--d", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    shown = int(value) if value[0] == "-" else value
+    _the_long_value_line(err, "argument --d: must be", shown)
+    assert len(err) < 400  # the usage line and the message
+
+
+def test_a_long_fixture_entry_is_not_echoed_whole(capsys, monkeypatch):
+    from dr2calc import surfaces
+
+    value = "1." + "1" * 4998
+    doc = json.loads(surfaces._fixture_bytes()["family01.json"])
+    doc["gram"][0][0] = value
+    blobs = {**surfaces._fixture_bytes(), "family01.json": json.dumps(doc).encode()}
+    monkeypatch.setattr(surfaces, "_fixture_bytes", lambda: blobs)
+    assert main(["solve"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert _the_long_value_line(err, "solve failed: family01.json: ", value) == err.rstrip("\n")

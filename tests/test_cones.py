@@ -242,3 +242,15 @@ def test_memoized_rays_equal_a_fresh_computation():
     assert dr_infinity() == dr_infinity.__wrapped__()
     assert cones._degree_two_class() is cones._degree_two_class()
     assert cones._degree_two_class() == dr2_class(2)
+
+
+def test_a_long_strata_entry_is_not_echoed_whole(tmp_path):
+    value = "p" * 5000
+    doc = {name: ["0"] * 14 for name in ("d11|", "d01|", "d0|", "d00")}
+    doc["d00"][13] = value
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape("stratum 'd00' entry 13: expected a 'p/q' string")) as exc:
+        load_strata_table(str(path))
+    message = str(exc.value)
+    assert "\n" not in message and len(message) < 200 and message.endswith("(5002 characters)")

@@ -250,6 +250,18 @@ def test_parse_rational_names_the_entry_and_the_digit_limit():
     assert "p/q" not in str(exc.value) and "7" * 100 not in str(exc.value)
 
 
+def test_an_echoed_value_is_whole_up_to_the_bound():
+    # reprs up to the bound read as they always have; a longer one is cut and measured
+    from dr2calc.polyq import _ECHO_LIMIT, _echo
+
+    whole = "x" * (_ECHO_LIMIT - 2)
+    assert _echo(whole) == repr(whole)
+    assert _echo(whole + "y") == repr(whole + "y")[:_ECHO_LIMIT] + f"... ({_ECHO_LIMIT + 1} characters)"
+    assert _echo(7) == "7" and _echo(None) == "None"
+    with pytest.raises(ValueError, match=re.escape(f"got {repr('z' * 5000)[:_ECHO_LIMIT]}... (5002 characters)")):
+        parse_rational("z" * 5000, "x.json")
+
+
 def test_exact_is_the_one_gate():
     # ints and Fractions pass as they are; strings parse; floats are refused
     n, q = 10**30 + 7, Fraction(-3, 4)

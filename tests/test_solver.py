@@ -262,3 +262,21 @@ def test_the_gated_matrix_follows_the_fixture_bytes(monkeypatch):
     monkeypatch.undo()
     cert = solve_parametric(full_system())
     assert cert.consistent and cert.solution == dr2_class(D)
+
+
+def test_the_fixture_load_follows_the_pushforward_table_and_formula(monkeypatch):
+    # the push-forward rows are built in the memoized fixture load; a patched
+    # table or formula must reach the solver even when the load is warm
+    from dr2calc import checks, m21
+
+    solver_check = checks.CHECKS["solver"]
+    assert solver_check().passed
+    table = ((4, 0, 0),) + m21.PUSHFORWARD_TABLE_PI1[1:]  # psi1psi2: 3 psi -> 4 psi
+    monkeypatch.setattr(m21, "PUSHFORWARD_TABLE_PI1", table)
+    assert solver_check() == checks.CheckResult("solver", False, "inconsistent at row 7")
+    monkeypatch.undo()
+    formula = m21.pushforward_class_formula
+    monkeypatch.setattr(m21, "pushforward_class_formula", lambda d: formula(d).scale(2))
+    assert solver_check() == checks.CheckResult("solver", False, "inconsistent at row 13")
+    monkeypatch.undo()
+    assert solver_check().passed

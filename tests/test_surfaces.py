@@ -444,16 +444,14 @@ def test_every_fixture_reader_follows_the_fixture_bytes(monkeypatch):
 
 
 def test_the_16_rows_are_built_once_per_fixture_content(monkeypatch):
-    from dr2calc import m21
-
     rows = full_system_rows()
     assert len(rows) == 16 and [r.kind for r in rows[10:]] == ["symmetry"] * 3 + ["pushforward"] * 3
     assert rows[10:] == symmetry_rows() + pushforward_rows()
 
-    def rebuilt(d):
+    def rebuilt():
         raise AssertionError("push-forward rows rebuilt")
 
-    monkeypatch.setattr(m21, "pushforward_class_formula", rebuilt)
+    monkeypatch.setattr(surfaces, "pushforward_rows", rebuilt)
     assert full_system_rows() is rows
 
 

@@ -27,14 +27,31 @@ def code_lines(text: str) -> int:
     return len(lines)
 
 
-def main(directory: str) -> None:
+def _refuse(problem: str) -> int:
+    print(problem, file=sys.stderr)
+    return 2
+
+
+def main(args) -> int:
+    """Print each module's count and the total; a missing argument, a path
+    that is not a directory, or a directory without modules is refused with
+    one line on stderr and exit status 2, never counted as zero."""
+    if len(args) != 1:
+        return _refuse("usage: python tools/code_lines.py DIRECTORY")
+    directory = pathlib.Path(args[0])
+    if not directory.is_dir():
+        return _refuse(f"{args[0]}: not a directory")
+    paths = sorted(directory.glob("*.py"))
+    if not paths:
+        return _refuse(f"{args[0]}: no *.py file in the directory")
     total = 0
-    for path in sorted(pathlib.Path(directory).glob("*.py")):
+    for path in paths:
         count = code_lines(path.read_text())
         print(f"{count:5d} {path}")
         total += count
     print(f"{total:5d} total")
+    return 0
 
 
 if __name__ == "__main__":
-    main(sys.argv[1])
+    sys.exit(main(sys.argv[1:]))
