@@ -20,19 +20,19 @@ with the symmetric combination psi1^2+psi2^2 fused into a single coordinate
 (the antisymmetric combination psi1^2-psi2^2 is eliminated by the relation
 (psi1-psi2)(10psi1+10psi2-2d11-12d12-d0) = 0).  One reduced echelon form of
 the relations, augmented by the basis elements, is computed once at import
-and turned into a table: the class of each of the 21 monomials, as integers
-over one common denominator (60).  Reductions and
-divisor products both go through that table, so two expressions differing by
-a relation reduce identically.  A reduction reads its coefficients' integer
+and turned into the one table of the ring: the class of each of the 21
+monomials, as integers over one common denominator (60).  Reductions and
+divisor products both read that table, so two expressions differing by a
+relation reduce identically.  A reduction reads its coefficients' integer
 numerators over one denominator; a product reads each factor's.  Both then
-make one pass that adds weight * coefficient (for a product, weight * x * y
-over every nonzero pair of generators) straight into one preallocated
-integer list per basis slot, and one finisher hands each list and the
-denominator to ``polyq._poly``.  A product of two constant factors, the
-numeric case, keeps one integer per slot instead of a list and builds each
-slot with ``polyq._const``.  The table and the two kernels live in
-``QuotientReducer``, which the compact-type ring of ``ct`` builds from its
-own relations and basis.
+make one pass over the table that adds weight * coefficient (for a product,
+weight * x_i * y_j for monomial (i, j), taken in both orders off the
+diagonal) straight into one preallocated integer list per basis slot, and
+one finisher hands each list and the denominator to ``polyq._poly``.  A
+product of two constant factors, the numeric case, keeps one integer per
+slot instead of a list and builds each slot with ``polyq._const``.  The
+table and the two kernels live in ``QuotientReducer``, which the
+compact-type ring of ``ct`` builds from its own relations and basis.
 
 A ``TautClass2`` is the 14-vector of coefficients in this basis, each entry a
 polynomial in the cover degree d.  A ``DivisorM22`` is the 6-vector of divisor
@@ -189,22 +189,22 @@ class QuotientReducer:
     ``ValueError`` unless these rows span all 21 monomials and the basis is
     independent modulo the relations.
 
-    The class of every monomial is kept over one common denominator ``den``:
-    ``rows[m]`` lists the nonzero ``(slot, n)`` of den * [m], and is empty
-    for a killed monomial; ``table[i][j]`` is ``rows[mono(i, j)]``, laid out
-    by generator pair for products.  Reductions (``__call__``) and products
-    (``multiply``) both read the polynomials' integer numerators over one
-    denominator and fill one accumulator: a zeroed integer list per slot,
-    as wide as the result, into which each table weight times each
-    coefficient (or coefficient product) is added in a single pass.  One
-    finisher, ``_finish``, hands each list and the common denominator to
-    ``polyq._poly``, which reduces them (the shared zero polynomial in every
-    empty slot), and builds the vector with ``_of``.
+    The class of every monomial is kept over one common denominator ``den``
+    in one table, ``rows``: ``rows[m]`` lists the nonzero ``(slot, n)`` of
+    den * [m], and is empty for a killed monomial.  Reductions
+    (``__call__``) and products (``multiply``) both read the polynomials'
+    integer numerators over one denominator and fill one accumulator: a
+    zeroed integer list per slot, as wide as the result, into which each
+    table weight times each coefficient (or coefficient product) is added in
+    a single pass over ``rows``.  A product takes monomial (i, j) as
+    x_i y_j and, off the diagonal, x_j y_i too.  One finisher, ``_finish``,
+    hands each list and the common denominator to ``polyq._poly``, which
+    reduces them (the shared zero polynomial in every empty slot), and
+    builds the vector with ``_of``.
 
     A product of two constant factors keeps one integer per slot instead:
-    one pass over ``terms`` (the monomials with a nonzero class) adds
-    weight * (x_i y_j + x_j y_i), or weight * x_i y_i on the diagonal, and
-    ``polyq._const`` builds each slot.
+    the same pass over ``rows`` adds weight * (x_i y_j + x_j y_i), or
+    weight * x_i y_i on the diagonal, and ``polyq._const`` builds each slot.
     """
 
     def __init__(
@@ -234,8 +234,6 @@ class QuotientReducer:
             MONOMIALS[col]: tuple((k, v) for k, v in enumerate(c) if v)
             for (col, _), c in zip(entries, classes)
         }
-        self.table = tuple(tuple(self.rows[mono(i, j)] for j in range(6)) for i in range(6))
-        self.terms = tuple((i, j, entry) for (i, j), entry in self.rows.items() if entry)
 
     def __call__(self, expr: Mapping[Monomial, PolyLike]) -> PolyVector:
         """The class of a formal combination of the 21 monomials."""
@@ -259,7 +257,7 @@ class QuotientReducer:
             x = [c[0] if c else 0 for c in int_a]
             y = [c[0] if c else 0 for c in int_b]
             acc = [0] * self.vector_cls.dim
-            for i, j, entry in self.terms:
+            for (i, j), entry in self.rows.items():
                 xy = x[i] * y[j] + x[j] * y[i] if i != j else x[i] * y[i]
                 if xy:
                     for slot, weight in entry:
@@ -267,12 +265,11 @@ class QuotientReducer:
             den = den_a * den_b * self.den
             return self.vector_cls._of(tuple([_const(n, den) for n in acc]))
         acc = [[0] * width for _ in range(self.vector_cls.dim)]
-        for ai, row in zip(int_a, self.table):
-            if not ai:
+        for (i, j), entry in self.rows.items():
+            if not entry:
                 continue
-            for bj, entry in zip(int_b, row):
-                if not bj or not entry:
-                    continue
+            pairs = ((int_a[i], int_b[j]), (int_a[j], int_b[i])) if i != j else ((int_a[i], int_b[i]),)
+            for ai, bj in pairs:
                 for p, x in enumerate(ai):
                     for k, y in enumerate(bj, p):
                         xy = x * y

@@ -199,7 +199,7 @@ def cmd_ct(args) -> Result:
 
 def cmd_cone(args) -> Result:
     coeff_base, coeff_limit = cones.cone_decomposition(args.d)
-    nonext = cones.nonextremality_check(args.table)
+    nonext = cones.nonextremality_check(args.loaded_strata)
     outputs = {
         "limit_class": cones.dr_infinity().to_json_dict(),
         "decomposition_coefficients": {
@@ -222,7 +222,7 @@ def cmd_cone(args) -> Result:
 
 def cmd_verify(args) -> Result:
     only = [args.only] if args.only else None
-    results = checks.run_checks(only=only, strata_table=args.table)
+    results = checks.run_checks(only=only, strata_table=args.loaded_strata)
     all_passed = all(r.passed for r in results)
     outputs = {
         "checks": [
@@ -262,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
                 help="run a single named check",
             )
         p.add_argument("--emit", choices=("json", "md"), default="json")
-        p.set_defaults(func=func, title=title, table=None)
+        p.set_defaults(func=func, title=title, loaded_strata=None)
 
     add("class", cmd_class, "degree-{d} class", degree=True)
     add("solve", cmd_solve, "parametric solve")
@@ -280,7 +280,7 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "strata_table", None) is not None:
         try:
-            args.table = cones.load_strata_table(args.strata_table)
+            args.loaded_strata = cones.load_strata_table(args.strata_table)
         except (OSError, ValueError) as exc:
             parser.error(f"--strata-table {args.strata_table!r}: {exc}")
     try:

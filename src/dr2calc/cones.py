@@ -40,7 +40,7 @@ from .chow import (
     dr2_class,
     multiply_divisors,
 )
-from .polyq import D, PolyLike, PolyQ, _const, as_poly, exact, parse_json, parse_rational, poly_interpolate
+from .polyq import D, PolyLike, PolyQ, _const, _echo, as_poly, exact, parse_json, parse_rational, poly_interpolate
 
 # The sign each pattern weight carries in its divisor class.
 _SIGNS = (1, 1, -1, -1, -1, -1)
@@ -156,7 +156,7 @@ def load_strata_table(path: str) -> StrataTable:
     unknown = [name for name in raw if name not in REQUIRED_STRATA]
     if unknown:
         raise ValueError(
-            f"strata table has unknown strata {unknown}; expected {list(REQUIRED_STRATA)}"
+            f"strata table has unknown strata {_echo(unknown)}; expected {list(REQUIRED_STRATA)}"
         )
     table: StrataTable = {}
     for name, entry in raw.items():

@@ -77,11 +77,11 @@ _RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
 _ECHO_LIMIT = 60
 
 
-def _echo(value) -> str:
-    """``repr(value)`` for an error message: whole up to ``_ECHO_LIMIT``
-    characters, else its start and its length, so that a long input cannot
-    flood the one-line message."""
-    text = repr(value)
+def _echo(value, show=repr) -> str:
+    """``show(value)``, by default its ``repr``, for an error message: whole
+    up to ``_ECHO_LIMIT`` characters, else its start and its length, so that
+    a long input cannot flood the one-line message."""
+    text = show(value)
     if len(text) <= _ECHO_LIMIT:
         return text
     return f"{text[:_ECHO_LIMIT]}... ({len(text)} characters)"
@@ -106,7 +106,7 @@ def _unique_keys(pairs: List[Tuple[str, object]]) -> dict:
     out: dict = {}
     for key, value in pairs:
         if key in out:
-            raise ValueError(f"duplicate key {key!r}")
+            raise ValueError(f"duplicate key {_echo(key)}")
         out[key] = value
     return out
 

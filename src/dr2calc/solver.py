@@ -42,13 +42,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .chow import BASIS_NAMES, TautClass2
 from .linalg import InconsistentSystemError, UnderdeterminedSystemError
-from .polyq import PolyQ, exact, interpolate_columns
+from .polyq import PolyQ, Scalar, exact, interpolate_columns
 from .surfaces import EquationRow, _loaded, full_system_rows
 
 __all__ = [
@@ -69,7 +68,7 @@ class ParamSystem:
     rows: Tuple[EquationRow, ...]
     unknowns: ClassVar[Tuple[str, ...]] = BASIS_NAMES
 
-    def matrix(self) -> List[List[Rational]]:
+    def matrix(self) -> List[List[Scalar]]:
         return [list(r.coefficients) for r in self.rows]
 
 
@@ -92,7 +91,7 @@ class SolveCertificate:
     rank: int
     consistent: bool
     residuals: Tuple[PolyQ, ...]
-    sample_points: Tuple[Rational, ...]
+    sample_points: Tuple[Scalar, ...]
 
     def to_json_dict(self) -> Dict[str, object]:
         return {

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from importlib import resources
-from numbers import Rational
 from operator import mul
 from types import MappingProxyType
 from typing import Dict, Mapping, Optional, Tuple
@@ -33,7 +32,7 @@ from typing import Dict, Mapping, Optional, Tuple
 from . import m21
 from .chow import _SWAP, BASIS_MONOMIALS, BASIS_NAMES, GENERATORS, MONOMIALS, Monomial, TautClass2, mono
 from .linalg import GatedMatrix
-from .polyq import D, PolyQ, clear_denominators, parse_json, parse_rational
+from .polyq import D, PolyQ, Scalar, _echo, clear_denominators, parse_json, parse_rational
 
 FIXTURE_NAMES = tuple(f"family{k:02d}.json" for k in range(1, 11))
 
@@ -50,13 +49,11 @@ class SurfaceModel:
     rhs: PolyQ
     rationale: str
 
-    def restriction(self, generator: str) -> Tuple[Fraction, ...]:
+    def restriction(self, generator: str) -> Tuple[Scalar, ...]:
         """Restriction vector of a divisor generator; absent means zero."""
         if generator not in GENERATORS:
             raise KeyError(f"unknown divisor generator {generator!r}")
-        return self.restrictions.get(
-            generator, (Fraction(0),) * len(self.generators)
-        )
+        return self.restrictions.get(generator, (0,) * len(self.generators))
 
     def pair_generators(
         self, gen_a: str, gen_b: str, table: Optional[Tuple[Dict[Monomial, int], int]] = None
@@ -88,7 +85,7 @@ class SurfaceModel:
 class EquationRow:
     """A linear functional on class vectors, with its polynomial target value."""
 
-    coefficients: Tuple[Rational, ...]  # an int wherever the value is integral
+    coefficients: Tuple[Scalar, ...]  # an int wherever the value is integral
     rhs: PolyQ
     label: str
     kind: str
@@ -132,12 +129,12 @@ def _parse_surface(doc: dict) -> SurfaceModel:
     for field, _, _ in _FIELDS:
         if not isinstance(doc, dict) or field not in doc:
             raise ValueError(f"missing field {field!r}")
-    name = doc["name"]
-    if not isinstance(name, str):
+    if not isinstance(doc["name"], str):
         raise ValueError("name must be a string")
+    name = _echo(doc["name"], str)  # as the messages print it
     for field in doc:
         if field not in {known for known, _, _ in _FIELDS}:
-            raise ValueError(f"{name}: unknown field {field!r}")
+            raise ValueError(f"{name}: unknown field {_echo(field)}")
     # bool is an int subclass, and a JSON true is not a family number
     for field, kind, requirement in _FIELDS[1:]:
         if not isinstance(doc[field], kind) or isinstance(doc[field], bool):
@@ -154,14 +151,14 @@ def _parse_surface(doc: dict) -> SurfaceModel:
     restrictions = {}
     for gen, vec in doc["restrictions"].items():
         if gen not in GENERATORS:
-            raise ValueError(f"{name}: unknown generator {gen!r}")
+            raise ValueError(f"{name}: unknown generator {_echo(gen)}")
         if not isinstance(vec, list):
             raise ValueError(f"{name}: restrictions must map generators to vectors")
         if len(vec) != n:
             raise ValueError(f"{name}: restriction length for {gen!r}")
         restrictions[gen] = tuple(parse_rational(x, name) for x in vec)
     return SurfaceModel(
-        name=name,
+        name=doc["name"],
         family=doc["family"],
         generators=tuple(doc["generators"]),
         gram=gram,
@@ -226,7 +223,7 @@ def builtin_surfaces() -> Tuple[SurfaceModel, ...]:
     return _loaded()[0]
 
 
-def _narrowed(q: Fraction) -> Rational:
+def _narrowed(q: Fraction) -> Scalar:
     """q as an int when it is integral: an int passes ``linalg``'s input gate
     and ``clear_denominators`` faster than a Fraction, and prints the same."""
     return q.numerator if q.denominator == 1 else q
@@ -245,7 +242,7 @@ def equation_row(surface: SurfaceModel) -> EquationRow:
     for i in range(n):
         for j in range(i + 1, n):
             if surface.gram[i][j] != surface.gram[j][i]:
-                raise ValueError(f"{surface.name}: gram matrix is not symmetric")
+                raise ValueError(f"{_echo(surface.name, str)}: gram matrix is not symmetric")
     pairings, den = surface.monomial_pairings()
     return EquationRow(
         coefficients=tuple(
@@ -320,42 +317,39 @@ def full_system_rows() -> Tuple[EquationRow, ...]:
 
 # Every intersection number displayed alongside the family constructions,
 # keyed by family; used for the golden-number check.
-DISPLAYED_INTERSECTIONS: Tuple[Tuple[int, str, str, Fraction], ...] = tuple(
-    (fam, a, b, Fraction(v))
-    for fam, a, b, v in (
-        (1, "psi1", "psi1", 2),
-        (1, "psi2", "psi2", 2),
-        (1, "psi1", "psi2", 6),
-        (1, "d2", "d2", -2),
-        (2, "psi1", "psi2", 1),
-        (2, "psi1", "d11", -1),
-        (2, "psi2", "d11", -1),
-        (2, "psi1", "d12", 1),
-        (2, "psi2", "d12", 1),
-        (3, "d0", "d0", 288),
-        (3, "d0", "d12", -24),
-        (4, "psi2", "d12", -1),
-        (4, "psi2", "d0", 12),
-        (4, "d0", "d12", 12),
-        (4, "d0", "d11", -12),
-        (5, "psi1", "psi1", 1),
-        (5, "psi1", "d11", -1),
-        (5, "psi1", "d0", 12),
-        (5, "d0", "d12", 12),
-        (5, "d0", "d11", -12),
-        (6, "d0", "d12", 12),
-        (6, "d0", "d0", -44),
-        (7, "d2", "d2", 1),
-        (7, "d12", "d2", 1),
-        (7, "d0", "d2", -12),
-        (8, "d12", "d2", 1),
-        (8, "d0", "d2", -12),
-        (9, "psi1", "d12", -1),
-        (9, "psi2", "d12", -1),
-        (9, "psi1", "d0", 12),
-        (9, "psi2", "d0", 12),
-        (10, "d2", "d2", 1),
-        (10, "d12", "d2", -2),
-        (10, "d0", "d2", 4),
-    )
+DISPLAYED_INTERSECTIONS: Tuple[Tuple[int, str, str, int], ...] = (
+    (1, "psi1", "psi1", 2),
+    (1, "psi2", "psi2", 2),
+    (1, "psi1", "psi2", 6),
+    (1, "d2", "d2", -2),
+    (2, "psi1", "psi2", 1),
+    (2, "psi1", "d11", -1),
+    (2, "psi2", "d11", -1),
+    (2, "psi1", "d12", 1),
+    (2, "psi2", "d12", 1),
+    (3, "d0", "d0", 288),
+    (3, "d0", "d12", -24),
+    (4, "psi2", "d12", -1),
+    (4, "psi2", "d0", 12),
+    (4, "d0", "d12", 12),
+    (4, "d0", "d11", -12),
+    (5, "psi1", "psi1", 1),
+    (5, "psi1", "d11", -1),
+    (5, "psi1", "d0", 12),
+    (5, "d0", "d12", 12),
+    (5, "d0", "d11", -12),
+    (6, "d0", "d12", 12),
+    (6, "d0", "d0", -44),
+    (7, "d2", "d2", 1),
+    (7, "d12", "d2", 1),
+    (7, "d0", "d2", -12),
+    (8, "d12", "d2", 1),
+    (8, "d0", "d2", -12),
+    (9, "psi1", "d12", -1),
+    (9, "psi2", "d12", -1),
+    (9, "psi1", "d0", 12),
+    (9, "psi2", "d0", 12),
+    (10, "d2", "d2", 1),
+    (10, "d12", "d2", -2),
+    (10, "d0", "d2", 4),
 )

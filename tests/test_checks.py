@@ -107,12 +107,22 @@ def _hain_plus_d2_e0(monkeypatch):
     return {}
 
 
-def _psi1_d0_reads_the_fused_slot(monkeypatch):
+def _psi1_d0_in_the_fused_row(monkeypatch):
     # the product table's fused slot picks up a psi1*d0 term
     reducer = chow._REDUCER
     entry = reducer.rows[mono(PSI1, D0)] + ((FUSED_SLOT, reducer.den),)
     monkeypatch.setattr(reducer, "rows", {**reducer.rows, mono(PSI1, D0): entry})
     return {}
+
+
+def _psi1_d0_reads_the_fused_slot(monkeypatch):
+    # the same table fault, with the sampled products read off the closed
+    # form, so that only the proof from the table sees it
+    def closed_form(a, b):
+        return (a.psi1 * b.psi1 + a.psi2 * b.psi2) / 2
+
+    monkeypatch.setattr(cones, "ci_obstruction", closed_form)
+    return _psi1_d0_in_the_fused_row(monkeypatch)
 
 
 def _inert_gram_entry(monkeypatch):
@@ -228,6 +238,8 @@ FAILURES = [
         _patch(m21, "pencil_count", lambda g: (g + 2) * g * g / 1),
         "count at g = 1 is 3.0, expected an int",
     ),
+    # the products read the table the proof reads, so the sampling fails first
+    ("ci-obstruction", _psi1_d0_in_the_fused_row, "trial 0: 289/240 != 393/80"),
 ]
 
 

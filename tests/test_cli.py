@@ -492,3 +492,16 @@ def test_a_long_fixture_entry_is_not_echoed_whole(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert _the_long_value_line(err, "solve failed: family01.json: ", value) == err.rstrip("\n")
+
+
+def test_a_long_unknown_stratum_is_a_bounded_usage_error(capsys, monkeypatch, tmp_path):
+    name = "s" * 5000
+    doc = {stratum: ["0"] * 14 for stratum in ("d11|", "d01|", "d0|", "d00", name)}
+    (tmp_path / "long.json").write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)  # a short path, so the line's length is the message's
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--only", "nonextremality", "--strata-table", "long.json"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    _the_long_value_line(captured.err, "strata table has unknown strata", [name])

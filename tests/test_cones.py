@@ -254,3 +254,14 @@ def test_a_long_strata_entry_is_not_echoed_whole(tmp_path):
         load_strata_table(str(path))
     message = str(exc.value)
     assert "\n" not in message and len(message) < 200 and message.endswith("(5002 characters)")
+
+
+def test_a_long_unknown_stratum_is_not_echoed_whole(tmp_path):
+    doc = {name: ["0"] * 14 for name in ("d11|", "d01|", "d0|", "d00", "s" * 5000)}
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="^strata table has unknown strata ") as exc:
+        load_strata_table(str(path))
+    message = str(exc.value)
+    # the repr of the one-name list: two brackets and two quotes around the name
+    assert "\n" not in message and len(message) < 200 and "(5004 characters)" in message

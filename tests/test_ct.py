@@ -212,7 +212,6 @@ def test_reducer_from_d0_filtered_relations_is_the_same():
     assert len(CT_RELATIONS) == 11
     assert CT_RELATIONS[: len(RELATIONS)] == RELATIONS
     assert old.rows == _CT_REDUCER.rows
-    assert old.table == _CT_REDUCER.table
     assert old.den == _CT_REDUCER.den == 20
 
 

@@ -8,6 +8,11 @@ module-level name is read by a loaded name or an attribute, and a method
 only by an attribute (``x.method``), so a local variable of the same name
 does not hide a dead method; another class's attribute of the same name
 still does.
+
+An attribute that a package statement assigns as ``self.x = ...`` must be
+read as ``.x`` (a load, not another assignment) by a statement of the
+package or of a demo, so that no derived copy of a table outlives its last
+reader.
 """
 
 import ast
@@ -76,18 +81,39 @@ def _parsed(paths) -> list:
     return [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(paths)]
 
 
+def _instance_attributes(trees) -> set:
+    """The attributes assigned as ``self.x = ...``, each as "self.x"."""
+    return {
+        f"self.{n.attr}"
+        for tree in trees
+        for stmt in ast.walk(tree)
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+        for target in (stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target])
+        for n in ast.walk(target)
+        if isinstance(n, ast.Attribute) and getattr(n.value, "id", "") == "self"
+    }
+
+
 def dead_names(src: Path, demos: Path, spans: Path) -> list:
-    """Names defined in ``src`` that nothing reads, sorted."""
-    units = [unit for tree in _parsed(src.glob("*.py")) for unit in _units(tree)]
-    outside = _reads(_parsed(demos.glob("*.py")))
+    """Names and ``self`` attributes defined in ``src`` that nothing reads, sorted."""
+    trees, demo_trees = _parsed(src.glob("*.py")), _parsed(demos.glob("*.py"))
+    units = [unit for tree in trees for unit in _units(tree)]
+    outside = _reads(demo_trees)
     outside |= _strings(_assigned(src / "__init__.py", "__all__")) | _strings(_assigned(spans, "SPANNED"))
     reads = [_reads(nodes) for _, nodes in units]
+    loaded = {
+        n.attr for tree in trees + demo_trees for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
     return sorted(
-        qualname
-        for k, (defined, _) in enumerate(units)
-        for qualname in defined
-        if not (forms := _read_as(qualname)) & outside
-        and not any(forms & r for j, r in enumerate(reads) if j != k)
+        [
+            qualname
+            for k, (defined, _) in enumerate(units)
+            for qualname in defined
+            if not (forms := _read_as(qualname)) & outside
+            and not any(forms & r for j, r in enumerate(reads) if j != k)
+        ]
+        + [attr for attr in _instance_attributes(trees) if attr[len("self."):] not in loaded]
     )
 
 
@@ -139,3 +165,23 @@ def test_a_local_of_the_same_name_does_not_hide_a_dead_method(tmp_path):
     spans = tmp_path / "spans.py"
     spans.write_text("SPANNED: dict = {}\n")
     assert dead_names(src, demos, spans) == ["K.degree"]
+
+
+def test_unread_instance_attributes_are_found(tmp_path):
+    src, demos = tmp_path / "src", tmp_path / "demos"
+    src.mkdir()
+    demos.mkdir()
+    (src / "__init__.py").write_text("__all__ = ['K']\n")
+    (src / "mod.py").write_text(
+        "class K:\n"
+        "    def __init__(self, other):\n"
+        "        self.read = 1\n"
+        "        self.copy, self.den = 2, 3\n"
+        "        self.by_demo: int = 4\n"
+        "        self.stored = 5\n"
+        "        other.stored = self.read + self.den\n"
+    )
+    (demos / "demo.py").write_text("from pkg.mod import K\nprint(K(None).by_demo)\n")
+    spans = tmp_path / "spans.py"
+    spans.write_text("SPANNED: dict = {}\n")
+    assert dead_names(src, demos, spans) == ["self.copy", "self.stored"]

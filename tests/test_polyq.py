@@ -15,6 +15,7 @@ from dr2calc.polyq import (
     exact,
     format_rational,
     interpolate_columns,
+    parse_json,
     parse_rational,
     poly_eval,
     poly_interpolate,
@@ -578,3 +579,13 @@ def test_strings_other_than_p_over_q_are_refused(call, text):
     # Fraction() alone would read these as 3/2, 1000, 1/2, 10 and 2
     with pytest.raises(ValueError, match="expected a 'p/q' string"):
         call(text)
+
+
+def test_a_long_duplicated_key_is_not_echoed_whole():
+    key = "k" * 5000
+    with pytest.raises(ValueError) as exc:
+        parse_json(f'{{"{key}": 1, "{key}": 2}}')
+    message = str(exc.value)
+    assert "\n" not in message and len(message) < 200 and message.endswith("(5002 characters)")
+    with pytest.raises(ValueError, match="^duplicate key 'k'$"):
+        parse_json('{"k": 1, "k": 2}')

@@ -14,6 +14,7 @@ import pytest
 
 from dr2calc import chow, ct
 from dr2calc.chow import BASIS_MONOMIALS, D0, D2, D11, D12, MONOMIALS, PSI1, PSI2, RELATIONS, mono
+from dr2calc.polyq import D
 
 CT_BASIS = (
     (mono(PSI1, D11), mono(PSI2, D11)),
@@ -35,10 +36,10 @@ RINGS = {
 
 
 def _table_sum(reducer, expr):
-    """sum of c * table[m] over the monomials m of expr, as Fractions."""
+    """sum of c * rows[m] over the monomials m of expr, as Fractions."""
     out = [Fraction(0)] * reducer.vector_cls.dim
     for (i, j), c in expr.items():
-        for slot, n in reducer.table[i][j]:
+        for slot, n in reducer.rows[mono(i, j)]:
             out[slot] += Fraction(c) * n
     return out
 
@@ -47,11 +48,10 @@ def _table_sum(reducer, expr):
 def test_table_is_symmetric_with_integer_weights(ring):
     reducer = RINGS[ring][0]
     assert type(reducer.den) is int and reducer.den > 0
-    for i in range(6):
-        for j in range(6):
-            entry = reducer.table[i][j]
-            assert entry == reducer.table[j][i]
-            assert all(type(n) is int and n != 0 for _, n in entry)
+    # keyed by unordered monomial, so (i, j) and (j, i) read one entry
+    assert set(reducer.rows) == set(MONOMIALS)
+    for entry in reducer.rows.values():
+        assert all(type(n) is int and n != 0 for _, n in entry)
 
 
 @pytest.mark.parametrize("ring", sorted(RINGS))
@@ -76,7 +76,35 @@ def test_basis_monomials_sum_to_den_times_their_unit_vector(ring):
 def test_killed_monomials_have_empty_entries(ring):
     reducer, _, _, killed = RINGS[ring]
     for i, j in killed:
-        assert reducer.table[i][j] == ()
+        assert reducer.rows[mono(i, j)] == ()
+
+
+_CONSTANT = chow.DivisorM22((1, 1, 0, 0, 1, 0))  # psi1 + psi2 + d11
+_POLYNOMIAL = chow.DivisorM22((D, 1, 0, 0, D, 0))
+KERNELS = {
+    "chow": (
+        lambda: chow.multiply_divisors(_CONSTANT, _CONSTANT),
+        lambda: chow.multiply_divisors(_POLYNOMIAL, _POLYNOMIAL),
+        lambda: chow.reduce_to_basis({mono(PSI1, D11): 1}),
+    ),
+    "ct": (
+        lambda: ct.hain_class(2),
+        lambda: ct.hain_class(D),
+        lambda: ct.reduce_ct({mono(PSI1, D11): 1}),
+    ),
+}
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+def test_every_kernel_reads_the_one_table(monkeypatch, ring):
+    # numeric products, polynomial products and reductions all move when one
+    # entry of rows does: none of them reads a copy of the table
+    reducer = RINGS[ring][0]
+    before = [kernel() for kernel in KERNELS[ring]]
+    entry = reducer.rows[mono(PSI1, D11)] + ((0, reducer.den),)
+    monkeypatch.setattr(reducer, "rows", {**reducer.rows, mono(PSI1, D11): entry})
+    after = [kernel() for kernel in KERNELS[ring]]
+    assert [x != y for x, y in zip(before, after)] == [True, True, True]
 
 
 @pytest.mark.parametrize("ring", sorted(RINGS))

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -38,7 +39,13 @@ def test_ten_surfaces_load():
         assert len(s.gram) == len(s.generators)
 
 
-@pytest.mark.parametrize("family,gen_a,gen_b,expected", DISPLAYED_INTERSECTIONS)
+# Explicit ids name each case by its index, so that the type of the
+# expected value does not rename the 34 cases.
+@pytest.mark.parametrize(
+    "family,gen_a,gen_b,expected",
+    DISPLAYED_INTERSECTIONS,
+    ids=[f"{f}-{a}-{b}-expected{k}" for k, (f, a, b, _) in enumerate(DISPLAYED_INTERSECTIONS)],
+)
 def test_golden_intersection_numbers(family, gen_a, gen_b, expected):
     assert SURFACES[family].pair_generators(gen_a, gen_b) == expected
 
@@ -461,3 +468,35 @@ def test_row_coefficients_are_ints_exactly_where_integral():
     for c in entries:
         assert type(c) is (int if c.denominator == 1 else Fraction)
     assert sorted(c for c in entries if type(c) is Fraction) == [F(1, 5), F(7, 5)]
+
+
+_LONG = "x" * 5000
+_CUT = f"{repr(_LONG)[:60]}... (5002 characters)"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        # the fixture name is printed unquoted, so its length is that of the string
+        (lambda doc: doc.update(name=_LONG, extra=0), f"{_LONG[:60]}... (5000 characters): unknown field 'extra'"),
+        (lambda doc: doc.update({_LONG: 0}), "{name}: unknown field " + _CUT),
+        (lambda doc: doc["restrictions"].update({_LONG: []}), "{name}: unknown generator " + _CUT),
+    ],
+    ids=["name", "field", "generator"],
+)
+def test_parse_surface_does_not_echo_a_long_value_whole(edit, message):
+    doc = json.loads(_fixture_bytes()["family01.json"])
+    edit(doc)
+    with pytest.raises(ValueError) as exc:
+        _parse_surface(doc)
+    assert str(exc.value) == message.format(name=doc["name"])
+    assert len(str(exc.value)) < 200
+
+
+def test_an_asymmetric_gram_does_not_echo_a_long_name_whole():
+    s = dataclasses.replace(SURFACES[1], name=_LONG)
+    gram = [list(row) for row in s.gram]
+    gram[0][1] += 1
+    with pytest.raises(ValueError, match=re.escape("(5000 characters): gram matrix is not symmetric")) as exc:
+        equation_row(dataclasses.replace(s, gram=tuple(map(tuple, gram))))
+    assert len(str(exc.value)) < 200
