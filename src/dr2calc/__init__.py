@@ -12,79 +12,74 @@ compact-type locus), or locates it inside effective cones.
 
 __version__ = "0.1.0"
 
-from .chow import (
-    BASIS_NAMES,
-    DivisorM22,
-    TautClass2,
-    dr2_class,
-    multiply_divisors,
-    reduce_to_basis,
-    swap_markings,
-)
-from .cones import (
-    EffectiveDivisorPattern,
-    ci_obstruction,
-    cone_decomposition,
-    dr_infinity,
-    nonextremality_check,
-    nonpolynomiality_witness,
-)
-from .ct import CtClass, derive_decorated_rows, hain_class, restrict_to_ct, verify_hac
-from .m21 import (
-    DivisorM21,
-    WEIERSTRASS_CLASS,
-    chi_pullback_pipeline,
-    classify_effective_cone,
-    diaz_divisor,
-    pencil_count,
-    psi_cubed_intersection,
-    pushforward,
-    pushforward_class_formula,
-)
-from .polyq import D, PolyQ, Rational, poly_eval, poly_interpolate
-from .solver import ParamSystem, SolveCertificate, full_system, redundancy_report, solve_parametric
-from .surfaces import SurfaceModel, builtin_surfaces, equation_row, full_system_rows
+import sys
 
-__all__ = [
-    "BASIS_NAMES",
-    "D",
-    "DivisorM21",
-    "DivisorM22",
-    "CtClass",
-    "EffectiveDivisorPattern",
-    "ParamSystem",
-    "PolyQ",
-    "Rational",
-    "SolveCertificate",
-    "SurfaceModel",
-    "TautClass2",
-    "WEIERSTRASS_CLASS",
-    "builtin_surfaces",
-    "chi_pullback_pipeline",
-    "ci_obstruction",
-    "classify_effective_cone",
-    "cone_decomposition",
-    "derive_decorated_rows",
-    "diaz_divisor",
-    "dr2_class",
-    "dr_infinity",
-    "equation_row",
-    "full_system",
-    "full_system_rows",
-    "hain_class",
-    "multiply_divisors",
-    "nonextremality_check",
-    "nonpolynomiality_witness",
-    "pencil_count",
-    "poly_eval",
-    "poly_interpolate",
-    "psi_cubed_intersection",
-    "pushforward",
-    "pushforward_class_formula",
-    "redundancy_report",
-    "reduce_to_basis",
-    "restrict_to_ct",
-    "solve_parametric",
-    "swap_markings",
-    "verify_hac",
-]
+#: Each public name and the submodule that defines it, in ``__all__`` order.
+#: ``__getattr__`` imports that submodule on the name's first use, so that
+#: ``import dr2calc`` loads no submodule and a command loads only its own.
+__all__ = list(
+    _HOMES := {
+        "BASIS_NAMES": "chow",
+        "D": "polyq",
+        "DivisorM21": "m21",
+        "DivisorM22": "chow",
+        "CtClass": "ct",
+        "EffectiveDivisorPattern": "cones",
+        "ParamSystem": "solver",
+        "PolyQ": "polyq",
+        "Rational": "polyq",
+        "SolveCertificate": "solver",
+        "SurfaceModel": "surfaces",
+        "TautClass2": "chow",
+        "WEIERSTRASS_CLASS": "m21",
+        "builtin_surfaces": "surfaces",
+        "chi_pullback_pipeline": "m21",
+        "ci_obstruction": "cones",
+        "classify_effective_cone": "m21",
+        "cone_decomposition": "cones",
+        "derive_decorated_rows": "ct",
+        "diaz_divisor": "m21",
+        "dr2_class": "chow",
+        "dr_infinity": "cones",
+        "equation_row": "surfaces",
+        "full_system": "solver",
+        "full_system_rows": "surfaces",
+        "hain_class": "ct",
+        "multiply_divisors": "chow",
+        "nonextremality_check": "cones",
+        "nonpolynomiality_witness": "cones",
+        "pencil_count": "m21",
+        "poly_eval": "polyq",
+        "poly_interpolate": "polyq",
+        "psi_cubed_intersection": "m21",
+        "pushforward": "m21",
+        "pushforward_class_formula": "m21",
+        "redundancy_report": "solver",
+        "reduce_to_basis": "chow",
+        "restrict_to_ct": "ct",
+        "solve_parametric": "solver",
+        "swap_markings": "chow",
+        "verify_hac": "ct",
+    }
+)
+
+_SUBMODULES = ("checks", "chow", "cli", "cones", "ct", "linalg", "m21", "polyq", "solver", "surfaces")
+
+
+def __getattr__(name: str):
+    """Resolve a submodule or a public name on first use (PEP 562).  Either
+    is bound here, so later reads skip this function."""
+    if name in _SUBMODULES:
+        # __import__, not importlib.import_module, so that -X importtime
+        # lists the submodule; the import binds it here once it has run
+        qualified = f"{__name__}.{name}"
+        __import__(qualified)
+        return sys.modules[qualified]
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(__getattr__(_HOMES[name]), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -6,7 +6,9 @@ make the whole verification story runnable from an installed package,
 without pytest.
 
 To add a check, write a function that returns ``(passed, details)`` and
-decorate it with ``@_check(name)``.  The decorator returns, and registers in
+decorate it with ``@_check(name)``; it imports in its own body each module
+beyond ``chow`` and ``polyq`` that it reads, so that running one check loads
+only what that check needs.  The decorator returns, and registers in
 ``CHECKS`` under ``name``, the check proper: it calls your function and builds
 the ``CheckResult``.  ``verify`` runs the checks in definition order.  Every
 name needs a case in ``FAILURES`` of ``tests/test_checks.py`` that makes it
@@ -15,19 +17,19 @@ fail with exact ``details``.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from . import chow, cones, ct, m21, solver, surfaces
-from .chow import FUSED_SLOT, GENERATORS, RELATIONS, TautClass2, dr2_class
+from . import chow
+from .chow import BASIS_NAMES, FUSED_SLOT, GENERATORS, RELATIONS, TautClass2, dr2_class
 from .polyq import D, PolyQ, clear_denominators
 
+if TYPE_CHECKING:
+    from .cones import StrataTable
 
-@dataclass(frozen=True)
-class CheckResult:
+
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     details: str
@@ -93,6 +95,8 @@ def check_surfaces() -> Tuple[bool, str]:
     relations and the Hodge index are checked only once every displayed
     number matches.
     """
+    from . import surfaces
+
     by_family = {s.family: s for s in surfaces.builtin_surfaces()}
     tables = {fam: surface.monomial_pairings() for fam, surface in by_family.items()}
     bad = []
@@ -123,6 +127,8 @@ def check_surfaces() -> Tuple[bool, str]:
 
 @_check("solver")
 def check_solver() -> Tuple[bool, str]:
+    from . import solver
+
     sys_ = solver.full_system()
     try:
         cert = solver.solve_parametric(sys_)
@@ -145,6 +151,8 @@ def check_solver() -> Tuple[bool, str]:
 
 @_check("pushforward")
 def check_pushforward() -> Tuple[bool, str]:
+    from . import m21
+
     c = dr2_class(D)
     expected = m21.pushforward_class_formula(D)
     ok = (
@@ -161,6 +169,8 @@ def check_pushforward() -> Tuple[bool, str]:
 
 @_check("chi-pipeline")
 def check_chi_pipeline() -> Tuple[bool, str]:
+    from . import m21
+
     ok = m21.chi_pullback_pipeline(D) == m21.pushforward_class_formula(D)
     return ok, (
         "Diaz pull-back pipeline reproduces the push-forward class"
@@ -171,6 +181,8 @@ def check_chi_pipeline() -> Tuple[bool, str]:
 
 @_check("psi3")
 def check_psi3() -> Tuple[bool, str]:
+    from . import m21
+
     got = m21.psi_cubed_intersection(D)
     want = (D * D - 1) * (3 * D * D - 7) / 5760
     ok = got == want and got(2) == Fraction(1, 384)
@@ -179,6 +191,8 @@ def check_psi3() -> Tuple[bool, str]:
 
 @_check("m-count")
 def check_pencil_count() -> Tuple[bool, str]:
+    from . import m21
+
     counts = [(g, m21.pencil_count(g)) for g in range(1, 101)]
     for g, n in counts:
         if type(n) is not int:
@@ -196,6 +210,8 @@ def check_pencil_count() -> Tuple[bool, str]:
 
 @_check("hac")
 def check_hac() -> Tuple[bool, str]:
+    from . import ct
+
     try:
         report = ct.verify_hac()
     except ArithmeticError as exc:
@@ -218,6 +234,10 @@ def check_hac() -> Tuple[bool, str]:
 
 @_check("ci-obstruction")
 def check_ci_obstruction() -> Tuple[bool, str]:
+    import random
+
+    from . import cones
+
     rng = random.Random(20250817)
     # Each weight is Fraction(randint(0, 12), randint(1, 6)), read from the
     # 78 such Fractions built once.
@@ -259,6 +279,8 @@ def check_ci_obstruction() -> Tuple[bool, str]:
 
 @_check("cone-decomposition")
 def check_cone_decomposition() -> Tuple[bool, str]:
+    from . import cones
+
     try:
         cones.cone_decomposition(D)
     except ArithmeticError as exc:
@@ -284,13 +306,30 @@ def check_cone_decomposition() -> Tuple[bool, str]:
 
 @_check("nonextremality")
 def check_nonextremality(
-    strata_table: Optional[cones.StrataTable] = None,
+    strata_table: Optional[StrataTable] = None,
 ) -> Tuple[bool, str]:
+    """The weights are positive, a supplied strata table closes the identity,
+    and its restriction to compact type holds with no table: there d01|, d0|
+    and d00, which lie in delta_0, restrict to zero, and d11| is the stratum
+    d11bar that ``ct.derive_decorated_rows`` derives from Hain's formula."""
+    from . import cones, ct
+
     report = cones.nonextremality_check(strata_table)
-    if not all(w > 0 for w in report.weights.values()):
+    weights = report.weights
+    if not all(w > 0 for w in weights.values()):
         return False, "a decomposition weight is not positive"
     if report.status == "failed":
         return False, "supplied strata table does not close the identity"
+    restrict = ct.restrict_to_ct
+    restricted = {
+        "d12d2": restrict(TautClass2.unit(BASIS_NAMES.index("d12d2"))),
+        "d0d2": restrict(TautClass2.unit(BASIS_NAMES.index("d0d2"))),
+        "d11|": ct.derive_decorated_rows().d11bar,
+        "dr2(2)": restrict(dr2_class(2)),
+    }
+    combo = sum((c.scale(weights[n]) for n, c in restricted.items()), ct.CtClass.zero())
+    if restrict(cones.dr_infinity()) != combo:
+        return False, "identity restricted to compact type fails"
     return True, "all decomposition weights positive; identity " + (
         "verified against supplied table" if report.status == "verified" else "data-gated, skipped"
     )
@@ -298,6 +337,8 @@ def check_nonextremality(
 
 @_check("nonpolynomiality")
 def check_nonpolynomiality() -> Tuple[bool, str]:
+    from . import cones
+
     report = cones.nonpolynomiality_witness(4)
     ok = (
         report.interpolant == PolyQ((-2, 0, 2))
@@ -314,7 +355,7 @@ def check_nonpolynomiality() -> Tuple[bool, str]:
 
 def run_checks(
     only: Optional[Sequence[str]] = None,
-    strata_table: Optional[cones.StrataTable] = None,
+    strata_table: Optional[StrataTable] = None,
 ) -> List[CheckResult]:
     names = list(CHECKS) if only is None else list(only)
     unknown = [n for n in names if n not in CHECKS]

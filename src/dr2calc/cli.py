@@ -17,7 +17,9 @@ markdown body.  ``main`` builds the rest of every report in one place: the
 JSON envelope (command, inputs, outputs, version, fixture checksums), whose
 ``inputs`` echo the options the command declares (``d``, ``only``,
 ``strata_table``), and the markdown title line that ``build_parser``
-registers for each command but ``verify``.
+registers for each command but ``verify``.  The module imports at the top
+only what every command needs; each ``cmd_*`` imports the modules it reads,
+so that a cold run loads no module its command does not use.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import re
 import sys
 from typing import Dict, List, Optional, Tuple
 
-from . import __version__, checks, cones, ct, m21, solver, surfaces
+from . import __version__, checks, surfaces
 from .chow import BASIS_NAMES, TautClass2, dr2_class
 from .linalg import LinearSystemError
 from .polyq import D, PolyQ, PolyVector, _echo
@@ -75,11 +77,14 @@ def _bullets(vector: PolyVector) -> List[str]:
     return [f"- {name}: {coeff}" for name, coeff in zip(vector.names, vector.coeffs)]
 
 
-def _cone_coordinates(report: m21.ConeReport) -> Dict[str, str]:
+def _cone_coordinates(report) -> Dict[str, str]:
+    """The (W, d0, d1) coordinates of an ``m21.ConeReport``, as strings."""
     return {name: str(c) for name, c in zip(("W", "d0", "d1"), report.effective_coords)}
 
 
 def cmd_class(args) -> Result:
+    from . import solver
+
     d = args.d
     closed = dr2_class(d)
     cert = solver.solve_parametric(solver.full_system())
@@ -104,6 +109,8 @@ def cmd_class(args) -> Result:
 
 
 def cmd_solve(args) -> Result:
+    from . import solver
+
     sys_ = solver.full_system()
     cert = solver.solve_parametric(sys_)
     deps = solver.redundancy_report(sys_)
@@ -139,6 +146,8 @@ def cmd_equations(args) -> Result:
 
 
 def cmd_pushforward(args) -> Result:
+    from . import m21
+
     d = args.d
     cls = m21.pushforward_class_formula(d)
     matches = m21.pushforward(dr2_class(d), 1) == cls
@@ -153,6 +162,8 @@ def cmd_pushforward(args) -> Result:
 
 
 def cmd_cone_m21(args) -> Result:
+    from . import m21
+
     cls = m21.pushforward_class_formula(args.d)
     report_cone = m21.classify_effective_cone(cls)
     w_psi = report_cone.w_psi_coords
@@ -173,6 +184,8 @@ def cmd_cone_m21(args) -> Result:
 
 
 def cmd_ct(args) -> Result:
+    from . import ct
+
     hac = ct.verify_hac(args.d)
     rows = hac.decorated
     outputs = {
@@ -198,6 +211,8 @@ def cmd_ct(args) -> Result:
 
 
 def cmd_cone(args) -> Result:
+    from . import cones
+
     coeff_base, coeff_limit = cones.cone_decomposition(args.d)
     nonext = cones.nonextremality_check(args.loaded_strata)
     outputs = {
@@ -279,10 +294,14 @@ def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "strata_table", None) is not None:
+        from .cones import load_strata_table
+
         try:
-            args.loaded_strata = cones.load_strata_table(args.strata_table)
+            args.loaded_strata = load_strata_table(args.strata_table)
         except (OSError, ValueError) as exc:
-            parser.error(f"--strata-table {args.strata_table!r}: {exc}")
+            # an OSError's text names the path again; its strerror does not
+            reason = getattr(exc, "strerror", None) or exc
+            parser.error(f"--strata-table {_echo(args.strata_table)}: {reason}")
     try:
         outputs, ok, lines = args.func(args)
     except (LinearSystemError, ArithmeticError, ValueError) as exc:

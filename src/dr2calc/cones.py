@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from .chow import (
     BASIS_NAMES,
@@ -46,6 +46,8 @@ from .polyq import D, PolyLike, PolyQ, _const, _echo, as_poly, exact, parse_json
 _SIGNS = (1, 1, -1, -1, -1, -1)
 
 
+# A dataclass, not a NamedTuple: __post_init__ validates every weight, and a
+# NamedTuple's _make and _replace would bypass a validating __new__.
 @dataclass(frozen=True)
 class EffectiveDivisorPattern:
     """Six non-negative weights, ints or Fractions, encoding the effective
@@ -173,8 +175,7 @@ def load_strata_table(path: str) -> StrataTable:
     return table
 
 
-@dataclass(frozen=True)
-class NonExtremalityReport:
+class NonExtremalityReport(NamedTuple):
     """Outcome of the limit-class positive-decomposition check."""
 
     status: str  # "skipped_missing_data", "verified", or "failed"
@@ -217,8 +218,7 @@ def dr_count_two_points(m: int) -> int:
     return 2 * (m * m - 1)
 
 
-@dataclass(frozen=True)
-class NonPolynomialityReport:
+class NonPolynomialityReport(NamedTuple):
     sample_points: Tuple[int, ...]
     interpolant: PolyQ
     value_at_zero: Fraction

@@ -47,10 +47,9 @@ derivation again, and a derivation that raises is not kept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Mapping, Tuple
+from typing import Mapping, NamedTuple, Tuple
 
 from .chow import (
     BASIS_MONOMIALS,
@@ -160,8 +159,7 @@ def hain_class(d: PolyLike) -> CtClass:
     return _CT_REDUCER.multiply(divisor, divisor).scale(Fraction(1, 2))
 
 
-@dataclass(frozen=True)
-class DecoratedRows:
+class DecoratedRows(NamedTuple):
     """Expressions of the decorated classes in the compact-type basis.
 
     d11_12 (the third decorated basis member) is d12*d2 by definition, so it
@@ -212,8 +210,7 @@ def _decorated_rows(hain_of, class_of) -> DecoratedRows:
     return DecoratedRows(d22=d22, d11bar=d11bar)
 
 
-@dataclass(frozen=True)
-class HacReport:
+class HacReport(NamedTuple):
     """Outcome of the Hain-class comparison, as polynomial identities."""
 
     hain: CtClass

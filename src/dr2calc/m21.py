@@ -14,9 +14,8 @@ D = 30(W + psi) and E = 20 W + 3 d0 + 6 d1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .chow import TautClass2, swap_markings
 from .linalg import InconsistentSystemError, solve_unique
@@ -132,8 +131,7 @@ def _diaz_boundary(g, product_ig):
     return -product_ig * g * (g * g + g - 4) * Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class DiazDivisor:
+class DiazDivisor(NamedTuple):
     """Divisor of genus-g curves with a point x where h^0((g-1)x) >= 2,
     in the basis (lambda, delta_0, delta_i for 1 <= i <= g//2)."""
 
@@ -197,8 +195,7 @@ def psi_cubed_intersection(d: PolyLike) -> PolyQ:
     return cls.psi * PSI4 + cls.d0 * PSI3_D0 + cls.d1 * PSI3_D1
 
 
-@dataclass(frozen=True)
-class ConeReport:
+class ConeReport(NamedTuple):
     """Position of a divisor class in Rulla's cones.
 
     effective_coords: coordinates in the basis (W, d0, d1) of generators of

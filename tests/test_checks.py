@@ -138,6 +138,12 @@ def _inert_gram_entry(monkeypatch):
     return {}
 
 
+def _d11bar_weight_three_fifths(monkeypatch):
+    # the compact-type half of the identity pins the d11| weight at 2/5
+    monkeypatch.setitem(cones.DECOMPOSITION_WEIGHTS, "d11|", F(3, 5))
+    return {}
+
+
 def _zero_strata_table(monkeypatch):
     return {"strata_table": {name: TautClass2.zero() for name in cones.REQUIRED_STRATA}}
 
@@ -240,6 +246,7 @@ FAILURES = [
     ),
     # the products read the table the proof reads, so the sampling fails first
     ("ci-obstruction", _psi1_d0_in_the_fused_row, "trial 0: 289/240 != 393/80"),
+    ("nonextremality", _d11bar_weight_three_fifths, "identity restricted to compact type fails"),
 ]
 
 

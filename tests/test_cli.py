@@ -8,6 +8,7 @@ import pytest
 
 from dr2calc.chow import BASIS_NAMES
 from dr2calc.cli import main
+from dr2calc.polyq import _echo
 
 
 def _run(capsys, argv):
@@ -295,7 +296,10 @@ def test_unreadable_strata_table_is_a_usage_error(capsys, tmp_path):
             assert exc.value.code == 2
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert name in captured.err
+            # the path is echoed once, bounded: a tmp path over 60 characters
+            # shows its start and its length
+            assert f"--strata-table {_echo(str(path))}: " in captured.err
+            assert captured.err.count(str(path)[:40]) == 1
 
 
 def test_degree_help_names_the_accepted_values(capsys):
@@ -419,7 +423,7 @@ def test_malformed_strata_json_is_a_usage_error(capsys, tmp_path):
         assert captured.out == ""
         assert "Traceback" not in captured.err
         [line] = [ln for ln in captured.err.splitlines() if "error:" in ln]
-        assert line.endswith(f"--strata-table {str(path)!r}: {message}")
+        assert line.endswith(f"--strata-table {_echo(str(path))}: {message}")
 
 
 def _family03_family_twice(text):
@@ -505,3 +509,15 @@ def test_a_long_unknown_stratum_is_a_bounded_usage_error(capsys, monkeypatch, tm
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
     _the_long_value_line(captured.err, "strata table has unknown strata", [name])
+
+
+def test_a_long_strata_table_path_is_echoed_once_and_bounded(capsys):
+    path = "p" * 5000  # longer than a file name may be, so it cannot be opened
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--only", "nonextremality", "--strata-table", path])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    line = _the_long_value_line(captured.err, "--strata-table", path)
+    assert line.endswith(": File name too long")
+    assert len(captured.err) < 400  # the usage lines and the message

@@ -3,11 +3,12 @@
 A module-level name or a non-dunder method defined in ``src/dr2calc`` must be
 read by another statement of the package or by a demo, or be listed in
 ``dr2calc.__all__`` or in ``perfbench/spans.py`` ``SPANNED``.  A check that
-``@_check`` registers counts as read.  Reads are matched by name.  A
-module-level name is read by a loaded name or an attribute, and a method
-only by an attribute (``x.method``), so a local variable of the same name
-does not hide a dead method; another class's attribute of the same name
-still does.
+``@_check`` registers counts as read, and so does a module-level dunder
+function such as a PEP 562 ``__getattr__``, which Python itself calls.
+Reads are matched by name.  A module-level name is read by a loaded name or
+an attribute, and a method only by an attribute (``x.method``), so a local
+variable of the same name does not hide a dead method; another class's
+attribute of the same name still does.
 
 An attribute that a package statement assigns as ``self.x = ...`` must be
 read as ``.x`` (a load, not another assignment) by a statement of the
@@ -55,7 +56,8 @@ def _units(tree):
                 method = isinstance(member, ast.FunctionDef) and not member.name.startswith("__")
                 yield [f"{stmt.name}.{member.name}"] if method else [], [member]
         elif isinstance(stmt, ast.FunctionDef):
-            yield [] if _registered(stmt) else [stmt.name], [stmt]
+            dunder = stmt.name.startswith("__") and stmt.name.endswith("__")
+            yield [] if _registered(stmt) or dunder else [stmt.name], [stmt]
         elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
             targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
             names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
@@ -138,6 +140,8 @@ def test_dead_names_are_found(tmp_path):
         "def recursive(n): return recursive(n - 1)\n"
         "def used_by_demo(): pass\n"
         "def spanned(): pass\n"
+        "def __getattr__(name): return A\n"
+        "def __private(): pass\n"
         "@_check('x')\n"
         "def registered(): pass\n"
         "class K:\n"
@@ -148,7 +152,7 @@ def test_dead_names_are_found(tmp_path):
     (demos / "demo.py").write_text("from pkg import mod\nmod.used_by_demo()\n")
     spans = tmp_path / "spans.py"
     spans.write_text("SPANNED: dict = {'mod': ('spanned',)}\n")
-    assert dead_names(src, demos, spans) == ["B", "K", "K.alias", "recursive"]
+    assert dead_names(src, demos, spans) == ["B", "K", "K.alias", "__private", "recursive"]
 
 
 def test_a_local_of_the_same_name_does_not_hide_a_dead_method(tmp_path):
