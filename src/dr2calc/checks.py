@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Se
 
 from . import chow
 from .chow import BASIS_NAMES, FUSED_SLOT, GENERATORS, RELATIONS, TautClass2, dr2_class
-from .polyq import D, PolyQ, clear_denominators
+from .polyq import D, PolyQ, _echo, clear_denominators
 
 if TYPE_CHECKING:
     from .cones import StrataTable
@@ -360,7 +360,7 @@ def run_checks(
     names = list(CHECKS) if only is None else list(only)
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
-        raise KeyError(f"unknown check name(s): {unknown}; valid: {list(CHECKS)}")
+        raise KeyError(f"unknown check name(s): {_echo(unknown)}; valid: {list(CHECKS)}")
     return [
         CHECKS[name](strata_table=strata_table)
         if name == "nonextremality"

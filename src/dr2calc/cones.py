@@ -68,11 +68,11 @@ class EffectiveDivisorPattern:
                 if isinstance(value, float):
                     exact(value)  # raises the package's message for floats
                 raise TypeError(
-                    f"pattern coefficient {name} must be an int or Fraction, got {value!r}"
+                    f"pattern coefficient {name} must be an int or Fraction, got {_echo(value)}"
                 )
             if value.numerator < 0:
                 raise ValueError(
-                    f"pattern coefficient {name} = {value} violates non-negativity"
+                    f"pattern coefficient {name} = {_echo(value, str)} violates non-negativity"
                 )
 
     def to_divisor(self) -> DivisorM22:

@@ -19,7 +19,7 @@ from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .chow import TautClass2, swap_markings
 from .linalg import InconsistentSystemError, solve_unique
-from .polyq import PolyQ, PolyLike, PolyVector, Scalar, as_poly, exact
+from .polyq import PolyQ, PolyLike, PolyVector, Scalar, _echo, as_poly, exact
 
 M21_NAMES = ("psi", "d0", "d1")
 
@@ -101,7 +101,7 @@ def pushforward_class_formula(d: PolyLike) -> DivisorM21:
 
 def _check_genus_type(g) -> None:
     if not isinstance(g, int) or isinstance(g, bool):
-        raise TypeError(f"genus must be an int, got {g!r}")
+        raise TypeError(f"genus must be an int, got {_echo(g)}")
 
 
 def pencil_count(g: int) -> int:

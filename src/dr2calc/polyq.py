@@ -185,7 +185,7 @@ class PolyQ:
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial (errors if degree > 0)."""
         if not self.is_constant():
-            raise ValueError(f"not a constant polynomial: {self}")
+            raise ValueError(f"not a constant polynomial: {_echo(self, str)}")
         return self.coefficient(0)
 
     def __call__(self, x: Scalar) -> Fraction:

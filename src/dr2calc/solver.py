@@ -8,14 +8,15 @@ strategy is sample-then-interpolate:
      and solve the rational system exactly at each point with
      ``linalg.solve_unique``; each solve certifies that the coefficient rank
      equals the unknown count.  The d-independent work is done once per
-     distinct input: ``full_system`` takes all 16 rows, and their
-     coefficient matrix already through ``linalg``'s input gate as a
-     ``linalg.GatedMatrix``, from the one memoized fixture load in
-     ``surfaces``, which reads each file once per process and parses it
-     once per distinct content; any other system's matrix is gated once
-     per solve.  ``linalg`` memoizes the integer row operations that
-     eliminate the matrix, by content, in a bounded cache, so each sample
-     only gates and applies them to its right-hand side;
+     distinct input: ``full_system`` takes all 16 rows from the one
+     memoized fixture load in ``surfaces``, which reads each file once per
+     process and parses it once per distinct content, and
+     ``surfaces.gated_matrix`` returns that load's coefficient matrix,
+     already through ``linalg``'s input gate, for exactly those rows; any
+     other system's matrix is gated once per solve.  ``linalg`` memoizes
+     the integer row operations that eliminate the matrix, by content, in a
+     bounded cache, so each sample only gates and applies them to its
+     right-hand side;
   2. interpolate all unknowns in one call, ``polyq.interpolate_columns``,
      which builds the point basis once for the sample set;
   3. re-substitute and demand a zero residual for every row, symbolically:
@@ -48,7 +49,7 @@ from . import linalg
 from .chow import BASIS_NAMES, TautClass2
 from .linalg import InconsistentSystemError, UnderdeterminedSystemError
 from .polyq import PolyQ, Scalar, exact, interpolate_columns
-from .surfaces import EquationRow, _loaded, full_system_rows
+from .surfaces import EquationRow, full_system_rows, gated_matrix
 
 __all__ = [
     "ParamSystem",
@@ -66,17 +67,6 @@ class ParamSystem(NamedTuple):
 
     rows: Tuple[EquationRow, ...]
     unknowns = BASIS_NAMES
-
-    def matrix(self) -> List[List[Scalar]]:
-        return [list(r.coefficients) for r in self.rows]
-
-
-def _gated_matrix(system: ParamSystem) -> linalg.GatedMatrix:
-    """The system's coefficient matrix through ``linalg``'s input gate: the
-    shipped rows' matrix from the memoized fixture load, any other system's
-    gated on every call."""
-    _, rows, matrix = _loaded()
-    return matrix if system.rows is rows else linalg.GatedMatrix(system.matrix())
 
 
 def full_system() -> ParamSystem:
@@ -126,7 +116,7 @@ def solve_parametric(
             f" {needed - 1}, got {len(points)}"
         )
     # no gate before the interpolation refuses an empty sample set
-    matrix = _gated_matrix(system) if points else None
+    matrix = gated_matrix(system.rows) if points else None
     per_point = [linalg.solve_unique(matrix, [row.rhs(x) for row in system.rows]) for x in points]
     solution = TautClass2(interpolate_columns(points, zip(*per_point)))
     residuals = tuple(row.residual(solution) for row in system.rows)
@@ -169,7 +159,7 @@ def redundancy_report(system: ParamSystem) -> List[DependentRow]:
     whole transcription, since their right-hand sides are forced.  They are
     read off ``linalg``'s memoized elimination of the transposed matrix.
     """
-    deps = linalg.row_dependencies(_gated_matrix(system))
+    deps = linalg.row_dependencies(gated_matrix(system.rows))
     return [
         DependentRow(index=i, label=system.rows[i].label, combination=combo)
         for i, combo in deps

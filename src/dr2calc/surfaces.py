@@ -11,7 +11,10 @@ process, and the report checksums hash those bytes.  The surfaces, all 16
 rows and the rows' gated matrix are built once per distinct fixture content
 and ``m21`` push-forward table and class formula; a malformed fixture, or
 one whose ``family`` is not the number in its file name, raises ValueError
-naming it.
+naming it.  ``gated_matrix`` is the one place that hands out that matrix:
+for the loaded rows themselves, and a freshly gated one for any others.
+The surfaces and rows are NamedTuples; derive an edited surface with
+``_replace``.
 
 Pairing restricted divisor monomials in the lattice turns each surface into
 a linear functional on class vectors; together with the three marking-swap
@@ -22,12 +25,11 @@ symmetry rows and the three push-forward rows this gives the full system of
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from operator import mul
 from types import MappingProxyType
-from typing import Dict, Mapping, NamedTuple, Optional, Tuple
+from typing import Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from . import m21
 from .chow import _SWAP, BASIS_MONOMIALS, BASIS_NAMES, GENERATORS, MONOMIALS, Monomial, TautClass2, mono
@@ -37,10 +39,7 @@ from .polyq import D, PolyQ, Scalar, _echo, clear_denominators, parse_json, pars
 FIXTURE_NAMES = tuple(f"family{k:02d}.json" for k in range(1, 11))
 
 
-# A dataclass, not a NamedTuple: tests derive wrong surfaces from the shipped
-# ones with dataclasses.replace.
-@dataclass(frozen=True)
-class SurfaceModel:
+class SurfaceModel(NamedTuple):
     """One test surface: lattice, divisor restrictions, fiber count, note."""
 
     name: str
@@ -54,7 +53,7 @@ class SurfaceModel:
     def restriction(self, generator: str) -> Tuple[Scalar, ...]:
         """Restriction vector of a divisor generator; absent means zero."""
         if generator not in GENERATORS:
-            raise KeyError(f"unknown divisor generator {generator!r}")
+            raise KeyError(f"unknown divisor generator {_echo(generator)}")
         return self.restrictions.get(generator, (0,) * len(self.generators))
 
     def pair_generators(
@@ -214,18 +213,27 @@ def _load(
         try:
             surface = _parse_surface(parse_json(blob.decode("utf-8")))
             if fname != f"family{surface.family:02d}.json":
-                raise ValueError(f"family field {surface.family} does not match the file name")
+                raise ValueError(f"family field {_echo(surface.family, str)} does not match the file name")
             rows.append(equation_row(surface))
         except ValueError as exc:
             raise ValueError(f"{fname}: {exc}") from None
         surfaces.append(surface)
     rows = tuple(rows) + symmetry_rows() + pushforward_rows()
-    return tuple(surfaces), rows, GatedMatrix([list(r.coefficients) for r in rows])
+    return tuple(surfaces), rows, GatedMatrix([r.coefficients for r in rows])
 
 
 def _loaded() -> Tuple[Tuple[SurfaceModel, ...], Tuple[EquationRow, ...], GatedMatrix]:
     blobs = tuple(sorted(_fixture_bytes().items()))
     return _load(blobs, m21.PUSHFORWARD_TABLE_PI1, m21.pushforward_class_formula)
+
+
+def gated_matrix(rows: Sequence[EquationRow]) -> GatedMatrix:
+    """The rows' coefficient matrix through ``linalg``'s input gate: the
+    fixture load's when ``rows`` is the loaded tuple itself, else gated on
+    every call.  Identity, not equality: ``2.0 == 2``, so a row of floats
+    equal to a shipped one would skip the gate."""
+    _, loaded, matrix = _loaded()
+    return matrix if rows is loaded else GatedMatrix([r.coefficients for r in rows])
 
 
 def builtin_surfaces() -> Tuple[SurfaceModel, ...]:

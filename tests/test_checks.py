@@ -2,7 +2,6 @@
 verifies breaks.  Each case replaces the function the check relies on with a
 wrong one, or feeds the check wrong input, and runs the check."""
 
-import dataclasses
 import hashlib
 import random
 from fractions import Fraction
@@ -133,7 +132,7 @@ def _inert_gram_entry(monkeypatch):
     gram = tuple(
         tuple(F(0) if i == j == 1 else x for j, x in enumerate(row)) for i, row in enumerate(s.gram)
     )
-    wrong = loaded[:-1] + (dataclasses.replace(s, gram=gram),)
+    wrong = loaded[:-1] + (s._replace(gram=gram),)
     monkeypatch.setattr(surfaces, "builtin_surfaces", lambda: wrong)
     return {}
 

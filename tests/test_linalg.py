@@ -383,7 +383,7 @@ def _shipped_matrix():
     from dr2calc.solver import full_system
 
     system = full_system()
-    return system.matrix(), [row.rhs for row in system.rows]
+    return [list(row.coefficients) for row in system.rows], [row.rhs for row in system.rows]
 
 
 def _assert_solves_like_the_reference(rows, rhs):

@@ -2,9 +2,12 @@
 
 ``import dr2calc`` loads no submodule: ``dr2calc.__getattr__`` (PEP 562)
 imports a public name's submodule on first use.  The CLI imports each
-command's modules inside that command.  The records are NamedTuples, whose
-classes cost a fraction of a frozen dataclass's generated methods to build;
-three classes stay dataclasses, each for a reason written next to it.
+command's modules inside that command.  The records, ``SurfaceModel``
+among them, are NamedTuples, whose classes cost a fraction of a frozen
+dataclass's generated methods to build; two classes stay dataclasses, each
+for a reason written next to it.  So a command that reads no ``solver`` or
+``cones`` record never imports ``dataclasses``, nor the ``inspect`` it
+pulls in.
 """
 
 import ast
@@ -22,7 +25,7 @@ from dr2calc import checks, cones, ct, m21, solver, surfaces
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "dr2calc"
 
-DATACLASSES = {"EffectiveDivisorPattern", "SolveCertificate", "SurfaceModel"}
+DATACLASSES = {"EffectiveDivisorPattern", "SolveCertificate"}
 
 
 def _run(code: str) -> str:
@@ -57,6 +60,22 @@ def test_pushforward_loads_only_what_it_uses():
     assert ast.literal_eval(_run(code)) == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["equations", "--emit", "md"], ["pushforward", "--d", "3"], ["verify", "--only", "psi3"]],
+    ids=" ".join,
+)
+def test_a_command_without_dataclass_records_loads_no_dataclasses(argv):
+    code = (
+        "import contextlib, io, sys\n"
+        "from dr2calc import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({argv!r}) == 0\n"
+        "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])\n"
+    )
+    assert ast.literal_eval(_run(code)) == []
+
+
 def test_a_submodule_resolves_after_a_bare_import():
     code = "import dr2calc\nprint(dr2calc.cones.__name__, dr2calc.cli.main.__module__)"
     assert _run(code).split() == ["dr2calc.cones", "dr2calc.cli"]
@@ -72,7 +91,7 @@ def _dataclass_decorated(tree) -> list:
     ]
 
 
-def test_only_the_three_records_that_need_it_are_dataclasses():
+def test_only_the_records_that_need_it_are_dataclasses():
     found = [
         name
         for path in sorted(SRC.glob("*.py"))
@@ -112,6 +131,7 @@ RECORDS = [
     solver.full_system(),
     solver.redundancy_report(solver.full_system())[0],
     surfaces.full_system_rows()[0],
+    surfaces.builtin_surfaces()[0],
     ct.derive_decorated_rows(),
     ct.verify_hac(2),
     m21.diaz_divisor(3),

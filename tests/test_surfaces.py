@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import random
@@ -21,6 +20,7 @@ from dr2calc.surfaces import (
     equation_row,
     fixture_checksums,
     full_system_rows,
+    gated_matrix,
     pushforward_rows,
     symmetry_rows,
 )
@@ -462,6 +462,23 @@ def test_the_16_rows_are_built_once_per_fixture_content(monkeypatch):
     assert full_system_rows() is rows
 
 
+def test_the_shipped_matrix_is_handed_out_for_the_loaded_rows_only():
+    # keyed by identity: 2.0 == 2, so an equal row of floats must still meet the gate
+    rows = full_system_rows()
+    shipped = gated_matrix(rows)
+    assert gated_matrix(rows) is shipped
+    copied = gated_matrix(list(rows))
+    assert copied is not shipped
+    assert (copied.ints, copied.scales) == (shipped.ints, shipped.scales)
+    coefficients = list(rows[0].coefficients)
+    k = next(i for i, c in enumerate(coefficients) if type(c) is int and c)
+    coefficients[k] = float(coefficients[k])
+    floated = (rows[0]._replace(coefficients=tuple(coefficients)),) + rows[1:]
+    assert floated == rows
+    with pytest.raises(TypeError, match="float"):
+        gated_matrix(floated)
+
+
 def test_row_coefficients_are_ints_exactly_where_integral():
     # an int passes linalg's input gate faster than a Fraction and prints the same
     entries = [c for row in full_system_rows() for c in row.coefficients]
@@ -494,9 +511,9 @@ def test_parse_surface_does_not_echo_a_long_value_whole(edit, message):
 
 
 def test_an_asymmetric_gram_does_not_echo_a_long_name_whole():
-    s = dataclasses.replace(SURFACES[1], name=_LONG)
+    s = SURFACES[1]._replace(name=_LONG)
     gram = [list(row) for row in s.gram]
     gram[0][1] += 1
     with pytest.raises(ValueError, match=re.escape("(5000 characters): gram matrix is not symmetric")) as exc:
-        equation_row(dataclasses.replace(s, gram=tuple(map(tuple, gram))))
+        equation_row(s._replace(gram=tuple(map(tuple, gram))))
     assert len(str(exc.value)) < 200
