@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Se
 
 from . import chow
 from .chow import BASIS_NAMES, FUSED_SLOT, GENERATORS, RELATIONS, TautClass2, dr2_class
-from .polyq import D, PolyQ, _echo, clear_denominators
+from .polyq import D, PolyQ, _echo, clear_denominators, taylor_shift
 
 if TYPE_CHECKING:
     from .cones import StrataTable
@@ -271,6 +271,14 @@ def check_ci_obstruction() -> Tuple[bool, str]:
         return False, f"fused slot of a product reads {terms}, expected 1/2 psi1*psi1, 1/2 psi2*psi2"
     if slot != (D * D - 1) * (2 - D * D) / 4:
         return False, f"fused slot of the class is {slot}, expected (d^2-1)(2-d^2)/4"
+    # Proof of the scanned statement for every real d >= 2: at d + 2 the slot
+    # has a negative constant term and no positive coefficient.
+    shifted = taylor_shift(slot, 2)
+    if not (shifted(0) < 0 and all(c <= 0 for c in shifted.num)):
+        return False, (
+            f"fused slot of the class at d + 2 is {shifted}, "
+            "expected a negative constant and no positive coefficient"
+        )
     return True, (
         "1000 random effective products have non-negative fused slot; "
         "the class has negative fused slot for d = 2..50"
@@ -282,7 +290,7 @@ def check_cone_decomposition() -> Tuple[bool, str]:
     from . import cones
 
     try:
-        cones.cone_decomposition(D)
+        coefficients = cones.cone_decomposition(D)
     except ArithmeticError as exc:
         return False, str(exc)
     inf = cones.dr_infinity()
@@ -296,12 +304,15 @@ def check_cone_decomposition() -> Tuple[bool, str]:
         Fraction(1, 120),
         Fraction(1, 120),
     ) + (0,) * 6
-    ok = inf == TautClass2(expected)
-    return ok, (
-        "two-ray decomposition holds slot-wise; limit class matches"
-        if ok
-        else "limit class slots differ"
-    )
+    if inf != TautClass2(expected):
+        return False, "limit class slots differ"
+    # Cone membership for every real d >= 2: neither coefficient has a
+    # negative coefficient at d + 2.
+    for ray, coefficient in zip(("degree-2", "limit"), coefficients):
+        shifted = taylor_shift(coefficient, 2)
+        if any(c < 0 for c in shifted.num):
+            return False, f"{ray} coefficient at d + 2 is {shifted}, expected no negative coefficient"
+    return True, "two-ray decomposition holds slot-wise; limit class matches"
 
 
 @_check("nonextremality")

@@ -29,10 +29,12 @@ make one pass over the table that adds weight * coefficient (for a product,
 weight * x_i * y_j for monomial (i, j), taken in both orders off the
 diagonal) straight into one preallocated integer list per basis slot, and
 one finisher hands each list and the denominator to ``polyq._poly``.  A
-product of two constant factors, the numeric case, keeps one integer per
-slot instead of a list and builds each slot with ``polyq._const``.  The
-table and the two kernels live in ``QuotientReducer``, which the
-compact-type ring of ``ct`` builds from its own relations and basis.
+product of two constant factors, the numeric case, reads each coefficient's
+``num`` and ``den`` directly rather than through ``poly_numerators``, keeps
+one integer per slot instead of a list and builds each slot with
+``polyq._const``.  The table and the two kernels live in
+``QuotientReducer``, which the compact-type ring of ``ct`` builds from its
+own relations and basis.
 
 A ``TautClass2`` is the 14-vector of coefficients in this basis, each entry a
 polynomial in the cover degree d.  A ``DivisorM22`` is the 6-vector of divisor
@@ -41,6 +43,7 @@ coefficients.  All values are immutable; every operation is a pure function.
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Dict, Mapping, Sequence, Tuple
 
 from .linalg import LinearSystemError, reduced_echelon
@@ -202,9 +205,12 @@ class QuotientReducer:
     reduces them (the shared zero polynomial in every empty slot), and
     builds the vector with ``_of``.
 
-    A product of two constant factors keeps one integer per slot instead:
-    the same pass over ``rows`` adds weight * (x_i y_j + x_j y_i), or
-    weight * x_i y_i on the diagonal, and ``polyq._const`` builds each slot.
+    A product of two constant factors (no coefficient whose ``num`` has
+    more than one entry) keeps one integer per slot instead.  It takes x_i
+    and y_j straight from each coefficient's ``num[0]`` and ``den``, over
+    one ``math.lcm`` per factor, without ``poly_numerators``; the same pass
+    over ``rows`` adds weight * (x_i y_j + x_j y_i), or weight * x_i y_i on
+    the diagonal, and ``polyq._const`` builds each slot.
     """
 
     def __init__(
@@ -248,14 +254,17 @@ class QuotientReducer:
 
     def multiply(self, a: Sequence[PolyQ], b: Sequence[PolyQ]) -> PolyVector:
         """The class of the product of two divisor coefficient 6-vectors."""
-        int_a, den_a = poly_numerators(a)
-        int_b, den_b = poly_numerators(b)
-        width = max(map(len, int_a)) + max(map(len, int_b)) - 1
-        if width == 1:
-            # Both factors constant, or one zero and the other linear (then
-            # every product below is 0): one integer per slot.
-            x = [c[0] if c else 0 for c in int_a]
-            y = [c[0] if c else 0 for c in int_b]
+        for p in (*a, *b):
+            if len(p.num) > 1:
+                break
+        else:
+            # Both factors constant: each coefficient's numerator over its
+            # factor's lcm denominator, and one integer per slot.  The test
+            # is a for-else, so a polynomial factor pays no generator for it.
+            den_a = lcm(*[p.den for p in a])
+            den_b = lcm(*[p.den for p in b])
+            x = [p.num[0] * (den_a // p.den) if p.num else 0 for p in a]
+            y = [p.num[0] * (den_b // p.den) if p.num else 0 for p in b]
             acc = [0] * self.vector_cls.dim
             for (i, j), entry in self.rows.items():
                 xy = x[i] * y[j] + x[j] * y[i] if i != j else x[i] * y[i]
@@ -264,6 +273,9 @@ class QuotientReducer:
                         acc[slot] += weight * xy
             den = den_a * den_b * self.den
             return self.vector_cls._of(tuple([_const(n, den) for n in acc]))
+        int_a, den_a = poly_numerators(a)
+        int_b, den_b = poly_numerators(b)
+        width = max(map(len, int_a)) + max(map(len, int_b)) - 1
         acc = [[0] * width for _ in range(self.vector_cls.dim)]
         for (i, j), entry in self.rows.items():
             if not entry:
@@ -301,8 +313,9 @@ def multiply_divisors(a: DivisorM22, b: DivisorM22) -> TautClass2:
 
     Equals ``reduce_to_basis(expand_product(a.coeffs, b.coeffs))``, computed
     through the reducer's table in integers: two constant divisors take the
-    one-integer-per-slot branch of ``QuotientReducer.multiply``, any
-    polynomial coefficient its general loop.
+    one-integer-per-slot branch of ``QuotientReducer.multiply``, which reads
+    each coefficient's ``num`` and ``den`` directly; any polynomial
+    coefficient takes its general loop over ``poly_numerators``.
     """
     return _REDUCER.multiply(a.coeffs, b.coeffs)
 

@@ -60,6 +60,19 @@ def _degree(value: str, symbolic: bool = True):
     raise argparse.ArgumentTypeError(f"must be {expected}, got {got}")
 
 
+def _one_of(names: Tuple[str, ...]):
+    """The ``type=`` of an option with fixed values.  Argparse's own choice
+    error echoes a wrong value whole; this one bounds it with ``_echo``, and
+    the usage line, built from ``choices``, lists the names."""
+
+    def parse(value: str) -> str:
+        if value not in names:
+            raise argparse.ArgumentTypeError(f"invalid choice: {_echo(value)}")
+        return value
+
+    return parse
+
+
 def _degree_echo(d) -> str:
     return "symbolic" if isinstance(d, PolyQ) else str(d)
 
@@ -272,11 +285,13 @@ def build_parser() -> argparse.ArgumentParser:
         if strata:
             p.add_argument("--strata-table", default=None, help="path to a strata JSON table")
         if only:
+            names = tuple(checks.CHECKS)
             p.add_argument(
-                "--only", default=None, choices=list(checks.CHECKS),
+                "--only", default=None, type=_one_of(names), choices=names,
                 help="run a single named check",
             )
-        p.add_argument("--emit", choices=("json", "md"), default="json")
+        emits = ("json", "md")
+        p.add_argument("--emit", type=_one_of(emits), choices=emits, default="json")
         p.set_defaults(func=func, title=title, loaded_strata=None)
 
     add("class", cmd_class, "degree-{d} class", degree=True)

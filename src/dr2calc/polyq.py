@@ -345,6 +345,17 @@ def poly_eval(p: PolyQ, x: Scalar) -> Fraction:
     return p(x)
 
 
+def taylor_shift(p: PolyQ, a: int) -> PolyQ:
+    """p(d + a) for an integer a, by repeated synthetic division on the
+    numerators.  A certificate for every real d >= a: when no coefficient of
+    p(d + a) is negative (positive), p(d) >= 0 (<= 0) for every d >= a."""
+    num = list(p.num)
+    for i in range(len(num) - 1):
+        for k in range(len(num) - 2, i - 1, -1):
+            num[k] += a * num[k + 1]
+    return _poly(num, p.den)
+
+
 def poly_numerators(polys: Sequence[PolyQ]) -> Tuple[List[Sequence[int]], int]:
     """The numerators of polynomials over one denominator, the lcm of theirs:
     ``polys[i].coeffs[k] == out[i][k] / den``."""

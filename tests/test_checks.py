@@ -246,6 +246,19 @@ FAILURES = [
     # the products read the table the proof reads, so the sampling fails first
     ("ci-obstruction", _psi1_d0_in_the_fused_row, "trial 0: 289/240 != 393/80"),
     ("nonextremality", _d11bar_weight_three_fifths, "identity restricted to compact type fails"),
+    # a shift that leaves the slot where it is proves nothing about d >= 2
+    (
+        "ci-obstruction",
+        _patch(checks, "taylor_shift", lambda p, a: p),
+        "fused slot of the class at d + 2 is -1/4*d^4 + 3/4*d^2 - 1/2, "
+        "expected a negative constant and no positive coefficient",
+    ),
+    # a limit coefficient (d^2-1)(d^2-5), negative at d = 2
+    (
+        "cone-decomposition",
+        _patch(cones, "cone_decomposition", lambda d: ((D * D - 1) / 3, (D * D - 1) * (D * D - 5))),
+        "limit coefficient at d + 2 is d^4 + 8*d^3 + 18*d^2 + 8*d - 3, expected no negative coefficient",
+    ),
 ]
 
 

@@ -484,6 +484,31 @@ def test_a_long_degree_is_not_echoed_whole(capsys, value):
     assert len(err) < 400  # the usage line and the message
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [(["verify", "--only"], "--only"), (["class", "--d", "3", "--emit"], "--emit")],
+    ids=["only", "emit"],
+)
+def test_a_long_choice_is_not_echoed_whole(capsys, argv, option):
+    value = "c" * 5000
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    line = _the_long_value_line(captured.err, f"argument {option}: invalid choice: ", value)
+    assert line.startswith(f"dr2calc {argv[0]}: error: ")
+
+
+def test_a_short_wrong_choice_is_named_whole(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--only", "no-such-check"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith("dr2calc verify: error: argument --only: invalid choice: 'no-such-check'\n")
+    assert "{surfaces,solver," in err  # the usage line lists the names
+
+
 def test_a_long_fixture_entry_is_not_echoed_whole(capsys, monkeypatch):
     from dr2calc import surfaces
 

@@ -19,6 +19,7 @@ from dr2calc.polyq import (
     parse_rational,
     poly_eval,
     poly_interpolate,
+    taylor_shift,
 )
 
 
@@ -589,3 +590,15 @@ def test_a_long_duplicated_key_is_not_echoed_whole():
     assert "\n" not in message and len(message) < 200 and message.endswith("(5002 characters)")
     with pytest.raises(ValueError, match="^duplicate key 'k'$"):
         parse_json('{"k": 1, "k": 2}')
+
+
+def test_taylor_shift_is_composition_with_d_plus_a():
+    rng = random.Random(4400)
+    for _ in range(200):
+        p = PolyQ(Fraction(rng.randint(-50, 50), rng.randint(1, 12)) for _ in range(rng.randint(0, 6)))
+        a = rng.randint(-5, 5)
+        shifted = taylor_shift(p, a)
+        composed = sum(((D + a) ** k * c for k, c in enumerate(p.coeffs)), PolyQ())
+        assert shifted == composed
+        assert all(shifted(x) == p(x + a) for x in (-2, 0, Fraction(3, 7)))
+

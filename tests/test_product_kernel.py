@@ -1,7 +1,8 @@
 """The product kernel's constant branch agrees with expanding and reducing.
 
-``QuotientReducer.multiply`` takes a one-integer-per-slot branch when both
-factors are constant.  These seeded cases compare it, and the polynomial
+``QuotientReducer.multiply`` takes a one-integer-per-slot branch, which
+reads each coefficient's ``num`` and ``den`` directly, when both factors are
+constant.  These seeded cases compare it, and the polynomial
 path it sits beside, with ``reduce(expand_product(a, b))`` in both quotient
 rings, and check that every slot it builds is in canonical form.
 """
@@ -61,9 +62,35 @@ def test_zero_factor_and_single_generators(ring):
             other[j] = Fraction(-3, 7)
             _check(reducer, unit, other)
     assert _check(reducer, zero, zero) == reducer.vector_cls.zero()
-    # a zero factor beside a linear one also takes the constant branch
+    # a zero factor beside a linear one takes the polynomial branch, where every product is 0
     assert _check(reducer, zero, [D + 1] * 6) == reducer.vector_cls.zero()
     assert _check(reducer, [D] * 6, zero) == reducer.vector_cls.zero()
+
+
+class _Routed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+def test_numeric_products_skip_poly_numerators(monkeypatch, ring):
+    # the constant branch reads each coefficient's num and den itself; only a
+    # polynomial factor goes through poly_numerators
+    reducer = RINGS[ring]
+    rng = random.Random(9500)
+    pairs = [[[as_poly(_constant(rng)) for _ in range(6)] for _ in range(2)] for _ in range(50)]
+    pairs += [[[as_poly(0)] * 6, [as_poly(Fraction(-5, 3))] * 6]]
+    want = [reducer(expand_product(a, b)) for a, b in pairs]
+
+    def routed(polys):
+        raise _Routed
+
+    monkeypatch.setattr(chow, "poly_numerators", routed)
+    for (a, b), expected in zip(pairs, want):
+        got = reducer.multiply(a, b)
+        assert got == expected
+        _assert_canonical(got)
+    with pytest.raises(_Routed):
+        reducer.multiply([D + 1] * 6, pairs[0][1])
 
 
 @pytest.mark.parametrize("ring", sorted(RINGS))
