@@ -264,6 +264,20 @@ def cmd_verify(args) -> Result:
     return outputs, all_passed, lines
 
 
+# Each command's function, its markdown title (None for ``verify``, whose
+# lines carry no title) and the options ``build_parser`` gives it.
+_COMMANDS = {
+    "class": (cmd_class, "degree-{d} class", {"degree": True}),
+    "solve": (cmd_solve, "parametric solve", {}),
+    "equations": (cmd_equations, "equation rows", {}),
+    "pushforward": (cmd_pushforward, "push-forward at d = {d}", {"degree": True}),
+    "cone-m21": (cmd_cone_m21, "divisor cone position at d = {d}", {"degree": True, "symbolic": False}),
+    "ct": (cmd_ct, "compact-type comparison at d = {d}", {"degree": True}),
+    "cone": (cmd_cone, "cone position at d = {d}", {"degree": True, "strata": True}),
+    "verify": (cmd_verify, None, {"strata": True, "only": True}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dr2calc",
@@ -294,20 +308,23 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--emit", type=_one_of(emits), choices=emits, default="json")
         p.set_defaults(func=func, title=title, loaded_strata=None)
 
-    add("class", cmd_class, "degree-{d} class", degree=True)
-    add("solve", cmd_solve, "parametric solve")
-    add("equations", cmd_equations, "equation rows")
-    add("pushforward", cmd_pushforward, "push-forward at d = {d}", degree=True)
-    add("cone-m21", cmd_cone_m21, "divisor cone position at d = {d}", degree=True, symbolic=False)
-    add("ct", cmd_ct, "compact-type comparison at d = {d}", degree=True)
-    add("cone", cmd_cone, "cone position at d = {d}", degree=True, strata=True)
-    add("verify", cmd_verify, None, strata=True, only=True)
+    for name, (func, title, options) in _COMMANDS.items():
+        add(name, func, title, **options)
     return parser
 
 
 def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # Argparse echoes a wrong command and unrecognized arguments whole.  The
+    # top-level parser has no option but -h, so its command is the first
+    # string that does not start with "-", unless -h comes first.
+    word = next((a for a in argv if a[:1] != "-" or a in ("-h", "--help")), "-")
+    if word[:1] != "-" and word not in _COMMANDS:
+        parser.error(f"argument command: invalid choice: {_echo(word)}")
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        parser.error(f"unrecognized arguments: {_echo(' '.join(extra))}")
     if getattr(args, "strata_table", None) is not None:
         from .cones import load_strata_table
 

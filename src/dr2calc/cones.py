@@ -19,9 +19,11 @@ points the analogous fiber count is 2(m^2-1) for a nonzero marking index m
 but 0 at m = 0, which no single polynomial can match.
 
 The two rays do not depend on d: the limit class (``dr_infinity``) and the
-degree-2 class are zero-argument memos, built once per process on first use
-and shared after (both are immutable).  No function taking a degree is
-memoized, so every degree still passes ``polyq``'s checks on every call.
+degree-2 class are built together on first use and shared after (both are
+immutable), memoized per class constructor, the module's ``dr2_class``
+looked up at call time, so a replaced constructor gets rays of its own; a
+build that raises is not kept.  No function taking a degree is memoized, so
+every degree still passes ``polyq``'s checks on every call.
 """
 
 from __future__ import annotations
@@ -98,17 +100,21 @@ def ci_obstruction(
     return product.coeffs[FUSED_SLOT].constant_value()
 
 
-@cache
 def dr_infinity() -> TautClass2:
     """Slot-wise degree-4 leading coefficients of the degree-d class."""
-    symbolic = dr2_class(D)
-    return TautClass2(PolyQ.const(c.coefficient(4)) for c in symbolic.coeffs)
+    return _rays(dr2_class)[1]
+
+
+def _degree_two_class() -> TautClass2:
+    """The degree-2 class, the other ray of the cone."""
+    return _rays(dr2_class)[0]
 
 
 @cache
-def _degree_two_class() -> TautClass2:
-    """The degree-2 class, the other ray of the cone."""
-    return dr2_class(2)
+def _rays(class_of) -> Tuple[TautClass2, TautClass2]:
+    """The degree-2 and limit classes of the given class constructor; a raise is not cached."""
+    limit = TautClass2(PolyQ.const(c.coefficient(4)) for c in class_of(D).coeffs)
+    return class_of(2), limit
 
 
 def cone_decomposition(d: PolyLike) -> Tuple[PolyQ, PolyQ]:

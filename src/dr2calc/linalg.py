@@ -14,21 +14,20 @@ row 0's raises ``ValueError`` naming it.  These checks run once per
 ``GatedMatrix``: ``solve_unique`` and ``row_dependencies`` take one in place
 of plain rows and gate it no further, and gate plain rows on every call.
 
-``solve_unique`` and ``row_dependencies`` read the integer row operations
-of one elimination of [A | I], memoized by content in a bounded cache;
-for ``row_dependencies``, A is the transpose.  The cached values are tuples
-of ints and every call builds its own result, so no caller can alter what
-the next one gets.  ``rank`` and ``reduced_echelon`` run the kernel on
-every call.
+``solve_unique`` and ``row_dependencies`` read one elimination of
+[A | I], run once when a ``GatedMatrix`` is built: its pivots and integer
+row operations, and its left null space in reduced echelon form, one
+vector per dependent row.  The stored values are tuples of ints and every
+call builds its own result, so no caller can alter what the next one gets.
+``rank`` and ``reduced_echelon`` run the kernel on every call.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .polyq import clear_denominators, exact
 
@@ -68,20 +67,42 @@ def _cleared(rows) -> Tuple[List[List[int]], List[int]]:
 
 
 class GatedMatrix:
-    """Rows that passed the input gate, cleared to integers once.
+    """Rows that passed the input gate, cleared to integers and eliminated once.
 
     ``ints[i]`` is row i times ``scales[i]``, the lcm of its denominators,
     as a tuple of ints, and ``width`` is the common row length.  The
     constructor is the gate: a ragged row, then a float or a malformed
     string entry, raises as plain rows do.  ``len`` is the row count.
+
+    The constructor then eliminates [ints | I] on the columns of ``ints``,
+    left to right.  The pivot choices depend on those columns alone, so the
+    identity block records the row operations of every elimination of
+    [ints | b]: with inverse[i] the identity block of the kernel's integer
+    row i and inverse_den[i] its pivot entry, reduced row i is
+    sum_k inverse[i][k] * ints[k] / inverse_den[i], and the same
+    combination of b is the value of unknown pivots[i].  The identity
+    blocks of the rows left zero on ``ints`` span its left null space;
+    ``null_space`` holds them in reduced echelon form, columns tried from
+    the last row back, as (i, v) pairs in row order.  Each pivot i is a row
+    dependent on earlier ones, and v is nonzero at i, zero at every later
+    row and at every other dependent row, and sum_k v[k] * ints[k] = 0.
     """
 
-    __slots__ = ("ints", "scales", "width")
+    __slots__ = ("ints", "scales", "width", "pivots", "inverse", "inverse_den", "null_space")
 
     def __init__(self, rows: Sequence[Sequence]):
-        self.width = _width(rows)
+        self.width = width = _width(rows)
         ints, scales = _cleared(rows)
         self.ints, self.scales = tuple(map(tuple, ints)), tuple(scales)
+        n = len(ints)
+        pivots, m = _gauss_jordan(
+            [row + [int(i == k) for i in range(n)] for k, row in enumerate(ints)], range(width)
+        )
+        self.pivots = tuple(pivots)
+        self.inverse = tuple(tuple(row[width:]) for row in m[: len(pivots)])
+        self.inverse_den = tuple(row[col] for row, col in zip(m, pivots))
+        dependent, null = _gauss_jordan([row[width:] for row in m[len(pivots):]], range(n - 1, -1, -1))
+        self.null_space = tuple(sorted(zip(dependent, map(tuple, null))))
 
     def __len__(self) -> int:
         return len(self.ints)
@@ -138,34 +159,6 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return len(_gauss_jordan(_cleared(rows)[0])[0])
 
 
-class _Elimination(NamedTuple):
-    pivots: Tuple[int, ...]
-    inverse: Tuple[Tuple[int, ...], ...]
-    inverse_den: Tuple[int, ...]
-
-
-@lru_cache(maxsize=32)
-def _elimination(rows: Tuple[Tuple[int, ...], ...]) -> _Elimination:
-    """Eliminate [rows | I] on the columns of ``rows``, left to right.
-
-    Memoized by content.  The pivot choices depend on the columns of
-    ``rows`` alone, so the identity block records the row operations of
-    every elimination of [rows | b]: with inverse[i] the identity block of
-    the kernel's integer row i and inverse_den[i] its pivot entry, reduced
-    row i is sum_k inverse[i][k] * rows[k] / inverse_den[i], and the same
-    combination of b is the value of unknown pivots[i].
-    """
-    n, width = len(rows), _width(rows)
-    pivots, m = _gauss_jordan(
-        [list(row) + [int(i == k) for i in range(n)] for k, row in enumerate(rows)], range(width)
-    )
-    return _Elimination(
-        pivots=tuple(pivots),
-        inverse=tuple(tuple(row[width:]) for row in m[: len(pivots)]),
-        inverse_den=tuple(row[col] for row, col in zip(m, pivots)),
-    )
-
-
 def solve_unique(
     rows: Union[GatedMatrix, Sequence[Sequence[Fraction]]], rhs: Sequence[Fraction]
 ) -> List[Fraction]:
@@ -176,9 +169,9 @@ def solve_unique(
     row that the candidate solution fails to satisfy.
 
     With A_int the rows cleared to integers, A_int[k] = s_k * A[k], the
-    system is A_int x = s * b.  The cached elimination of [A_int | I] gives
-    each unknown as one integer combination of the scaled right-hand side,
-    divided once: the candidate that eliminating [A | b] gives.
+    system is A_int x = s * b.  The matrix's elimination of [A_int | I]
+    gives each unknown as one integer combination of the scaled right-hand
+    side, divided once: the candidate that eliminating [A | b] gives.
     """
     if len(rows) != len(rhs):
         raise ValueError("row/rhs length mismatch")
@@ -187,15 +180,14 @@ def solve_unique(
     matrix = _gated(rows)
     ncols = matrix.width
     [b], [cden] = _cleared([rhs])
-    elim = _elimination(matrix.ints)
-    if len(elim.pivots) < ncols:
-        raise UnderdeterminedSystemError(f"rank {len(elim.pivots)} < {ncols} unknowns")
+    if len(matrix.pivots) < ncols:
+        raise UnderdeterminedSystemError(f"rank {len(matrix.pivots)} < {ncols} unknowns")
     c = [s * x for s, x in zip(matrix.scales, b)]
     # The candidate is point / (den * cden), over the lcm of the pivot
     # entries; lcm is positive, so a negative pivot's sign goes to point.
-    den = lcm(*elim.inverse_den)
+    den = lcm(*matrix.inverse_den)
     point = [0] * ncols
-    for pcol, combo, d in zip(elim.pivots, elim.inverse, elim.inverse_den):
+    for pcol, combo, d in zip(matrix.pivots, matrix.inverse, matrix.inverse_den):
         point[pcol] = sum(map(mul, combo, c)) * (den // d)
 
     # Verify against the original rows so the offending index is meaningful,
@@ -215,22 +207,17 @@ def row_dependencies(
     each remaining row is returned as ``(index, combo)`` where
     ``rows[index] == sum(combo[k] * rows[k] for k)`` over earlier kept rows.
 
-    With A_int[k] = s_k * A[k] the rows cleared to integers, the cached
-    elimination of A_int's transpose has the kept rows as its pivots, and
-    row i's coefficient on kept row pivots[j] is s_pivots[j] / s_i times
-    sum_k inverse[j][k] * A_int[i][k] / inverse_den[j].
+    With A_int[k] = s_k * A[k] the rows cleared to integers, the dependent
+    rows are the pivots of the matrix's ``null_space``.  Row i's vector v
+    has sum_k v[k] * s_k * A[k] = 0, is zero after row i, and is nonzero
+    before it only at kept rows, so A[i] is the sum over k < i of
+    -v[k] * s_k / (v[i] * s_i) times A[k].
     """
     matrix = _gated(rows)
-    scales = matrix.scales
-    elim = _elimination(tuple(zip(*matrix.ints)))
+    s = matrix.scales
     return [
-        (i, {
-            k: Fraction(y * scales[k], den * scales[i])
-            for k, combo, den in zip(elim.pivots, elim.inverse, elim.inverse_den)
-            if (y := sum(map(mul, combo, row)))
-        })
-        for i, row in enumerate(matrix.ints)
-        if i not in elim.pivots
+        (i, {k: Fraction(-v[k] * s[k], v[i] * s[i]) for k in range(i) if v[k]})
+        for i, v in matrix.null_space
     ]
 
 

@@ -13,10 +13,10 @@ strategy is sample-then-interpolate:
      process and parses it once per distinct content, and
      ``surfaces.gated_matrix`` returns that load's coefficient matrix,
      already through ``linalg``'s input gate, for exactly those rows; any
-     other system's matrix is gated once per solve.  ``linalg`` memoizes
-     the integer row operations that eliminate the matrix, by content, in a
-     bounded cache, so each sample only gates and applies them to its
-     right-hand side;
+     other system's matrix is gated and eliminated once per solve.  A
+     ``GatedMatrix`` keeps the integer row operations of its one
+     elimination, run when it is built, so each sample only gates its
+     right-hand side and applies them to it;
   2. interpolate all unknowns in one call, ``polyq.interpolate_columns``,
      which builds the point basis once for the sample set;
   3. re-substitute and demand a zero residual for every row, symbolically:
@@ -157,7 +157,8 @@ def redundancy_report(system: ParamSystem) -> List[DependentRow]:
 
     The shipped 16-row system reports exactly two; they act as checks on the
     whole transcription, since their right-hand sides are forced.  They are
-    read off ``linalg``'s memoized elimination of the transposed matrix.
+    read off the left null space that the gated matrix's one elimination
+    keeps, so no call eliminates again.
     """
     deps = linalg.row_dependencies(gated_matrix(system.rows))
     return [

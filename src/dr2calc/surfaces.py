@@ -203,11 +203,11 @@ def _load(
 ) -> Tuple[Tuple[SurfaceModel, ...], Tuple[EquationRow, ...], GatedMatrix]:
     """The surfaces of (file name, bytes) pairs, all 16 rows, the surface
     rows first, and their coefficient matrix through ``linalg``'s input
-    gate; a malformed fixture raises ValueError naming the file.  Memoized
-    by everything the rows are built from: the fixture bytes, and the
-    push-forward table and class formula that ``pushforward_rows`` reads.
-    ``_loaded`` passes the ones in ``m21`` at call time, so a patched table
-    or formula gives fresh rows."""
+    gate and its one elimination; a malformed fixture raises ValueError
+    naming the file.  Memoized by everything the rows are built from: the
+    fixture bytes, and the push-forward table and class formula that
+    ``pushforward_rows`` reads.  ``_loaded`` passes the ones in ``m21`` at
+    call time, so a patched table or formula gives fresh rows."""
     surfaces, rows = [], []
     for fname, blob in blobs:
         try:

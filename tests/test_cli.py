@@ -509,6 +509,40 @@ def test_a_short_wrong_choice_is_named_whole(capsys):
     assert "{surfaces,solver," in err  # the usage line lists the names
 
 
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [([], "argument command: invalid choice: "), (["class", "--d", "3"], "unrecognized arguments: ")],
+    ids=["command", "unrecognized"],
+)
+def test_argparse_own_echoes_are_bounded(capsys, argv, prefix):
+    value = "c" * 5000
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    line = _the_long_value_line(captured.err, prefix, value)
+    assert line.startswith("dr2calc: error: ")
+    assert len(captured.err) < 400  # the usage lines and the message
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["no-such-command"], "argument command: invalid choice: 'no-such-command'"),
+        (["class", "--d", "3", "extra", "--more"], "unrecognized arguments: 'extra --more'"),
+    ],
+    ids=["command", "unrecognized"],
+)
+def test_a_short_wrong_argument_is_named_whole(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"dr2calc: error: {message}\n")
+    assert "{class,solve," in err  # the usage line lists the commands
+
+
 def test_a_long_fixture_entry_is_not_echoed_whole(capsys, monkeypatch):
     from dr2calc import surfaces
 

@@ -239,9 +239,33 @@ def test_memoized_rays_equal_a_fresh_computation():
     from dr2calc import cones
 
     assert dr_infinity() is dr_infinity()
-    assert dr_infinity() == dr_infinity.__wrapped__()
+    assert dr_infinity() == TautClass2(PolyQ.const(c.coefficient(4)) for c in dr2_class(D).coeffs)
     assert cones._degree_two_class() is cones._degree_two_class()
     assert cones._degree_two_class() == dr2_class(2)
+
+
+def test_warm_rays_do_not_outlive_a_replaced_constructor(monkeypatch):
+    # the rays are keyed on the class constructor they read, so a warm memo
+    # must not answer for a replaced one, and a failure is not kept
+    from dr2calc import cones
+    from dr2calc.checks import check_cone_decomposition
+
+    passing = check_cone_decomposition()
+    assert passing.passed
+    monkeypatch.setattr(cones, "dr2_class", lambda d: dr2_class(d).scale(2))
+    assert check_cone_decomposition().details == "limit class slots differ"
+    size = cones._rays.cache_info().currsize
+
+    def refused(d):
+        raise ArithmeticError("no class")
+
+    monkeypatch.setattr(cones, "dr2_class", refused)
+    with pytest.raises(ArithmeticError, match="no class"):
+        dr_infinity()
+    assert cones._rays.cache_info().currsize == size
+    monkeypatch.undo()
+    assert check_cone_decomposition() == passing
+    assert cone_decomposition(5) == (8, 504)
 
 
 def test_a_long_strata_entry_is_not_echoed_whole(tmp_path):

@@ -461,34 +461,29 @@ def test_rows_and_right_hand_sides_take_the_same_entries():
 
 
 def test_a_second_redundancy_report_runs_no_elimination(monkeypatch):
-    from dr2calc import linalg
+    from dr2calc import linalg, surfaces
     from dr2calc.solver import full_system, redundancy_report, solve_parametric
 
-    kernel, elimination = linalg._gauss_jordan, linalg._elimination
-    calls, seen = [], []
+    kernel, calls = linalg._gauss_jordan, []
 
     def counted(*args):
         calls.append(args)
         return kernel(*args)
 
-    def recorded(rows):
-        seen.append(elimination(rows))
-        return seen[-1]
-
     monkeypatch.setattr(linalg, "_gauss_jordan", counted)
-    monkeypatch.setattr(linalg, "_elimination", recorded)
-    elimination.cache_clear()
+    surfaces._load.cache_clear()
     system = full_system()
+    matrix = surfaces.gated_matrix(system.rows)
+    assert len(calls) == 2  # [A | I] at the load, then its left null space
     solve_parametric(system)
     first = redundancy_report(system)
-    assert len(calls) == 2  # one miss for the matrix, one for its transpose
     assert redundancy_report(system) == first
     assert len(calls) == 2
-    assert elimination.cache_info().currsize == len(set(seen)) == 2
-    for elim in seen:
-        assert elim._fields == ("pivots", "inverse", "inverse_den")
-        entries = [*elim.pivots, *elim.inverse_den, *(x for row in elim.inverse for x in row)]
-        assert all(type(x) is int for x in entries)
+    assert [i for i, _ in matrix.null_space] == [row.index for row in first]
+    stored = [matrix.ints, matrix.inverse, [v for _, v in matrix.null_space]]
+    entries = [*matrix.scales, *matrix.pivots, *matrix.inverse_den, *(i for i, _ in matrix.null_space)]
+    entries += [x for rows in stored for row in rows for x in row]
+    assert all(type(x) is int for x in entries)
 
 
 # --- a gated matrix against the plain rows it was built from ---------------
