@@ -16,10 +16,14 @@ Each ``cmd_*`` function returns ``(outputs, ok, lines)``: the report's
 markdown body.  ``main`` builds the rest of every report in one place: the
 JSON envelope (command, inputs, outputs, version, fixture checksums), whose
 ``inputs`` echo the options the command declares (``d``, ``only``,
-``strata_table``), and the markdown title line that ``build_parser``
-registers for each command but ``verify``.  The module imports at the top
-only what every command needs; each ``cmd_*`` imports the modules it reads,
-so that a cold run loads no module its command does not use.
+``strata_table``), and the markdown title line that ``_COMMANDS`` records
+for each command but ``verify``.  A run builds two parsers: the top-level
+one, whose ``command`` positional is typed like ``--only`` and ``--emit`` so
+that argparse's own rule picks the command word and a wrong one is echoed
+bounded, and the parser ``build_parser`` makes for that command alone, which
+reads the arguments after it.  The module imports at the top only what every
+command needs; each ``cmd_*`` imports the modules it reads, so that a cold
+run loads no module its command does not use.
 """
 
 from __future__ import annotations
@@ -39,18 +43,28 @@ Result = Tuple[Dict[str, object], bool, List[str]]
 
 
 def _degree(value: str, symbolic: bool = True):
-    """Parse --d: an integer >= 1 (ASCII digits), or if ``symbolic`` 'symbolic' for D."""
+    """Parse --d: an integer >= 1 (ASCII digits), or if ``symbolic`` 'symbolic' for D.
+    An integer of n digits gives degree-4 outputs of up to 4n + 1 digits, so n
+    is bounded by Python's int-conversion limit (0: none) and every accepted
+    degree prints."""
     if symbolic and value == "symbolic":
         return D
     numeral = re.fullmatch(r"-?[0-9]+", value)
+    limit = sys.get_int_max_str_digits()
     try:
         number = int(value) if numeral else None
     except ValueError:  # more digits than Python's int-conversion limit
         raise argparse.ArgumentTypeError(
-            f"must have at most {sys.get_int_max_str_digits()} digits, the limit for"
+            f"must have at most {limit} digits, the limit for"
             f" integer conversion, got {len(value.lstrip('-'))}"
         ) from None
     if numeral and number >= 1:
+        digits, most = len(str(number)), (limit - 1) // 4
+        if limit and digits > most:
+            raise argparse.ArgumentTypeError(
+                f"must have at most {most} digits, so that its degree-4 outputs print under"
+                f" the limit of {limit} digits for integer conversion, got {digits}"
+            )
         return number
     if not symbolic:
         expected = "an integer >= 1"
@@ -71,10 +85,6 @@ def _one_of(names: Tuple[str, ...]):
         return value
 
     return parse
-
-
-def _degree_echo(d) -> str:
-    return "symbolic" if isinstance(d, PolyQ) else str(d)
 
 
 def class_to_markdown(c: TautClass2) -> str:
@@ -278,7 +288,30 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(name, degree=False, symbolic=True, strata=False, only=False) -> argparse.ArgumentParser:
+    """The parser of command ``name``, with the options its ``_COMMANDS`` entry gives it."""
+    p = argparse.ArgumentParser(prog=f"dr2calc {name}")
+    if degree:
+        words = " or 'symbolic'" if symbolic else ""
+        p.add_argument(
+            "--d", required=True, type=lambda value: _degree(value, symbolic),
+            help="integer >= 1" + words,
+        )
+    if strata:
+        p.add_argument("--strata-table", default=None, help="path to a strata JSON table")
+    if only:
+        names = tuple(checks.CHECKS)
+        p.add_argument(
+            "--only", default=None, type=_one_of(names), choices=names,
+            help="run a single named check",
+        )
+    emits = ("json", "md")
+    p.add_argument("--emit", type=_one_of(emits), choices=emits, default="json")
+    p.set_defaults(loaded_strata=None)
+    return p
+
+
+def main(argv: Optional[list] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="dr2calc",
         description=(
@@ -286,45 +319,15 @@ def build_parser() -> argparse.ArgumentParser:
             "classes on the 2-pointed genus-2 moduli space"
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, title, degree=False, symbolic=True, strata=False, only=False):
-        p = sub.add_parser(name)
-        if degree:
-            words = " or 'symbolic'" if symbolic else ""
-            p.add_argument(
-                "--d", required=True, type=lambda value: _degree(value, symbolic),
-                help="integer >= 1" + words,
-            )
-        if strata:
-            p.add_argument("--strata-table", default=None, help="path to a strata JSON table")
-        if only:
-            names = tuple(checks.CHECKS)
-            p.add_argument(
-                "--only", default=None, type=_one_of(names), choices=names,
-                help="run a single named check",
-            )
-        emits = ("json", "md")
-        p.add_argument("--emit", type=_one_of(emits), choices=emits, default="json")
-        p.set_defaults(func=func, title=title, loaded_strata=None)
-
-    for name, (func, title, options) in _COMMANDS.items():
-        add(name, func, title, **options)
-    return parser
-
-
-def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
-    argv = sys.argv[1:] if argv is None else argv
-    # Argparse echoes a wrong command and unrecognized arguments whole.  The
-    # top-level parser has no option but -h, so its command is the first
-    # string that does not start with "-", unless -h comes first.
-    word = next((a for a in argv if a[:1] != "-" or a in ("-h", "--help")), "-")
-    if word[:1] != "-" and word not in _COMMANDS:
-        parser.error(f"argument command: invalid choice: {_echo(word)}")
-    args, extra = parser.parse_known_args(argv)
-    if extra:
-        parser.error(f"unrecognized arguments: {_echo(' '.join(extra))}")
+    names = tuple(_COMMANDS)
+    parser.add_argument("command", type=_one_of(names), choices=names)
+    parser.add_argument("arguments", nargs=argparse.REMAINDER)
+    top, extra = parser.parse_known_args(argv)
+    command = top.command
+    func, title, options = _COMMANDS[command]
+    args, more = build_parser(command, **options).parse_known_args(top.arguments)
+    if extra + more:
+        parser.error(f"unrecognized arguments: {_echo(' '.join(extra + more))}")
     if getattr(args, "strata_table", None) is not None:
         from .cones import load_strata_table
 
@@ -335,17 +338,16 @@ def main(argv: Optional[list] = None) -> int:
             reason = getattr(exc, "strerror", None) or exc
             parser.error(f"--strata-table {_echo(args.strata_table)}: {reason}")
     try:
-        outputs, ok, lines = args.func(args)
+        outputs, ok, lines = func(args)
     except (LinearSystemError, ArithmeticError, ValueError) as exc:
-        sys.stderr.write(f"{args.command} failed: {exc}\n")
+        sys.stderr.write(f"{command} failed: {exc}\n")
         return 1
-    options = vars(args)
-    inputs = {key: options[key] for key in ("d", "only", "strata_table") if key in options}
+    inputs = {key: value for key, value in vars(args).items() if key in ("d", "only", "strata_table")}
     if "d" in inputs:
-        inputs["d"] = _degree_echo(args.d)
+        inputs["d"] = "symbolic" if isinstance(args.d, PolyQ) else str(args.d)
     if args.emit == "json":
         report = {
-            "command": args.command,
+            "command": command,
             "inputs": inputs,
             "outputs": outputs,
             "version": __version__,
@@ -353,8 +355,8 @@ def main(argv: Optional[list] = None) -> int:
         }
         sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
     else:
-        if args.title:
-            lines = [f"# {args.title.format(**inputs)}", ""] + lines
+        if title:
+            lines = [f"# {title.format(**inputs)}", ""] + lines
         sys.stdout.write("\n".join(lines) + "\n")
     return 0 if ok else 1
 

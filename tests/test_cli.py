@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -322,12 +323,17 @@ def test_degree_help_names_the_accepted_values(capsys):
     capsys.readouterr()
 
 
-def test_module_entry_point_rejects_bad_arguments():
+def _src_env():
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def test_module_entry_point_rejects_bad_arguments():
+    env = _src_env()
     for argv in (["class", "--d", "x"], ["verify", "--only", "no-such-check"]):
         proc = subprocess.run(
             [sys.executable, "-m", "dr2calc.cli", *argv],
@@ -580,3 +586,163 @@ def test_a_long_strata_table_path_is_echoed_once_and_bounded(capsys):
     line = _the_long_value_line(captured.err, "--strata-table", path)
     assert line.endswith(": File name too long")
     assert len(captured.err) < 400  # the usage lines and the message
+
+
+def _bound_message(limit, digits):
+    most = (limit - 1) // 4
+    return (
+        f"argument --d: must have at most {most} digits, so that its degree-4 outputs print under"
+        f" the limit of {limit} digits for integer conversion, got {digits}\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["class", "pushforward", "cone-m21", "ct", "cone"])
+def test_every_accepted_degree_prints(capsys, command):
+    # an n-digit degree prints numbers of up to 4n + 1 digits
+    limit = sys.get_int_max_str_digits()
+    most = (limit - 1) // 4
+    assert limit != 4300 or most == 1074
+    for emit in ("json", "md"):
+        assert main([command, "--d", "9" * most, "--emit", emit]) == 0
+        assert capsys.readouterr().err == ""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--d", "1" + "0" * most])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(_bound_message(limit, most + 1))
+
+
+def test_the_degree_bound_follows_the_int_conversion_limit():
+    def run(digits):
+        return subprocess.run(
+            [sys.executable, "-X", "int_max_str_digits=1000", "-m", "dr2calc.cli", "ct", "--d", "9" * digits],
+            capture_output=True, text=True, env=_src_env(), timeout=120,
+        )
+
+    accepted, refused = run(249), run(250)
+    assert accepted.returncode == 0 and accepted.stderr == ""
+    assert json.loads(accepted.stdout)["inputs"] == {"d": "9" * 249}
+    assert refused.returncode == 2 and refused.stdout == ""
+    assert refused.stderr.endswith(_bound_message(1000, 250))
+
+
+_LIMIT = sys.get_int_max_str_digits()
+_ZERO_ROW = json.dumps(["0"] * 14)
+_ROWS = ", ".join(f'"{name}": {_ZERO_ROW}' for name in ("d11|", "d01|", "d0|", "d00"))
+_STRATA_FILES = {
+    "invalid.json": "{not json",
+    "twice.json": "{" + _ROWS + f', "d11|": {_ZERO_ROW}' + "}",
+    "deep.json": "{" + _ROWS + ', "d11|": ' + "[" * 100_000 + "]" * 100_000 + "}",
+    "long.json": json.dumps({name: ["0"] * 14 for name in ("d11|", "d01|", "d0|", "d00", "s" * 5000)}),
+}
+_STRATA = ["verify", "--only", "nonextremality", "--strata-table"]
+
+# (id, argv, what the error line names); "{tmp}" is a folder holding _STRATA_FILES
+_MALFORMED = [
+    ("command-unknown", ["no-such-command"], "argument command: invalid choice"),
+    ("command-long", ["c" * 5000], "argument command: invalid choice"),
+    ("command-negative", ["-" + "5" * 3000], "argument command: invalid choice"),
+    ("command-space", ["-a " + "b" * 3000], "argument command: invalid choice"),
+    ("command-after-dashes", ["--", "c" * 5000], "argument command: invalid choice"),
+    ("d-zero", ["class", "--d", "0"], "argument --d: must be"),
+    ("d-word", ["class", "--d", "x"], "argument --d: must be"),
+    ("d-plus", ["class", "--d", "+3"], "argument --d: must be"),
+    ("d-space", ["class", "--d", " 3"], "argument --d: must be"),
+    ("d-fullwidth", ["class", "--d", "\uff13"], "argument --d: must be"),
+    ("d-long", ["class", "--d", "x" * 5000], "argument --d: must be"),
+    ("d-over-limit", ["class", "--d", "1" * (_LIMIT + 700)], "argument --d: must have at most"),
+    ("d-over-bound", ["cone-m21", "--d", "1" * ((_LIMIT - 1) // 4 + 1)], "argument --d: must have at most"),
+    ("only-unknown", ["verify", "--only", "no-such-check"], "argument --only: invalid choice"),
+    ("only-long", ["verify", "--only", "c" * 5000], "argument --only: invalid choice"),
+    ("only-missing", ["verify", "--only"], "argument --only: expected one argument"),
+    ("emit-xml", ["class", "--d", "3", "--emit", "xml"], "argument --emit: invalid choice"),
+    ("emit-long", ["solve", "--emit", "e" * 5000], "argument --emit: invalid choice"),
+    ("unrecognized", ["class", "--d", "3", "extra"], "unrecognized arguments: 'extra'"),
+    ("unrecognized-long", ["equations", "u" * 5000], "unrecognized arguments: "),
+    ("strata-missing", ["cone", "--d", "3", "--strata-table", "{tmp}/absent.json"], "--strata-table "),
+    ("strata-directory", _STRATA + ["{tmp}"], "--strata-table "),
+    ("strata-invalid", _STRATA + ["{tmp}/invalid.json"], "--strata-table "),
+    ("strata-twice", _STRATA + ["{tmp}/twice.json"], "--strata-table "),
+    ("strata-deep", _STRATA + ["{tmp}/deep.json"], "--strata-table "),
+    ("strata-long-path", _STRATA + ["p" * 5000], "--strata-table "),
+    ("strata-long-stratum", _STRATA + ["{tmp}/long.json"], "--strata-table "),
+]
+
+
+@pytest.fixture(scope="module")
+def strata_folder(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("strata")
+    for name, text in _STRATA_FILES.items():
+        (folder / name).write_text(text)
+    return folder
+
+
+@pytest.mark.parametrize(
+    "argv, named", [row[1:] for row in _MALFORMED], ids=[row[0] for row in _MALFORMED]
+)
+def test_a_malformed_argument_is_one_bounded_usage_error(capsys, monkeypatch, strata_folder, argv, named):
+    monkeypatch.setenv("COLUMNS", "80")  # the usage lines wrap at the terminal's width
+    with pytest.raises(SystemExit) as exc:
+        main([arg.replace("{tmp}", str(strata_folder)) for arg in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    [line] = [ln for ln in captured.err.splitlines() if "error:" in ln]
+    assert f": error: {named}" in line
+    assert len(captured.err.encode()) < 400
+
+
+def test_a_run_builds_the_top_level_parser_and_its_command_parser(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(["equations", "--emit", "md"]) == 0
+    assert built == ["dr2calc", "dr2calc equations"]
+
+
+# argparse reads a "--" next to the command word as part of it, on either side
+@pytest.mark.parametrize("argv", [["--", "class", "--d", "3"], ["class", "--", "--d", "3"]], ids=" ".join)
+def test_a_double_dash_beside_the_command_word_is_read_past(capsys, argv):
+    code, out = _run(capsys, argv)
+    assert code == 0
+    assert out == _run(capsys, ["class", "--d", "3"])[1]
+
+
+_TOP_LEVEL_HELP = """\
+usage: dr2calc [-h]
+               {class,solve,equations,pushforward,cone-m21,ct,cone,verify} ...
+
+Exact calculator for the degree-d double-ramification cycle classes on the
+2-pointed genus-2 moduli space
+
+positional arguments:
+  {class,solve,equations,pushforward,cone-m21,ct,cone,verify}
+  arguments
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+
+def test_top_level_help_and_a_missing_command(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == _TOP_LEVEL_HELP
+    with pytest.raises(SystemExit) as exc:
+        main([])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "usage: dr2calc [-h]\n"
+        "               {class,solve,equations,pushforward,cone-m21,ct,cone,verify} ...\n"
+        "dr2calc: error: the following arguments are required: command, arguments\n"
+    )
