@@ -18,10 +18,10 @@ We use the basis
 
 with the symmetric combination psi1^2+psi2^2 fused into a single coordinate
 (the antisymmetric combination psi1^2-psi2^2 is eliminated by the relation
-(psi1-psi2)(10psi1+10psi2-2d11-12d12-d0) = 0).  One reduced echelon form of
-the relations, augmented by the basis elements, is computed once at import
-and turned into the one table of the ring: the class of each of the 21
-monomials, as integers over one common denominator (60).  Reductions and
+(psi1-psi2)(10psi1+10psi2-2d11-12d12-d0) = 0).  One ``linalg.GatedMatrix``
+of the basis elements and the relations is eliminated once at import, and
+its row operations give the one table of the ring: the class of each of the
+21 monomials, as integers over one common denominator (60).  Reductions and
 divisor products both read that table, so two expressions differing by a
 relation reduce identically.  A reduction reads its coefficients' integer
 numerators over one denominator; a product reads each factor's.  Both then
@@ -43,10 +43,11 @@ coefficients.  All values are immutable; every operation is a pure function.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import lcm
 from typing import Dict, Mapping, Sequence, Tuple
 
-from .linalg import LinearSystemError, reduced_echelon
+from .linalg import GatedMatrix
 from .polyq import PolyLike, PolyQ, PolyVector, _const, _echo, _poly, as_poly, clear_denominators, parse_rational, poly_numerators
 
 GENERATORS = ("psi1", "psi2", "d0", "d2", "d11", "d12")
@@ -185,12 +186,15 @@ class QuotientReducer:
 
     Built from data: the vector class of the quotient, its relations (a
     monomial killed outright is a one-term relation), and its basis (the
-    monomials whose sum is each slot's basis element).  One reduced echelon
-    form of the rows [sum of slot k's monomials | e_k] and [relation | 0],
-    pivoting on the 21 monomial columns, leaves the class of monomial m in
-    the right-hand block of the row that pivots at m.  Construction raises
-    ``ValueError`` unless these rows span all 21 monomials and the basis is
-    independent modulo the relations.
+    monomials whose sum is each slot's basis element).  One ``GatedMatrix``
+    of the 21-column rows, slot k's monomial sum as row k and then the
+    relations, records the elimination on the monomial columns: the
+    monomial m at ``pivots[i]`` equals the combination ``inverse[i]`` of the
+    rows over ``inverse_den[i]``, and as the relations are zero, its class
+    is sum_{k < dim} inverse[i][k] * e_k / inverse_den[i].  Construction
+    raises ``ValueError`` when a ``null_space`` vector is nonzero on a basis
+    row (the basis is dependent modulo the relations), and then unless the
+    rows span all 21 monomials.
 
     The class of every monomial is kept over one common denominator ``den``
     in one table, ``rows``: ``rows[m]`` lists the nonzero ``(slot, n)`` of
@@ -223,22 +227,25 @@ class QuotientReducer:
         n, dim = len(MONOMIALS), len(basis)
         column = {m: k for k, m in enumerate(MONOMIALS)}
         rows = []
-        for k, expr in enumerate([dict.fromkeys(slot, 1) for slot in basis] + list(relations)):
-            row = [0] * n + [int(j == k) for j in range(dim)]  # e_k, or 0 for a relation
+        for expr in [dict.fromkeys(slot, 1) for slot in basis] + list(relations):
+            row = [0] * n
             for m, c in expr.items():
                 row[column[m]] += as_poly(c).constant_value()
             rows.append(row)
-        try:
-            entries = reduced_echelon(rows, range(n))
-        except LinearSystemError as exc:
-            raise ValueError("basis is dependent modulo the relations") from exc
-        if len(entries) != n:
-            raise ValueError(f"relations and basis span {len(entries)} of the {n} monomials")
+        matrix = GatedMatrix(rows)
+        if any(any(v[:dim]) for _, v in matrix.null_space):
+            raise ValueError("basis is dependent modulo the relations")
+        if len(matrix.pivots) != n:
+            raise ValueError(f"relations and basis span {len(matrix.pivots)} of the {n} monomials")
 
-        classes, self.den = clear_denominators([row[n:] for _, row in entries])
+        # The basis rows are integral (scale 1), so the class of the monomial
+        # at pivots[i] is inverse[i][:dim] / inverse_den[i].
+        classes, self.den = clear_denominators(
+            [[Fraction(v, d) for v in combo[:dim]] for combo, d in zip(matrix.inverse, matrix.inverse_den)]
+        )
         self.rows = {
             MONOMIALS[col]: tuple((k, v) for k, v in enumerate(c) if v)
-            for (col, _), c in zip(entries, classes)
+            for col, c in zip(matrix.pivots, classes)
         }
 
     def __call__(self, expr: Mapping[Monomial, PolyLike]) -> PolyVector:

@@ -15,11 +15,11 @@ hold on compact type, which ``CT_RELATIONS`` writes down term by term:
     psi_i^2   = (7/10)(psi_i (d11+d12) - d12*d2) - d2^2     (i = 1, 2)
     (psi1-psi2) d11 = (psi1-psi2) d12
 
-As in the full ring, one echelon form of these relations, the basis, and
-one-term relations killing the six monomials with a d0 factor is computed
-once, by the same ``chow.QuotientReducer``, and kept as the integer class of
-each monomial over one denominator (20; the killed monomials have empty
-entries).
+As in the full ring, one ``linalg.GatedMatrix`` of the basis, these
+relations and one-term relations killing the six monomials with a d0 factor
+is eliminated once, by the same ``chow.QuotientReducer``, and read off as the
+integer class of each monomial over one denominator (20; the killed
+monomials have empty entries).
 Reductions and the product behind the Hain class read that table.
 
 The pull-back of the zero section of the universal Jacobian along the
@@ -88,7 +88,8 @@ class CtClass(PolyVector):
 
 _F = Fraction
 
-#: The eleven compact-type relation expressions (rank 10): ``chow.RELATIONS``,
+#: The eleven compact-type relation expressions (rank 10 once the d0
+#: monomials die, 11 on all 21 monomials): ``chow.RELATIONS``,
 #: then the four compact-type relations of the module docstring, each moved to
 #: one side of its equation.
 CT_RELATIONS: Tuple[Expr, ...] = RELATIONS + tuple(

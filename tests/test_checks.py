@@ -143,6 +143,14 @@ def _d11bar_weight_three_fifths(monkeypatch):
     return {}
 
 
+def _d2sq_row_edited(monkeypatch):
+    # psi's entry of the d2sq row read as 0 instead of -1: the class has no
+    # d2sq component, so only the projection formula sees it
+    table = m21.PUSHFORWARD_TABLE_PI1
+    monkeypatch.setattr(m21, "PUSHFORWARD_TABLE_PI1", table[:8] + ((0, 0, 0),) + table[9:])
+    return {}
+
+
 def _zero_strata_table(monkeypatch):
     return {"strata_table": {name: TautClass2.zero() for name in cones.REQUIRED_STRATA}}
 
@@ -258,6 +266,11 @@ FAILURES = [
         "cone-decomposition",
         _patch(cones, "cone_decomposition", lambda d: ((D * D - 1) / 3, (D * D - 1) * (D * D - 5))),
         "limit coefficient at d + 2 is d^4 + 8*d^3 + 18*d^2 + 8*d - 3, expected no negative coefficient",
+    ),
+    (
+        "pushforward",
+        _d2sq_row_edited,
+        "projection formula fails: pi_*(pi^*psi * d2) = DivisorM21(0), expected DivisorM21(psi: 1)",
     ),
 ]
 

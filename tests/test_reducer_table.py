@@ -5,16 +5,19 @@ denominator.  These tests sum table rows by hand, without the reducer's own
 kernel, and check the three facts that pin the table down: relations map to
 zero, basis monomials map to den times their unit vector, and killed
 monomials map to nothing.  The last tests feed the constructor relations
-that do not span and a basis that is dependent modulo the relations.
+that do not span and a basis that is dependent modulo the relations, and
+rebuild both tables the way they were first built, from an elimination of
+[basis element | unit vector] and [relation | 0] over Fraction.
 """
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from dr2calc import chow, ct
 from dr2calc.chow import BASIS_MONOMIALS, D0, D2, D11, D12, MONOMIALS, PSI1, PSI2, RELATIONS, mono
-from dr2calc.polyq import D
+from dr2calc.polyq import D, as_poly
 
 CT_BASIS = (
     (mono(PSI1, D11), mono(PSI2, D11)),
@@ -129,3 +132,72 @@ def test_a_basis_dependent_modulo_the_relations_is_refused():
     killed = tuple({m: 1} for m in MONOMIALS if D0 in m)
     with pytest.raises(ValueError, match="basis is dependent modulo the relations"):
         chow.QuotientReducer(ct.CtClass, ct.CT_RELATIONS + killed, basis)
+
+
+def _fraction_echelon(rows, columns):
+    """Reduced echelon form over Fraction, pivots tried on the given columns
+    left to right: the pivot columns and the rows, pivot rows first."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in columns:
+        r = len(pivots)
+        pick = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if pick is None:
+            continue
+        m[r], m[pick] = m[pick], m[r]
+        lead = m[r][col]
+        prow = m[r] = [x / lead for x in m[r]]
+        for i, row in enumerate(m):
+            f = row[col]
+            if f and i != r:
+                m[i] = [a - f * b for a, b in zip(row, prow)]
+        pivots.append(col)
+    return pivots, m
+
+
+def _augmented_table(relations, basis):
+    """The table as first built: [basis element | e_k] and [relation | 0]
+    eliminated on the 21 monomial columns, and the unit-vector block of each
+    pivot row cleared to integers over one denominator."""
+    n, dim = len(MONOMIALS), len(basis)
+    rows = []
+    for k, expr in enumerate([dict.fromkeys(slot, 1) for slot in basis] + list(relations)):
+        row = [Fraction(0)] * n + [Fraction(int(j == k)) for j in range(dim)]
+        for m, c in expr.items():
+            row[MONOMIALS.index(m)] += as_poly(c).constant_value()
+        rows.append(row)
+    pivots, m = _fraction_echelon(rows, range(n))
+    assert len(pivots) == n and not any(any(row) for row in m[n:])
+    classes = [row[n:] for row in m[:n]]
+    den = lcm(*[x.denominator for row in classes for x in row])
+    table = {
+        MONOMIALS[col]: tuple((k, int(x * den)) for k, x in enumerate(row) if x)
+        for col, row in zip(pivots, classes)
+    }
+    return table, den
+
+
+_KILLED = tuple({m: 1} for m in MONOMIALS if D0 in m)
+BUILDS = {
+    "chow": (chow._REDUCER, RELATIONS, BASIS_MONOMIALS),
+    "ct": (ct._CT_REDUCER, ct.CT_RELATIONS + _KILLED, CT_BASIS),
+}
+
+
+@pytest.mark.parametrize("ring", sorted(BUILDS))
+def test_table_matches_the_augmented_fraction_elimination(ring):
+    reducer, relations, basis = BUILDS[ring]
+    table, den = _augmented_table(relations, basis)
+    assert list(reducer.rows.items()) == list(table.items())
+    assert reducer.den == den == {"chow": 60, "ct": 20}[ring]
+
+
+def test_compact_type_relations_of_rank_10_of_11_are_accepted():
+    # on the 15 monomials without d0 the eleven relations have rank 10, so
+    # the reducer's rows are dependent, but not on a basis row
+    columns = [k for k, m in enumerate(MONOMIALS) if D0 not in m]
+    rows = [[as_poly(rel.get(m, 0)).constant_value() for m in MONOMIALS] for rel in ct.CT_RELATIONS]
+    pivots, _ = _fraction_echelon(rows, columns)
+    assert (len(pivots), len(rows)) == (10, 11)
+    reducer = chow.QuotientReducer(ct.CtClass, ct.CT_RELATIONS + _KILLED, CT_BASIS)
+    assert (reducer.rows, reducer.den) == (ct._CT_REDUCER.rows, 20)
