@@ -7,9 +7,9 @@ of ``chow.QuotientReducer``.  The kernel is fraction-free: it eliminates
 rows scaled to integers and returns integer rows, so no operation pays for a
 Fraction's gcd.  Exact arithmetic needs no numerical pivoting, so pivots are
 chosen as the first nonzero entry in row order; output is therefore
-deterministic across runs and platforms.  Every entry passes ``polyq.exact``, the package's input
-gate: ints, Fractions or "p/q" strings; another string raises
-``ValueError`` and a float ``TypeError``.  A row whose length differs from
+deterministic across runs and platforms.  Every entry passes
+``polyq.exact``, the package's input gate: ints, Fractions or "p/q"
+strings; another string raises ``ValueError`` and a float ``TypeError``.  A row whose length differs from
 row 0's raises ``ValueError`` naming it.  These checks run once per
 ``GatedMatrix``: ``solve_unique`` and ``row_dependencies`` take one in place
 of plain rows and gate it no further, and gate plain rows on every call.
@@ -19,9 +19,8 @@ of plain rows and gate it no further, and gate plain rows on every call.
 row operations, and its left null space in reduced echelon form, one
 vector per dependent row.  The stored values are tuples of ints and every
 call builds its own result, so no caller can alter what the next one gets.
-``rank`` and ``reduced_echelon`` run the kernel on every call; nothing in the
-package reads them, and they are kept only for the benchmark's span list
-(``SPANNED`` in ``perfbench/spans.py``).
+``rank`` and ``reduced_echelon``, kept only for ``perfbench/spans.py``,
+run the kernel on every call.
 """
 
 from __future__ import annotations

@@ -15,11 +15,10 @@ D = 30(W + psi) and E = 20 W + 3 d0 + 6 d1.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .chow import TautClass2, swap_markings
-from .linalg import GatedMatrix, InconsistentSystemError, solve_unique
+from .linalg import InconsistentSystemError, solve_unique
 from .polyq import PolyQ, PolyLike, PolyVector, Scalar, _echo, as_poly, exact
 
 M21_NAMES = ("psi", "d0", "d1")
@@ -213,26 +212,16 @@ class ConeReport(NamedTuple):
     in_moving_d_psi_cone: Optional[bool]
 
 
-@cache
-def _generator_matrix(generators: Tuple[DivisorM21, ...]) -> GatedMatrix:
-    """The gated matrix whose columns are the numeric generators, one per
-    tuple of generator values; a raise is not cached."""
-    columns = [[x.constant_value() for x in g.coeffs] for g in generators]
-    return GatedMatrix(list(zip(*columns)))
-
-
-def _coordinates(values: Sequence[Fraction], generators: Tuple[DivisorM21, ...]) -> Tuple[Fraction, ...]:
+def _coordinates(values: Sequence[Fraction], generators: Sequence[DivisorM21]) -> Tuple[Fraction, ...]:
     """The coordinates of a numeric class in numeric generators; raises
     InconsistentSystemError when the class is outside their span."""
-    return tuple(solve_unique(_generator_matrix(generators), values))
+    columns = [[x.constant_value() for x in g.coeffs] for g in generators]
+    return tuple(solve_unique(list(zip(*columns)), values))
 
 
 def classify_effective_cone(c: DivisorM21) -> ConeReport:
     """Express a (numeric) divisor class in the effective generators (W, d0, d1)
-    and report its cone position.
-
-    The generators are read at call time, and each tuple of their values
-    keeps one gated matrix for the process."""
+    and report its cone position."""
     if not isinstance(c, DivisorM21):
         raise TypeError(f"classify_effective_cone takes a DivisorM21, got {type(c).__name__}")
     if not all(coeff.is_constant() for coeff in c.coeffs):

@@ -1,0 +1,31 @@
+"""Gauss-Jordan elimination over Fraction, the reference the tests hold the
+package's fraction-free kernel and its quotient-ring tables to."""
+
+from fractions import Fraction
+
+
+def fraction_gauss_jordan(rows, column_order=None):
+    """Reduced echelon form over Fraction, pivots tried on the columns of
+    column_order (all columns, left to right, by default): the pivot columns
+    and the rows, pivot rows first."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    if column_order is None:
+        column_order = range(len(m[0]) if m else 0)
+    pivots = []
+    for col in column_order:
+        r = len(pivots)
+        if r == len(m):
+            break
+        pick = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if pick is None:
+            continue
+        m[r], m[pick] = m[pick], m[r]
+        lead = m[r][col]
+        m[r] = [x / lead for x in m[r]]
+        prow = m[r]
+        for i in range(len(m)):
+            if i != r and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], prow)]
+        pivots.append(col)
+    return pivots, m

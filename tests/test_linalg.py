@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from _reference import fraction_gauss_jordan
 
 from dr2calc.linalg import (
     InconsistentSystemError,
@@ -209,38 +210,13 @@ def test_floats_are_refused_with_their_value(call):
 # --- the fraction-free kernel against the Fraction elimination it replaced --
 
 
-def _fraction_gauss_jordan(rows, column_order=None):
-    """Gauss-Jordan elimination over Fraction: the reference for the kernel."""
-    m = [[F(x) for x in row] for row in rows]
-    if column_order is None:
-        column_order = range(len(m[0]) if m else 0)
-    pivots = []
-    for col in column_order:
-        r = len(pivots)
-        if r == len(m):
-            break
-        pick = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
-        if pick is None:
-            continue
-        m[r], m[pick] = m[pick], m[r]
-        lead = m[r][col]
-        m[r] = [x / lead for x in m[r]]
-        prow = m[r]
-        for i in range(len(m)):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], prow)]
-        pivots.append(col)
-    return pivots, m
-
-
 def _reference_rank(rows):
-    return len(_fraction_gauss_jordan(rows)[0])
+    return len(fraction_gauss_jordan(rows)[0])
 
 
 def _reference_solve_unique(rows, rhs):
     ncols = len(rows[0])
-    pivots, m = _fraction_gauss_jordan([list(r) + [b] for r, b in zip(rows, rhs)], range(ncols))
+    pivots, m = fraction_gauss_jordan([list(r) + [b] for r, b in zip(rows, rhs)], range(ncols))
     if len(pivots) < ncols:
         raise UnderdeterminedSystemError("reference")
     solution = [F(0)] * ncols
@@ -253,7 +229,7 @@ def _reference_solve_unique(rows, rhs):
 
 
 def _reference_row_dependencies(rows):
-    pivots, m = _fraction_gauss_jordan([list(col) for col in zip(*rows)])
+    pivots, m = fraction_gauss_jordan([list(col) for col in zip(*rows)])
     return [
         (idx, {pivots[i]: m[i][idx] for i in range(len(pivots)) if m[i][idx] != 0})
         for idx in range(len(rows))
@@ -262,7 +238,7 @@ def _reference_row_dependencies(rows):
 
 
 def _reference_reduced_echelon(rows, column_order):
-    pivots, m = _fraction_gauss_jordan(rows, column_order)
+    pivots, m = fraction_gauss_jordan(rows, column_order)
     if any(any(x != 0 for x in r) for r in m[len(pivots):]):
         raise LinearSystemError("reference")
     return list(zip(pivots, m))
@@ -321,7 +297,7 @@ def test_kernel_matches_the_fraction_elimination():
         before = [list(r) for r in ints]
         pivots, m = _gauss_jordan(ints, order)
         assert ints == before  # the caller's integer rows are left unchanged
-        ref_pivots, ref = _fraction_gauss_jordan(rows, order)
+        ref_pivots, ref = fraction_gauss_jordan(rows, order)
         assert pivots == ref_pivots
         n = len(pivots)
         assert all(type(x) is int for row in m for x in row)
@@ -396,7 +372,7 @@ def _reference_solutions(rows, columns):
     """One plain elimination of [A | b_1 ... b_k]; the solution for each b,
     checked against every row."""
     ncols = len(rows[0])
-    pivots, m = _fraction_gauss_jordan(
+    pivots, m = fraction_gauss_jordan(
         [list(row) + list(bs) for row, bs in zip(rows, zip(*columns))], range(ncols)
     )
     assert pivots == list(range(ncols))

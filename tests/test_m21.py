@@ -156,30 +156,6 @@ def test_cone_classification_refuses_other_types(value):
         classify_effective_cone(value)
 
 
-def test_warm_cone_classification_eliminates_nothing(monkeypatch):
-    from dr2calc import linalg
-
-    c = pushforward_class_formula(5)
-    report = classify_effective_cone(c)
-    calls = []
-    gauss_jordan = linalg._gauss_jordan
-    monkeypatch.setattr(linalg, "_gauss_jordan", lambda *a: calls.append(a) or gauss_jordan(*a))
-    assert classify_effective_cone(c) == report
-    assert calls == []
-
-
-def test_cone_coordinates_follow_a_patched_weierstrass_class(monkeypatch):
-    # the generator matrices are kept per tuple of generator values read at
-    # call time, so a warm memo gives no stale coordinates for a new W
-    c = pushforward_class_formula(2)
-    assert classify_effective_cone(c).effective_coords == (5, 0, 0)
-    monkeypatch.setattr(m21, "WEIERSTRASS_CLASS", WEIERSTRASS_CLASS.scale(5))
-    report = classify_effective_cone(c)
-    assert report.effective_coords == (1, 0, 0)
-    assert report.w_psi_coords == (1, 0)
-    assert report.classification == "extremal_ray:W"
-
-
 def test_pushforward_rows_are_pushforward_functionals():
     # the three equation rows match coordinates of the push-forward map
     from dr2calc.surfaces import pushforward_rows

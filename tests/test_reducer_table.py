@@ -14,6 +14,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from _reference import fraction_gauss_jordan
 
 from dr2calc import chow, ct
 from dr2calc.chow import BASIS_MONOMIALS, D0, D2, D11, D12, MONOMIALS, PSI1, PSI2, RELATIONS, mono
@@ -134,27 +135,6 @@ def test_a_basis_dependent_modulo_the_relations_is_refused():
         chow.QuotientReducer(ct.CtClass, ct.CT_RELATIONS + killed, basis)
 
 
-def _fraction_echelon(rows, columns):
-    """Reduced echelon form over Fraction, pivots tried on the given columns
-    left to right: the pivot columns and the rows, pivot rows first."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    for col in columns:
-        r = len(pivots)
-        pick = next((i for i in range(r, len(m)) if m[i][col]), None)
-        if pick is None:
-            continue
-        m[r], m[pick] = m[pick], m[r]
-        lead = m[r][col]
-        prow = m[r] = [x / lead for x in m[r]]
-        for i, row in enumerate(m):
-            f = row[col]
-            if f and i != r:
-                m[i] = [a - f * b for a, b in zip(row, prow)]
-        pivots.append(col)
-    return pivots, m
-
-
 def _augmented_table(relations, basis):
     """The table as first built: [basis element | e_k] and [relation | 0]
     eliminated on the 21 monomial columns, and the unit-vector block of each
@@ -166,7 +146,7 @@ def _augmented_table(relations, basis):
         for m, c in expr.items():
             row[MONOMIALS.index(m)] += as_poly(c).constant_value()
         rows.append(row)
-    pivots, m = _fraction_echelon(rows, range(n))
+    pivots, m = fraction_gauss_jordan(rows, range(n))
     assert len(pivots) == n and not any(any(row) for row in m[n:])
     classes = [row[n:] for row in m[:n]]
     den = lcm(*[x.denominator for row in classes for x in row])
@@ -190,14 +170,8 @@ def test_table_matches_the_augmented_fraction_elimination(ring):
     table, den = _augmented_table(relations, basis)
     assert list(reducer.rows.items()) == list(table.items())
     assert reducer.den == den == {"chow": 60, "ct": 20}[ring]
-
-
-def test_compact_type_relations_of_rank_10_of_11_are_accepted():
-    # on the 15 monomials without d0 the eleven relations have rank 10, so
-    # the reducer's rows are dependent, but not on a basis row
-    columns = [k for k, m in enumerate(MONOMIALS) if D0 not in m]
-    rows = [[as_poly(rel.get(m, 0)).constant_value() for m in MONOMIALS] for rel in ct.CT_RELATIONS]
-    pivots, _ = _fraction_echelon(rows, columns)
-    assert (len(pivots), len(rows)) == (10, 11)
-    reducer = chow.QuotientReducer(ct.CtClass, ct.CT_RELATIONS + _KILLED, CT_BASIS)
-    assert (reducer.rows, reducer.den) == (ct._CT_REDUCER.rows, 20)
+    # the eleven compact-type relations have rank 10 once the d0 monomials
+    # die, so that ring is built, and accepted, from dependent relations
+    relation_rows = [[as_poly(rel.get(m, 0)).constant_value() for m in MONOMIALS] for rel in relations]
+    rank = len(fraction_gauss_jordan(relation_rows)[0])
+    assert (rank, len(relations)) == {"chow": (7, 7), "ct": (16, 17)}[ring]
