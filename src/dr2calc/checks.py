@@ -386,6 +386,8 @@ def run_checks(
     only: Optional[Sequence[str]] = None,
     strata_table: Optional[StrataTable] = None,
 ) -> List[CheckResult]:
+    if isinstance(only, str):
+        raise TypeError(f"only must be a sequence of check names, got the str {_echo(only)}")
     names = list(CHECKS) if only is None else list(only)
     unknown = [n for n in names if n not in CHECKS]
     if unknown:

@@ -20,8 +20,9 @@ with the symmetric combination psi1^2+psi2^2 fused into a single coordinate
 (the antisymmetric combination psi1^2-psi2^2 is eliminated by the relation
 (psi1-psi2)(10psi1+10psi2-2d11-12d12-d0) = 0).  One ``linalg.GatedMatrix``
 of the basis elements and the relations is eliminated once at import, and
-its row operations give the one table of the ring: the class of each of the
-21 monomials, as integers over one common denominator (60).  Reductions and
+its row operations, integers over one positive denominator, give the one
+table of the ring: the class of each of the 21 monomials, as integers over
+one common denominator (60).  Reductions and
 divisor products both read that table, so two expressions differing by a
 relation reduce identically.  A reduction reads its coefficients' integer
 numerators over one denominator; a product reads each factor's.  Both then
@@ -43,12 +44,11 @@ coefficients.  All values are immutable; every operation is a pure function.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Dict, Mapping, Sequence, Tuple
 
 from .linalg import GatedMatrix
-from .polyq import PolyLike, PolyQ, PolyVector, _const, _echo, _poly, as_poly, clear_denominators, parse_rational, poly_numerators
+from .polyq import PolyLike, PolyQ, PolyVector, _const, _echo, _poly, as_poly, parse_rational, poly_numerators
 
 GENERATORS = ("psi1", "psi2", "d0", "d2", "d11", "d12")
 PSI1, PSI2, D0, D2, D11, D12 = range(6)
@@ -190,15 +190,16 @@ class QuotientReducer:
     of the 21-column rows, slot k's monomial sum as row k and then the
     relations, records the elimination on the monomial columns: the
     monomial m at ``pivots[i]`` equals the combination ``inverse[i]`` of the
-    rows over ``inverse_den[i]``, and as the relations are zero, its class
-    is sum_{k < dim} inverse[i][k] * e_k / inverse_den[i].  Construction
-    raises ``ValueError`` when a ``null_space`` vector is nonzero on a basis
-    row (the basis is dependent modulo the relations), and then unless the
-    rows span all 21 monomials.
+    rows over the matrix's ``den``, and as the relations are zero, its class
+    is sum_{k < dim} inverse[i][k] * e_k / den.  Construction raises
+    ``ValueError`` when a ``null_space`` vector is nonzero on a basis row
+    (the basis is dependent modulo the relations), and then unless the rows
+    span all 21 monomials.
 
-    The class of every monomial is kept over one common denominator ``den``
-    in one table, ``rows``: ``rows[m]`` lists the nonzero ``(slot, n)`` of
-    den * [m], and is empty for a killed monomial.  Reductions
+    The class of every monomial is kept over one common denominator ``den``,
+    the matrix's ``den`` divided by its gcd with every basis entry of
+    ``inverse``, in one table, ``rows``: ``rows[m]`` lists the nonzero
+    ``(slot, n)`` of den * [m], and is empty for a killed monomial.  Reductions
     (``__call__``) and products (``multiply``) both read the polynomials'
     integer numerators over one denominator and fill one accumulator: a
     zeroed integer list per slot, as wide as the result, into which each
@@ -238,14 +239,13 @@ class QuotientReducer:
         if len(matrix.pivots) != n:
             raise ValueError(f"relations and basis span {len(matrix.pivots)} of the {n} monomials")
 
-        # The basis rows are integral (scale 1), so the class of the monomial
-        # at pivots[i] is inverse[i][:dim] / inverse_den[i].
-        classes, self.den = clear_denominators(
-            [[Fraction(v, d) for v in combo[:dim]] for combo, d in zip(matrix.inverse, matrix.inverse_den)]
-        )
+        # The class of the monomial at pivots[i] is inverse[i][:dim] / den,
+        # kept over the least denominator that serves every monomial.
+        g = gcd(matrix.den, *(v for combo in matrix.inverse for v in combo[:dim]))
+        self.den = matrix.den // g
         self.rows = {
-            MONOMIALS[col]: tuple((k, v) for k, v in enumerate(c) if v)
-            for col, c in zip(matrix.pivots, classes)
+            MONOMIALS[col]: tuple((k, v // g) for k, v in enumerate(combo[:dim]) if v)
+            for col, combo in zip(matrix.pivots, matrix.inverse)
         }
 
     def __call__(self, expr: Mapping[Monomial, PolyLike]) -> PolyVector:

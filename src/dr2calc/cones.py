@@ -246,6 +246,8 @@ def nonpolynomiality_witness(max_degree: int) -> NonPolynomialityReport:
     the zero constant, which does agree at 0; the mismatch needs at least
     the sample at 2.)
     """
+    if not isinstance(max_degree, int) or isinstance(max_degree, bool):
+        raise TypeError(f"max_degree must be an int, got {_echo(max_degree)}")
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
     points = tuple(range(1, max_degree + 2))

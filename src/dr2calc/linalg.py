@@ -15,9 +15,10 @@ row 0's raises ``ValueError`` naming it.  These checks run once per
 of plain rows and gate it no further, and gate plain rows on every call.
 
 ``solve_unique`` and ``row_dependencies`` read one elimination of
-[A | I], run once when a ``GatedMatrix`` is built: its pivots and integer
-row operations, and its left null space in reduced echelon form, one
-vector per dependent row.  The stored values are tuples of ints and every
+[A | I], run once when a ``GatedMatrix`` is built: its pivots, its row
+operations as integers over one positive denominator, and its left null
+space in reduced echelon form, one vector per dependent row, all in the
+terms of the rows as given.  The stored values are tuples of ints and every
 call builds its own result, so no caller can alter what the next one gets.
 ``rank`` and ``reduced_echelon``, kept only for ``perfbench/spans.py``,
 run the kernel on every call.
@@ -75,33 +76,34 @@ class GatedMatrix:
     constructor is the gate: a ragged row, then a float or a malformed
     string entry, raises as plain rows do.  ``len`` is the row count.
 
-    The constructor then eliminates [ints | I] on the columns of ``ints``,
+    The constructor then eliminates [A | I], A the rows as given, with each
+    row times its scale: [ints | diag(scales)], on the columns of ``ints``,
     left to right.  The pivot choices depend on those columns alone, so the
-    identity block records the row operations of every elimination of
-    [ints | b]: with inverse[i] the identity block of the kernel's integer
-    row i and inverse_den[i] its pivot entry, reduced row i is
-    sum_k inverse[i][k] * ints[k] / inverse_den[i], and the same
-    combination of b is the value of unknown pivots[i].  The identity
-    blocks of the rows left zero on ``ints`` span its left null space;
-    ``null_space`` holds them in reduced echelon form, columns tried from
-    the last row back, as (i, v) pairs in row order.  Each pivot i is a row
-    dependent on earlier ones, and v is nonzero at i, zero at every later
-    row and at every other dependent row, and sum_k v[k] * ints[k] = 0.
+    right block records, in the terms of A, the row operations of every
+    elimination of [A | b]: ``den`` is one positive integer, the lcm of the
+    pivot entries, and with inverse[i] an integer row, reduced row i is
+    sum_k inverse[i][k] * A[k] / den, and the same combination of b is the
+    value of unknown pivots[i].  The right blocks of the rows left zero on
+    ``ints`` span the left null space of A; ``null_space`` holds them in
+    reduced echelon form, columns tried from the last row back, as (i, v)
+    pairs in row order.  Each pivot i is a row dependent on earlier ones,
+    and v is nonzero at i, zero at every later row and at every other
+    dependent row, and sum_k v[k] * A[k] = 0.
     """
 
-    __slots__ = ("ints", "scales", "width", "pivots", "inverse", "inverse_den", "null_space")
+    __slots__ = ("ints", "scales", "width", "pivots", "den", "inverse", "null_space")
 
     def __init__(self, rows: Sequence[Sequence]):
         self.width = width = _width(rows)
         ints, scales = _cleared(rows)
         self.ints, self.scales = tuple(map(tuple, ints)), tuple(scales)
         n = len(ints)
-        pivots, m = _gauss_jordan(
-            [row + [int(i == k) for i in range(n)] for k, row in enumerate(ints)], range(width)
-        )
+        augmented = [row + [s * (i == k) for i in range(n)] for k, (row, s) in enumerate(zip(ints, scales))]
+        pivots, m = _gauss_jordan(augmented, range(width))
         self.pivots = tuple(pivots)
-        self.inverse = tuple(tuple(row[width:]) for row in m[: len(pivots)])
-        self.inverse_den = tuple(row[col] for row, col in zip(m, pivots))
+        leads = [row[col] for row, col in zip(m, pivots)]
+        self.den = den = lcm(*leads)
+        self.inverse = tuple(tuple(x * (den // p) for x in row[width:]) for row, p in zip(m, leads))
         dependent, null = _gauss_jordan([row[width:] for row in m[len(pivots):]], range(n - 1, -1, -1))
         self.null_space = tuple(sorted(zip(dependent, map(tuple, null))))
 
@@ -169,10 +171,9 @@ def solve_unique(
     number of unknowns, and InconsistentSystemError naming the first original
     row that the candidate solution fails to satisfy.
 
-    With A_int the rows cleared to integers, A_int[k] = s_k * A[k], the
-    system is A_int x = s * b.  The matrix's elimination of [A_int | I]
-    gives each unknown as one integer combination of the scaled right-hand
-    side, divided once: the candidate that eliminating [A | b] gives.
+    The matrix's ``inverse`` gives each unknown as one integer combination
+    of the right-hand side over ``den``: the candidate that eliminating
+    [A | b] gives.
     """
     if len(rows) != len(rhs):
         raise ValueError("row/rhs length mismatch")
@@ -183,20 +184,17 @@ def solve_unique(
     [b], [cden] = _cleared([rhs])
     if len(matrix.pivots) < ncols:
         raise UnderdeterminedSystemError(f"rank {len(matrix.pivots)} < {ncols} unknowns")
-    c = [s * x for s, x in zip(matrix.scales, b)]
-    # The candidate is point / (den * cden), over the lcm of the pivot
-    # entries; lcm is positive, so a negative pivot's sign goes to point.
-    den = lcm(*matrix.inverse_den)
-    point = [0] * ncols
-    for pcol, combo, d in zip(matrix.pivots, matrix.inverse, matrix.inverse_den):
-        point[pcol] = sum(map(mul, combo, c)) * (den // d)
+    # At full rank the pivots are the columns in order, so the candidate's
+    # unknown j is inverse[j] . b / (den * cden), b here the cleared rhs.
+    point = [sum(map(mul, combo, b)) for combo in matrix.inverse]
 
     # Verify against the original rows so the offending index is meaningful,
-    # in integers: A_int[k] . point == c[k] * den.
-    for k, (row, ck) in enumerate(zip(matrix.ints, c)):
-        if sum(map(mul, row, point)) != ck * den:
+    # in integers: with ints[k] = scales[k] * A[k], ints[k] . point must be
+    # scales[k] * b[k] * den.
+    for k, (row, s, bk) in enumerate(zip(matrix.ints, matrix.scales, b)):
+        if sum(map(mul, row, point)) != s * bk * matrix.den:
             raise InconsistentSystemError(k)
-    return [Fraction(x, den * cden) for x in point]
+    return [Fraction(x, matrix.den * cden) for x in point]
 
 
 def row_dependencies(
@@ -208,17 +206,14 @@ def row_dependencies(
     each remaining row is returned as ``(index, combo)`` where
     ``rows[index] == sum(combo[k] * rows[k] for k)`` over earlier kept rows.
 
-    With A_int[k] = s_k * A[k] the rows cleared to integers, the dependent
-    rows are the pivots of the matrix's ``null_space``.  Row i's vector v
-    has sum_k v[k] * s_k * A[k] = 0, is zero after row i, and is nonzero
-    before it only at kept rows, so A[i] is the sum over k < i of
-    -v[k] * s_k / (v[i] * s_i) times A[k].
+    The dependent rows are the pivots of the matrix's ``null_space``.  Row
+    i's vector v has sum_k v[k] * A[k] = 0, is zero after row i, and is
+    nonzero before it only at kept rows, so A[i] is the sum over k < i of
+    -v[k] / v[i] times A[k].
     """
-    matrix = _gated(rows)
-    s = matrix.scales
     return [
-        (i, {k: Fraction(-v[k] * s[k], v[i] * s[i]) for k in range(i) if v[k]})
-        for i, v in matrix.null_space
+        (i, {k: Fraction(-v[k], v[i]) for k in range(i) if v[k]})
+        for i, v in _gated(rows).null_space
     ]
 
 

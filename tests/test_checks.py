@@ -297,6 +297,11 @@ def test_run_checks_rejects_unknown_names():
         checks.run_checks(["solver", "nope"])
 
 
+def test_run_checks_refuses_a_bare_string_by_name():
+    with pytest.raises(TypeError, match=r"^only must be a sequence of check names, got the str 'solver'$"):
+        checks.run_checks(only="solver")
+
+
 def test_run_checks_with_an_empty_selection_runs_none():
     assert checks.run_checks(only=[]) == []
     assert checks.run_checks([]) == []

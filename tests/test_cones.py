@@ -202,6 +202,12 @@ def test_nonpolynomiality_degree_edge_cases():
         nonpolynomiality_witness(-1)
 
 
+@pytest.mark.parametrize("max_degree", [True, False, 2.0, F(3, 2), F(2), "3", None], ids=repr)
+def test_nonpolynomiality_witness_takes_only_an_int_degree(max_degree):
+    with pytest.raises(TypeError, match=re.escape(f"max_degree must be an int, got {max_degree!r}")):
+        nonpolynomiality_witness(max_degree)
+
+
 def test_strata_table_must_be_a_json_object(tmp_path):
     path = tmp_path / "list.json"
     path.write_text(json.dumps([["0"] * 14] * 4))

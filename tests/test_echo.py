@@ -44,6 +44,12 @@ CASES = {
         lambda name: checks.run_checks([name]),
         "ab", f"unknown check name(s): ['ab']; valid: {_VALID}", _LONG, lambda v: repr([v]),
     ),
+    "run_checks-str": (
+        checks.run_checks, "ab", "only must be a sequence of check names, got the str 'ab'", _LONG, repr,
+    ),
+    "nonpolynomiality_witness": (
+        cones.nonpolynomiality_witness, "ab", "max_degree must be an int, got 'ab'", _LONG, repr,
+    ),
     "pattern-type": (
         _pattern, "ab", "pattern coefficient d11 must be an int or Fraction, got 'ab'", _LONG, repr,
     ),

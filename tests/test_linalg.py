@@ -457,9 +457,37 @@ def test_a_second_redundancy_report_runs_no_elimination(monkeypatch):
     assert len(calls) == 2
     assert [i for i, _ in matrix.null_space] == [row.index for row in first]
     stored = [matrix.ints, matrix.inverse, [v for _, v in matrix.null_space]]
-    entries = [*matrix.scales, *matrix.pivots, *matrix.inverse_den, *(i for i, _ in matrix.null_space)]
+    entries = [*matrix.scales, *matrix.pivots, matrix.den, *(i for i, _ in matrix.null_space)]
     entries += [x for rows in stored for row in rows for x in row]
     assert all(type(x) is int for x in entries)
+
+
+# --- the record a gated matrix keeps, against the Fraction elimination -----
+
+
+def test_a_gated_matrix_keeps_its_record_over_one_positive_den_for_the_rows_as_given():
+    from dr2calc.linalg import GatedMatrix, _cleared, _gauss_jordan
+
+    seen = set()
+    for _, rows, _ in _differential_cases(25):
+        matrix = GatedMatrix(rows)
+        ref_pivots, ref = fraction_gauss_jordan(rows)
+        assert matrix.pivots == tuple(ref_pivots) and matrix.den > 0
+        columns = list(zip(*rows))
+        for combo, reduced in zip(matrix.inverse, ref):
+            assert [_dot(combo, column) for column in columns] == [matrix.den * x for x in reduced]
+        dependent = [i for i, _ in matrix.null_space]
+        for i, v in matrix.null_space:
+            assert not any(_dot(v, column) for column in columns)
+            assert v[i] and not any(v[i + 1:]) and not any(v[k] for k in dependent if k != i)
+        pivots, m = _gauss_jordan(_cleared(rows)[0])
+        if any(row[col] < 0 for row, col in zip(m, pivots)):
+            seen.add("negative pivot")
+        if any(s > 1 for s in matrix.scales):
+            seen.add("fractional row")
+        if dependent:
+            seen.add("dependent row")
+    assert seen == {"negative pivot", "fractional row", "dependent row"}
 
 
 # --- a gated matrix against the plain rows it was built from ---------------
