@@ -271,10 +271,6 @@ def check_ci_obstruction() -> Tuple[bool, str]:
         want = (a.psi1 * b.psi1 + a.psi2 * b.psi2) / 2
         if got != want or got.numerator < 0:
             return False, f"trial {trial}: {got} != {want}"
-    slot = dr2_class(D).coeffs[FUSED_SLOT]
-    negative = [d for d in range(2, 51) if not slot(d) < 0]
-    if negative:
-        return False, f"fused slot not negative at d in {negative}"
     # Proof of the sampled statement: the fused slot of a product reads only
     # psi1*psi1 and psi2*psi2, each at weight 1/2, and the class's is negative.
     reducer = chow._REDUCER
@@ -287,16 +283,19 @@ def check_ci_obstruction() -> Tuple[bool, str]:
     if fused != {"psi1*psi1": Fraction(1, 2), "psi2*psi2": Fraction(1, 2)}:
         terms = ", ".join(f"{w} {m}" for m, w in fused.items())
         return False, f"fused slot of a product reads {terms}, expected 1/2 psi1*psi1, 1/2 psi2*psi2"
+    slot = dr2_class(D).coeffs[FUSED_SLOT]
     if slot != (D * D - 1) * (2 - D * D) / 4:
         return False, f"fused slot of the class is {slot}, expected (d^2-1)(2-d^2)/4"
-    # Proof of the scanned statement for every real d >= 2: at d + 2 the slot
-    # has a negative constant term and no positive coefficient.
+    # Proof that the class's fused slot is negative for every real d >= 2:
+    # at d + 2 it has a negative constant term and no positive coefficient.
     shifted = taylor_shift(slot, 2)
     if not (shifted(0) < 0 and all(c <= 0 for c in shifted.num)):
         return False, (
             f"fused slot of the class at d + 2 is {shifted}, "
             "expected a negative constant and no positive coefficient"
         )
+    # The text predates the Taylor-shift proof and is pinned by the golden
+    # verify report, so it still names the d = 2..50 scan the proof replaced.
     return True, (
         "1000 random effective products have non-negative fused slot; "
         "the class has negative fused slot for d = 2..50"
@@ -386,8 +385,8 @@ def run_checks(
     only: Optional[Sequence[str]] = None,
     strata_table: Optional[StrataTable] = None,
 ) -> List[CheckResult]:
-    if isinstance(only, str):
-        raise TypeError(f"only must be a sequence of check names, got the str {_echo(only)}")
+    if isinstance(only, (str, bytes)):
+        raise TypeError(f"only must be a sequence of check names, got the {type(only).__name__} {_echo(only)}")
     names = list(CHECKS) if only is None else list(only)
     unknown = [n for n in names if n not in CHECKS]
     if unknown:

@@ -48,7 +48,8 @@ from math import gcd, lcm
 from typing import Dict, Mapping, Sequence, Tuple
 
 from .linalg import GatedMatrix
-from .polyq import PolyLike, PolyQ, PolyVector, _const, _echo, _poly, as_poly, parse_rational, poly_numerators
+from .polyq import PolyLike, PolyQ, PolyVector, _const, _echo, _poly, _require_type, as_poly, parse_rational
+from .polyq import poly_numerators
 
 GENERATORS = ("psi1", "psi2", "d0", "d2", "d11", "d12")
 PSI1, PSI2, D0, D2, D11, D12 = range(6)
@@ -322,8 +323,12 @@ def multiply_divisors(a: DivisorM22, b: DivisorM22) -> TautClass2:
     through the reducer's table in integers: two constant divisors take the
     one-integer-per-slot branch of ``QuotientReducer.multiply``, which reads
     each coefficient's ``num`` and ``den`` directly; any polynomial
-    coefficient takes its general loop over ``poly_numerators``.
+    coefficient takes its general loop over ``poly_numerators``.  A factor
+    that is not a DivisorM22 is a TypeError.
     """
+    if not (isinstance(a, DivisorM22) and isinstance(b, DivisorM22)):
+        _require_type(a, DivisorM22, "multiply_divisors")
+        _require_type(b, DivisorM22, "multiply_divisors")
     return _REDUCER.multiply(a.coeffs, b.coeffs)
 
 
@@ -365,4 +370,5 @@ _SWAP = (0, 1, 3, 2, 5, 4, 7, 6, 8, 9, 10, 11, 12, 13)
 
 def swap_markings(c: TautClass2) -> TautClass2:
     """Exchange the roles of the two marked points (an involution)."""
+    _require_type(c, TautClass2, "swap_markings")
     return TautClass2(c.coeffs[k] for k in _SWAP)

@@ -42,7 +42,8 @@ from .chow import (
     dr2_class,
     multiply_divisors,
 )
-from .polyq import D, PolyLike, PolyQ, _const, _echo, as_poly, exact, parse_json, parse_rational, poly_interpolate
+from .polyq import D, PolyLike, PolyQ, _const, _echo, _require_int, _require_type, as_poly, exact
+from .polyq import parse_json, parse_rational, poly_interpolate
 
 # The sign each pattern weight carries in its divisor class.
 _SIGNS = (1, 1, -1, -1, -1, -1)
@@ -94,8 +95,12 @@ def ci_obstruction(
 
     Read off the full reduced product, computed through the product table
     of ``chow.multiply_divisors``; it always equals
-    (1/2)(a_psi1 b_psi1 + a_psi2 b_psi2), hence is non-negative.
+    (1/2)(a_psi1 b_psi1 + a_psi2 b_psi2), hence is non-negative.  A
+    pattern that is not an EffectiveDivisorPattern is a TypeError.
     """
+    if not (isinstance(a, EffectiveDivisorPattern) and isinstance(b, EffectiveDivisorPattern)):
+        _require_type(a, EffectiveDivisorPattern, "ci_obstruction")
+        _require_type(b, EffectiveDivisorPattern, "ci_obstruction")
     product = multiply_divisors(a.to_divisor(), b.to_divisor())
     return product.coeffs[FUSED_SLOT].constant_value()
 
@@ -246,8 +251,7 @@ def nonpolynomiality_witness(max_degree: int) -> NonPolynomialityReport:
     the zero constant, which does agree at 0; the mismatch needs at least
     the sample at 2.)
     """
-    if not isinstance(max_degree, int) or isinstance(max_degree, bool):
-        raise TypeError(f"max_degree must be an int, got {_echo(max_degree)}")
+    _require_int(max_degree, "max_degree")
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
     points = tuple(range(1, max_degree + 2))

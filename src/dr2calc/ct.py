@@ -68,7 +68,7 @@ from .chow import (
     dr2_class,
     mono,
 )
-from .polyq import D, PolyLike, PolyQ, PolyVector, as_poly
+from .polyq import D, PolyLike, PolyQ, PolyVector, _require_type, as_poly
 
 CT_BASIS_NAMES = (
     "(psi1+psi2)d11",
@@ -138,8 +138,7 @@ def reduce_ct(expr: Mapping[Monomial, PolyLike]) -> CtClass:
 
 def restrict_to_ct(c: TautClass2) -> CtClass:
     """Restriction of a full-space class to the compact-type locus."""
-    if not isinstance(c, TautClass2):
-        raise TypeError(f"restrict_to_ct takes a TautClass2, got {type(c).__name__}")
+    _require_type(c, TautClass2, "restrict_to_ct")
     return reduce_ct(
         {m: coeff for monomials, coeff in zip(BASIS_MONOMIALS, c.coeffs) for m in monomials}
     )

@@ -19,7 +19,7 @@ from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .chow import TautClass2, swap_markings
 from .linalg import InconsistentSystemError, solve_unique
-from .polyq import PolyQ, PolyLike, PolyVector, Scalar, _echo, as_poly, exact
+from .polyq import PolyQ, PolyLike, PolyVector, Scalar, _require_int, _require_type, as_poly, exact
 
 M21_NAMES = ("psi", "d0", "d1")
 
@@ -80,8 +80,8 @@ def pushforward(c: TautClass2, marking: int) -> DivisorM21:
     The marking argument is 1 or 2; forgetting point 2 is the point-1 table
     applied to the marking-swapped class.
     """
-    if not isinstance(c, TautClass2):
-        raise TypeError(f"pushforward takes a TautClass2, got {type(c).__name__}")
+    _require_type(c, TautClass2, "pushforward")
+    _require_int(marking, "marking")
     if marking == 2:
         c = swap_markings(c)
     elif marking != 1:
@@ -99,11 +99,6 @@ def pushforward_class_formula(d: PolyLike) -> DivisorM21:
     return DivisorM21((f * (d2 + 1), -tail / 12, -tail))
 
 
-def _check_genus_type(g) -> None:
-    if not isinstance(g, int) or isinstance(g, bool):
-        raise TypeError(f"genus must be an int, got {_echo(g)}")
-
-
 def pencil_count(g: int) -> int:
     """Pencils of degree g+1 on a general 1-pointed genus-g curve with a
     point of total ramification and a ramification at the marked point.
@@ -112,7 +107,7 @@ def pencil_count(g: int) -> int:
     the degree-(g+1) count on a genus-(g+1) curve with an elliptic tail
     splits into tail cases ((g+1)^2 - 1 torsion choices) and these pencils.
     """
-    _check_genus_type(g)
+    _require_int(g, "genus")
     if g < 1:
         raise ValueError("genus must be at least 1")
     return (g + 2) * g * g
@@ -142,7 +137,7 @@ class DiazDivisor(NamedTuple):
 
 
 def diaz_divisor(g: int) -> DiazDivisor:
-    _check_genus_type(g)
+    _require_int(g, "genus")
     if g < 3:
         raise ValueError("the exceptional-point divisor needs genus >= 3")
     return DiazDivisor(
@@ -222,8 +217,7 @@ def _coordinates(values: Sequence[Fraction], generators: Sequence[DivisorM21]) -
 def classify_effective_cone(c: DivisorM21) -> ConeReport:
     """Express a (numeric) divisor class in the effective generators (W, d0, d1)
     and report its cone position."""
-    if not isinstance(c, DivisorM21):
-        raise TypeError(f"classify_effective_cone takes a DivisorM21, got {type(c).__name__}")
+    _require_type(c, DivisorM21, "classify_effective_cone")
     if not all(coeff.is_constant() for coeff in c.coeffs):
         raise ValueError("cone classification needs numeric coefficients")
     vals = [coeff.constant_value() for coeff in c.coeffs]

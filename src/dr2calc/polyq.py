@@ -36,7 +36,11 @@ lengths and pass every value through ``exact``, the one gate for rationals
 The internal constructors ``_poly``, ``_const`` and ``PolyVector._of`` skip
 that work and take only values the package computed itself: integer
 numerators (a list, or one int for ``_const``) and a positive denominator,
-which they reduce, and tuples of ``PolyQ`` of the right length.
+which they reduce, and tuples of ``PolyQ`` of the right length.  Beside
+``exact`` sit the gates for other arguments, and with them the wording of
+the package's wrong-type errors: ``_require_int`` refuses anything but an
+int (a bool too), and ``_require_type`` anything but an instance of the
+class a function takes.
 """
 
 from __future__ import annotations
@@ -87,6 +91,20 @@ def _echo(value, show=repr) -> str:
     return f"{text[:_ECHO_LIMIT]}... ({len(text)} characters)"
 
 
+def _require_int(value, name: str) -> None:
+    """The package's one gate for an int argument: anything else, bool
+    included, is a TypeError naming the argument and echoing the value."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, got {_echo(value)}")
+
+
+def _require_type(value, cls: type, where: str) -> None:
+    """The package's one gate for a class argument: a value that is not a
+    ``cls`` is a TypeError naming the function ``where`` and its type."""
+    if not isinstance(value, cls):
+        raise TypeError(f"{where} takes a {cls.__name__}, got {type(value).__name__}")
+
+
 def parse_rational(s: str, where: str = "") -> Fraction:
     """Parse "p/q" or "p" (ASCII digits, optional "-", q nonzero) into a Fraction;
     anything else, such as "1.2", "1e3", "+2" or " 3/4", is a ValueError, as is
@@ -123,12 +141,11 @@ def parse_json(text: str):
 def clear_denominators(rows: Sequence[Sequence[Scalar]]) -> Tuple[List[List[int]], int]:
     """Integer rows over one denominator: ``rows[i][k] == out[i][k] / den``.
 
-    ``den`` is the lcm of every entry's denominator (1 when there are none).
-    The entries must already be exact: ints or Fractions.
+    ``den`` is the lcm of every entry's denominator: 1 when there are none
+    or all are integral, and each entry is then its own numerator.  The
+    entries must already be exact: ints or Fractions.
     """
     den = lcm(*[x.denominator for row in rows for x in row])
-    if den == 1:  # the common case, without a division per entry
-        return [[x.numerator for x in row] for row in rows], 1
     return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
 
 

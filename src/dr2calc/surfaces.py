@@ -34,7 +34,7 @@ from typing import Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
 from . import m21
 from .chow import _SWAP, BASIS_MONOMIALS, BASIS_NAMES, GENERATORS, MONOMIALS, Monomial, TautClass2, mono
 from .linalg import GatedMatrix
-from .polyq import D, PolyQ, Scalar, _echo, clear_denominators, parse_json, parse_rational
+from .polyq import D, PolyQ, Scalar, _echo, _require_type, clear_denominators, parse_json, parse_rational
 
 FIXTURE_NAMES = tuple(f"family{k:02d}.json" for k in range(1, 11))
 
@@ -85,15 +85,14 @@ class SurfaceModel(NamedTuple):
 class EquationRow(NamedTuple):
     """A linear functional on class vectors, with its polynomial target value."""
 
-    coefficients: Tuple[Scalar, ...]  # an int wherever the value is integral
+    coefficients: Tuple[Scalar, ...]  # ints or Fractions, as each kind of row computes them
     rhs: PolyQ
     label: str
     kind: str
     provenance: str = ""
 
     def apply(self, c: TautClass2) -> PolyQ:
-        if not isinstance(c, TautClass2):
-            raise TypeError(f"EquationRow.apply takes a TautClass2, got {type(c).__name__}")
+        _require_type(c, TautClass2, "EquationRow.apply")
         return c.dot(self.coefficients)
 
     def residual(self, c: TautClass2) -> PolyQ:
@@ -242,19 +241,13 @@ def builtin_surfaces() -> Tuple[SurfaceModel, ...]:
     return _loaded()[0]
 
 
-def _narrowed(q: Fraction) -> Scalar:
-    """q as an int when it is integral: an int passes ``linalg``'s input gate
-    and ``clear_denominators`` faster than a Fraction, and prints the same."""
-    return q.numerator if q.denominator == 1 else q
-
-
 def equation_row(surface: SurfaceModel) -> EquationRow:
     """The linear equation a surface imposes on the 14 class coefficients.
 
     Coefficient k is the Gram pairing of the k-th basis monomial with the
     surface; the fused slot receives the psi1^2 pairing plus the psi2^2
     pairing.  The pairings are read off ``monomial_pairings`` in integers
-    and each coefficient is divided once, staying an int when integral.
+    and each coefficient is divided once, into a Fraction.
     Raises ValueError on an asymmetric Gram matrix.
     """
     n = len(surface.generators)
@@ -265,8 +258,7 @@ def equation_row(surface: SurfaceModel) -> EquationRow:
     pairings, den = surface.monomial_pairings()
     return EquationRow(
         coefficients=tuple(
-            _narrowed(Fraction(sum(pairings[m] for m in monomials), den))
-            for monomials in BASIS_MONOMIALS
+            Fraction(sum(pairings[m] for m in monomials), den) for monomials in BASIS_MONOMIALS
         ),
         rhs=surface.rhs,
         label=f"surface-{surface.family:02d}",

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from dr2calc.chow import TautClass2, dr2_class
+from dr2calc.chow import DivisorM22, TautClass2, dr2_class, multiply_divisors, swap_markings
 from dr2calc.cones import (
     EffectiveDivisorPattern,
     ci_obstruction,
@@ -200,6 +200,27 @@ def test_nonpolynomiality_degree_edge_cases():
     assert report.polynomial_matches
     with pytest.raises(ValueError):
         nonpolynomiality_witness(-1)
+
+
+_CLASS, _DIVISOR, _PATTERN = TautClass2.unit(0), DivisorM22.unit(0), EffectiveDivisorPattern(1, 1, 0, 0, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "func, args, wanted, got",
+    [
+        # a TautClass2 would read its first six of 14 slots as divisor coefficients
+        (multiply_divisors, (_CLASS, _CLASS), "DivisorM22", "TautClass2"),
+        (multiply_divisors, (_DIVISOR, _CLASS), "DivisorM22", "TautClass2"),
+        (multiply_divisors, (_DIVISOR.coeffs, _DIVISOR), "DivisorM22", "tuple"),
+        (swap_markings, (_DIVISOR,), "TautClass2", "DivisorM22"),
+        (ci_obstruction, (_DIVISOR, _DIVISOR), "EffectiveDivisorPattern", "DivisorM22"),
+        (ci_obstruction, (_PATTERN, _DIVISOR), "EffectiveDivisorPattern", "DivisorM22"),
+    ],
+    ids=["classes", "second-factor", "tuple", "swap-divisor", "ci-divisors", "ci-second-divisor"],
+)
+def test_the_product_path_refuses_other_types_by_name(func, args, wanted, got):
+    with pytest.raises(TypeError, match=f"^{func.__name__} takes a {wanted}, got {got}$"):
+        func(*args)
 
 
 @pytest.mark.parametrize("max_degree", [True, False, 2.0, F(3, 2), F(2), "3", None], ids=repr)

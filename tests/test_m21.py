@@ -178,6 +178,13 @@ def test_pushforward_refuses_other_vectors(vector_cls, marking):
         pushforward(vector_cls.unit(0), marking)
 
 
+@pytest.mark.parametrize("marking", [True, False, 2.0, F(2), "1", None], ids=repr)
+def test_pushforward_marking_must_be_an_int(marking):
+    # True == 1 and 2.0 == 2, so without the gate they would run as markings
+    with pytest.raises(TypeError, match=re.escape(f"marking must be an int, got {marking!r}")):
+        pushforward(dr2_class(D), marking)
+
+
 def test_pushforward_refuses_a_third_marking():
     with pytest.raises(ValueError, match="marking must be 1 or 2"):
         pushforward(dr2_class(D), 3)
