@@ -385,9 +385,9 @@ def run_checks(
     only: Optional[Sequence[str]] = None,
     strata_table: Optional[StrataTable] = None,
 ) -> List[CheckResult]:
-    if isinstance(only, (str, bytes)):
-        raise TypeError(f"only must be a sequence of check names, got the {type(only).__name__} {_echo(only)}")
     names = list(CHECKS) if only is None else list(only)
+    if isinstance(only, str) or not all(isinstance(name, str) for name in names):
+        raise TypeError(f"only must be a sequence of check names, got the {type(only).__name__} {_echo(only)}")
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
         raise KeyError(f"unknown check name(s): {_echo(unknown)}; valid: {list(CHECKS)}")

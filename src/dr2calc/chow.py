@@ -18,24 +18,12 @@ We use the basis
 
 with the symmetric combination psi1^2+psi2^2 fused into a single coordinate
 (the antisymmetric combination psi1^2-psi2^2 is eliminated by the relation
-(psi1-psi2)(10psi1+10psi2-2d11-12d12-d0) = 0).  One ``linalg.GatedMatrix``
-of the basis elements and the relations is eliminated once at import, and
-its row operations, integers over one positive denominator, give the one
-table of the ring: the class of each of the 21 monomials, as integers over
-one common denominator (60).  Reductions and
-divisor products both read that table, so two expressions differing by a
-relation reduce identically.  A reduction reads its coefficients' integer
-numerators over one denominator; a product reads each factor's.  Both then
-make one pass over the table that adds weight * coefficient (for a product,
-weight * x_i * y_j for monomial (i, j), taken in both orders off the
-diagonal) straight into one preallocated integer list per basis slot, and
-one finisher hands each list and the denominator to ``polyq._poly``.  A
-product of two constant factors, the numeric case, reads each coefficient's
-``num`` and ``den`` directly rather than through ``poly_numerators``, keeps
-one integer per slot instead of a list and builds each slot with
-``polyq._const``.  The table and the two kernels live in
-``QuotientReducer``, which the compact-type ring of ``ct`` builds from its
-own relations and basis.
+(psi1-psi2)(10psi1+10psi2-2d11-12d12-d0) = 0).  The ring is one
+``QuotientReducer``, built at import: reductions and divisor products both
+read its one table, the class of each of the 21 monomials as integers over
+one common denominator (60), so two expressions differing by a relation
+reduce identically.  The compact-type ring of ``ct`` is a
+``QuotientReducer`` of its own relations and basis.
 
 A ``TautClass2`` is the 14-vector of coefficients in this basis, each entry a
 polynomial in the cover degree d.  A ``DivisorM22`` is the 6-vector of divisor

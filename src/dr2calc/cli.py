@@ -44,33 +44,31 @@ Result = Tuple[Dict[str, object], bool, List[str]]
 
 def _degree(value: str, symbolic: bool = True):
     """Parse --d: an integer >= 1 (ASCII digits), or if ``symbolic`` 'symbolic' for D.
-    An integer of n digits gives degree-4 outputs of up to 4n + 1 digits, so n
-    is bounded by Python's int-conversion limit (0: none) and every accepted
-    degree prints."""
+    An integer of n significant digits gives degree-4 outputs of up to 4n + 1
+    digits, so n is bounded by Python's int-conversion limit (0: none) and
+    every accepted degree prints; leading zeros do not count toward the bound.
+    A numeral is read by its digits, never by an ``int()`` that can fail."""
     if symbolic and value == "symbolic":
         return D
-    numeral = re.fullmatch(r"-?[0-9]+", value)
-    limit = sys.get_int_max_str_digits()
-    try:
-        number = int(value) if numeral else None
-    except ValueError:  # more digits than Python's int-conversion limit
-        raise argparse.ArgumentTypeError(
-            f"must have at most {limit} digits, the limit for"
-            f" integer conversion, got {len(value.lstrip('-'))}"
-        ) from None
-    if numeral and number >= 1:
-        digits, most = len(str(number)), (limit - 1) // 4
-        if limit and digits > most:
-            raise argparse.ArgumentTypeError(
-                f"must have at most {most} digits, so that its degree-4 outputs print under"
-                f" the limit of {limit} digits for integer conversion, got {digits}"
-            )
-        return number
+    # the greedy 0* leaves the significant digits, or "0" for a zero numeral
+    numeral = re.fullmatch(r"(-?)0*([0-9]+)", value)
+    if numeral:
+        sign, digits = numeral.groups()
+        if not sign and digits != "0":
+            limit = sys.get_int_max_str_digits()
+            most = (limit - 1) // 4
+            if limit and len(digits) > most:
+                raise argparse.ArgumentTypeError(
+                    f"must have at most {most} digits, so that its degree-4 outputs print under"
+                    f" the limit of {limit} digits for integer conversion, got {len(digits)}"
+                )
+            return int(digits)
     if not symbolic:
         expected = "an integer >= 1"
     else:
         expected = ">= 1 or 'symbolic'" if numeral else "an integer or 'symbolic'"
-    got = _echo(number if numeral else value)
+    # a numeral is echoed as str(int(value)) prints it, without calling int()
+    got = _echo(digits if digits == "0" else sign + digits, show=str) if numeral else _echo(value)
     raise argparse.ArgumentTypeError(f"must be {expected}, got {got}")
 
 

@@ -17,13 +17,6 @@ a supplied table the check reports itself skipped rather than guessing.
 Fourth, the non-polynomiality witness: on spaces with three or more marked
 points the analogous fiber count is 2(m^2-1) for a nonzero marking index m
 but 0 at m = 0, which no single polynomial can match.
-
-The two rays do not depend on d: the limit class (``dr_infinity``) and the
-degree-2 class are built together on first use and shared after (both are
-immutable), memoized per class constructor, the module's ``dr2_class``
-looked up at call time, so a replaced constructor gets rays of its own; a
-build that raises is not kept.  No function taking a degree is memoized, so
-every degree still passes ``polyq``'s checks on every call.
 """
 
 from __future__ import annotations
@@ -117,7 +110,13 @@ def _degree_two_class() -> TautClass2:
 
 @cache
 def _rays(class_of) -> Tuple[TautClass2, TautClass2]:
-    """The degree-2 and limit classes of the given class constructor; a raise is not cached."""
+    """The degree-2 and limit classes of the given class constructor; a raise is not cached.
+
+    The rays do not depend on d, so both are built on first use and shared
+    after (they are immutable), per constructor: the callers pass the
+    module's ``dr2_class`` as looked up at call time, so a replaced one gets
+    rays of its own.  No function taking a degree is memoized, so every
+    degree still passes ``polyq``'s checks on every call."""
     limit = TautClass2(PolyQ.const(c.coefficient(4)) for c in class_of(D).coeffs)
     return class_of(2), limit
 

@@ -37,12 +37,6 @@ difference of the two classes is
     d22 + (2d^2-1) d11| + (d^2 - 6/5) d12*d2,
 
 supported on curves with a rational component containing both markings.
-
-The decorated rows do not depend on d, so their derivation and its
-re-substitution proof run once per process, on first use, and are kept per
-pair of the class constructors they read: the module's ``hain_class`` and
-``dr2_class``, looked up at call time.  Replacing either name runs the
-derivation again, and a derivation that raises is not kept.
 """
 
 from __future__ import annotations
@@ -181,7 +175,9 @@ def derive_decorated_rows() -> DecoratedRows:
     off the constant coefficients of the restricted class.  Re-substituting
     x and y into both expansions is the proof: it fails unless the Hain class
     is a pure d^4 multiple and the restricted class has exactly that shape.
-    Memoized per pair of the module's current ``hain_class`` and ``dr2_class``.
+    The rows do not depend on d, so the derivation and its proof run once,
+    on first use, per pair of the module's ``hain_class`` and ``dr2_class``
+    as looked up at call time: replacing either name runs it again.
     """
     return _decorated_rows(hain_class, dr2_class)
 

@@ -9,19 +9,14 @@ Fraction's gcd.  Exact arithmetic needs no numerical pivoting, so pivots are
 chosen as the first nonzero entry in row order; output is therefore
 deterministic across runs and platforms.  Every entry passes
 ``polyq.exact``, the package's input gate: ints, Fractions or "p/q"
-strings; another string raises ``ValueError`` and a float ``TypeError``.  A row whose length differs from
-row 0's raises ``ValueError`` naming it.  These checks run once per
-``GatedMatrix``: ``solve_unique`` and ``row_dependencies`` take one in place
-of plain rows and gate it no further, and gate plain rows on every call.
-
-``solve_unique`` and ``row_dependencies`` read one elimination of
-[A | I], run once when a ``GatedMatrix`` is built: its pivots, its row
-operations as integers over one positive denominator, and its left null
-space in reduced echelon form, one vector per dependent row, all in the
-terms of the rows as given.  The stored values are tuples of ints and every
-call builds its own result, so no caller can alter what the next one gets.
-``rank`` and ``reduced_echelon``, kept only for ``perfbench/spans.py``,
-run the kernel on every call.
+strings; another string raises ``ValueError`` and a float ``TypeError``.
+A row whose length differs from row 0's raises ``ValueError`` naming it.
+These checks run once per ``GatedMatrix``: ``solve_unique`` and
+``row_dependencies`` take one in place of plain rows and gate it no
+further, and gate plain rows on every call.  A ``GatedMatrix`` stores
+tuples of ints and every call builds its own result, so no caller can alter
+what the next one gets.  ``rank`` and ``reduced_echelon``, kept only for
+``perfbench/spans.py``, run the kernel on every call.
 """
 
 from __future__ import annotations

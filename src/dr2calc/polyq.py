@@ -102,7 +102,8 @@ def _require_type(value, cls: type, where: str) -> None:
     """The package's one gate for a class argument: a value that is not a
     ``cls`` is a TypeError naming the function ``where`` and its type."""
     if not isinstance(value, cls):
-        raise TypeError(f"{where} takes a {cls.__name__}, got {type(value).__name__}")
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise TypeError(f"{where} takes {article} {cls.__name__}, got {type(value).__name__}")
 
 
 def parse_rational(s: str, where: str = "") -> Fraction:

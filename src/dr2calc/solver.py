@@ -7,16 +7,10 @@ strategy is sample-then-interpolate:
   1. evaluate every right-hand side at each sample point (``row.rhs(x)``),
      and solve the rational system exactly at each point with
      ``linalg.solve_unique``; each solve certifies that the coefficient rank
-     equals the unknown count.  The d-independent work is done once per
-     distinct input: ``full_system`` takes all 16 rows from the one
-     memoized fixture load in ``surfaces``, which reads each file once per
-     process and parses it once per distinct content, and
-     ``surfaces.gated_matrix`` returns that load's coefficient matrix,
-     already through ``linalg``'s input gate, for exactly those rows; any
-     other system's matrix is gated and eliminated once per solve.  A
-     ``GatedMatrix`` keeps the integer row operations of its one
-     elimination, run when it is built, so each sample only gates its
-     right-hand side and applies them to it;
+     equals the unknown count.  The coefficient matrix is gated and
+     eliminated once per solve, and once per fixture load for the shipped
+     rows (``surfaces.gated_matrix``), so each sample only gates its
+     right-hand side and applies the stored row operations to it;
   2. interpolate all unknowns in one call, ``polyq.interpolate_columns``,
      which builds the point basis once for the sample set;
   3. re-substitute and demand a zero residual for every row, symbolically:

@@ -303,6 +303,20 @@ def test_run_checks_refuses_bytes_by_name():
         checks.run_checks(only=b"ab")
 
 
+@pytest.mark.parametrize(
+    "only, shown",
+    [
+        (bytearray(b"ab"), r"bytearray bytearray\(b'ab'\)"),
+        ([1], r"list \[1\]"),
+        (["solver", 1], r"list \['solver', 1\]"),
+    ],
+    ids=["bytearray", "int", "int-after-name"],
+)
+def test_run_checks_refuses_an_item_that_is_not_a_name(only, shown):
+    with pytest.raises(TypeError, match=f"^only must be a sequence of check names, got the {shown}$"):
+        checks.run_checks(only=only)
+
+
 def test_run_checks_refuses_a_bare_string_by_name():
     with pytest.raises(TypeError, match=r"^only must be a sequence of check names, got the str 'solver'$"):
         checks.run_checks(only="solver")

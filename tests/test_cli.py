@@ -405,11 +405,27 @@ def test_degree_over_the_int_conversion_limit_names_the_limit(capsys, command):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and "1" * 100 not in err
-    [line] = [ln for ln in err.splitlines() if "argument --d:" in ln]
-    assert line.endswith(
-        f"argument --d: must have at most {limit} digits, the limit for integer conversion,"
-        f" got {limit + 700}"
-    )
+    assert err.endswith(_bound_message(limit, limit + 700))
+
+
+@pytest.mark.parametrize("command", ["class", "cone-m21"])
+@pytest.mark.parametrize("emit", ["json", "md"])
+def test_leading_zeros_do_not_count_toward_the_bound(capsys, command, emit):
+    # more digits than the int-conversion limit, of which one is significant
+    assert main([command, "--d", "0" * 5000 + "5", "--emit", emit]) == 0
+    padded = capsys.readouterr()
+    assert main([command, "--d", "5", "--emit", emit]) == 0
+    assert padded == capsys.readouterr()
+
+
+def test_a_negative_degree_over_the_int_conversion_limit_keeps_its_message(capsys):
+    value = "-" + "1" * (sys.get_int_max_str_digits() + 700)
+    with pytest.raises(SystemExit) as exc:
+        main(["class", "--d", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err) < 400
+    assert err.endswith(f"argument --d: must be >= 1 or 'symbolic', got {_echo(value, show=str)}\n")
 
 
 def test_malformed_strata_json_is_a_usage_error(capsys, tmp_path):

@@ -209,17 +209,17 @@ _CLASS, _DIVISOR, _PATTERN = TautClass2.unit(0), DivisorM22.unit(0), EffectiveDi
     "func, args, wanted, got",
     [
         # a TautClass2 would read its first six of 14 slots as divisor coefficients
-        (multiply_divisors, (_CLASS, _CLASS), "DivisorM22", "TautClass2"),
-        (multiply_divisors, (_DIVISOR, _CLASS), "DivisorM22", "TautClass2"),
-        (multiply_divisors, (_DIVISOR.coeffs, _DIVISOR), "DivisorM22", "tuple"),
-        (swap_markings, (_DIVISOR,), "TautClass2", "DivisorM22"),
-        (ci_obstruction, (_DIVISOR, _DIVISOR), "EffectiveDivisorPattern", "DivisorM22"),
-        (ci_obstruction, (_PATTERN, _DIVISOR), "EffectiveDivisorPattern", "DivisorM22"),
+        (multiply_divisors, (_CLASS, _CLASS), "a DivisorM22", "TautClass2"),
+        (multiply_divisors, (_DIVISOR, _CLASS), "a DivisorM22", "TautClass2"),
+        (multiply_divisors, (_DIVISOR.coeffs, _DIVISOR), "a DivisorM22", "tuple"),
+        (swap_markings, (_DIVISOR,), "a TautClass2", "DivisorM22"),
+        (ci_obstruction, (_DIVISOR, _DIVISOR), "an EffectiveDivisorPattern", "DivisorM22"),
+        (ci_obstruction, (_PATTERN, _DIVISOR), "an EffectiveDivisorPattern", "DivisorM22"),
     ],
     ids=["classes", "second-factor", "tuple", "swap-divisor", "ci-divisors", "ci-second-divisor"],
 )
 def test_the_product_path_refuses_other_types_by_name(func, args, wanted, got):
-    with pytest.raises(TypeError, match=f"^{func.__name__} takes a {wanted}, got {got}$"):
+    with pytest.raises(TypeError, match=f"^{func.__name__} takes {wanted}, got {got}$"):
         func(*args)
 
 
