@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import mul
-from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import chow
 from .chow import BASIS_NAMES, FUSED_SLOT, GENERATORS, RELATIONS, TautClass2, dr2_class
@@ -385,7 +385,8 @@ def run_checks(
     only: Optional[Sequence[str]] = None,
     strata_table: Optional[StrataTable] = None,
 ) -> List[CheckResult]:
-    names = list(CHECKS) if only is None else list(only)
+    # something not iterable is read as its one item, which is not a name
+    names = list(CHECKS) if only is None else list(only) if isinstance(only, Iterable) else [only]
     if isinstance(only, str) or not all(isinstance(name, str) for name in names):
         raise TypeError(f"only must be a sequence of check names, got the {type(only).__name__} {_echo(only)}")
     unknown = [n for n in names if n not in CHECKS]

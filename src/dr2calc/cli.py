@@ -332,8 +332,9 @@ def main(argv: Optional[list] = None) -> int:
         try:
             args.loaded_strata = load_strata_table(args.strata_table)
         except (OSError, ValueError) as exc:
-            # an OSError's text names the path again; its strerror does not
-            reason = getattr(exc, "strerror", None) or exc
+            # the flag names the file: an OSError is reported by its strerror
+            # (its text names the path again), a wrapped decoding error by itself
+            reason = getattr(exc, "strerror", None) or exc.__cause__ or exc
             parser.error(f"--strata-table {_echo(args.strata_table)}: {reason}")
     try:
         outputs, ok, lines = func(args)

@@ -159,10 +159,14 @@ def load_strata_table(path: str) -> StrataTable:
     """Load a strata table: a JSON map from the names in ``REQUIRED_STRATA``
     to 14-entry arrays of rational strings in the class basis.  Missing or
     unknown names, duplicated keys, the shape and the "p/q" form of each
-    entry are validated; the values themselves are the caller's
+    entry are validated, and a file that is not UTF-8 JSON is a ValueError
+    beginning "strata table: "; the values themselves are the caller's
     responsibility."""
     with open(path, "r", encoding="utf-8") as fh:
-        raw = parse_json(fh.read())
+        try:
+            raw = parse_json(fh.read())
+        except ValueError as exc:  # bad UTF-8 or JSON, which names no field
+            raise ValueError(f"strata table: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValueError("strata table must be a JSON object")
     unknown = [name for name in raw if name not in REQUIRED_STRATA]

@@ -109,8 +109,7 @@ def solve_parametric(
             f"at least {needed} samples are needed for right-hand sides of degree"
             f" {needed - 1}, got {len(points)}"
         )
-    # no gate before the interpolation refuses an empty sample set
-    matrix = gated_matrix(system.rows) if points else None
+    matrix = gated_matrix(system.rows)
     per_point = [linalg.solve_unique(matrix, [row.rhs(x) for row in system.rows]) for x in points]
     solution = TautClass2(interpolate_columns(points, zip(*per_point)))
     residuals = tuple(row.residual(solution) for row in system.rows)

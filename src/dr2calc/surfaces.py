@@ -112,36 +112,37 @@ class EquationRow(NamedTuple):
         }
 
 
-# The only fixture fields, the JSON type each must have, and what the error says.
+# The only fixture fields and their type rules, checked in this order: the
+# JSON type each must have, the type of each of its items (of each value, for
+# the restrictions map; None where no item type is checked here), and what the
+# error says.  A fixture that breaks several rules reports the first field's.
 _FIELDS = (
-    ("name", str, "must be a string"),
-    ("family", int, "must be an integer"),
-    ("generators", list, "must be a list of generator names"),
-    ("gram", list, "must be a list of rows of 'p/q' strings"),
-    ("restrictions", dict, "must map generators to vectors"),
-    ("rhs", list, "must be a list of 'p/q' strings"),
-    ("rationale", str, "must be a string"),
+    ("name", str, None, "must be a string"),
+    ("family", int, None, "must be an integer"),
+    ("generators", list, str, "must be a list of generator names"),
+    ("gram", list, list, "must be a list of rows of 'p/q' strings"),
+    ("restrictions", dict, list, "must map generators to vectors"),
+    ("rhs", list, None, "must be a list of 'p/q' strings"),
+    ("rationale", str, None, "must be a string"),
 )
 
 
 def _parse_surface(doc: dict) -> SurfaceModel:
-    for field, _, _ in _FIELDS:
+    for field, *_ in _FIELDS:
         if not isinstance(doc, dict) or field not in doc:
             raise ValueError(f"missing field {field!r}")
     if not isinstance(doc["name"], str):
         raise ValueError("name must be a string")
     name = _echo(doc["name"], str)  # as the messages print it
     for field in doc:
-        if field not in {known for known, _, _ in _FIELDS}:
+        if field not in {known for known, *_ in _FIELDS}:
             raise ValueError(f"{name}: unknown field {_echo(field)}")
     # bool is an int subclass, and a JSON true is not a family number
-    for field, kind, requirement in _FIELDS[1:]:
-        if not isinstance(doc[field], kind) or isinstance(doc[field], bool):
+    for field, kind, item_kind, requirement in _FIELDS[1:]:
+        value = doc[field]
+        items = (value.values() if isinstance(value, dict) else value) if item_kind else ()
+        if type(value) is bool or not isinstance(value, kind) or not all(isinstance(x, item_kind) for x in items):
             raise ValueError(f"{name}: {field} {requirement}")
-    if not all(isinstance(g, str) for g in doc["generators"]):
-        raise ValueError(f"{name}: generators must be a list of generator names")
-    if not all(isinstance(row, list) for row in doc["gram"]):
-        raise ValueError(f"{name}: gram must be a list of rows of 'p/q' strings")
 
     gram = tuple(tuple(parse_rational(x, name) for x in row) for row in doc["gram"])
     n = len(doc["generators"])
@@ -151,8 +152,6 @@ def _parse_surface(doc: dict) -> SurfaceModel:
     for gen, vec in doc["restrictions"].items():
         if gen not in GENERATORS:
             raise ValueError(f"{name}: unknown generator {_echo(gen)}")
-        if not isinstance(vec, list):
-            raise ValueError(f"{name}: restrictions must map generators to vectors")
         if len(vec) != n:
             raise ValueError(f"{name}: restriction length for {gen!r}")
         restrictions[gen] = tuple(parse_rational(x, name) for x in vec)

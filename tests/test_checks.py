@@ -317,6 +317,16 @@ def test_run_checks_refuses_an_item_that_is_not_a_name(only, shown):
         checks.run_checks(only=only)
 
 
+@pytest.mark.parametrize(
+    "only, shown",
+    [(5, "int 5"), (2.5, "float 2.5"), (object(), r"object <object object at 0x[0-9a-f]+>")],
+    ids=["int", "float", "object"],
+)
+def test_run_checks_refuses_what_is_not_iterable_by_name(only, shown):
+    with pytest.raises(TypeError, match=f"^only must be a sequence of check names, got the {shown}$"):
+        checks.run_checks(only=only)
+
+
 def test_run_checks_refuses_a_bare_string_by_name():
     with pytest.raises(TypeError, match=r"^only must be a sequence of check names, got the str 'solver'$"):
         checks.run_checks(only="solver")
