@@ -18,6 +18,7 @@ fail with exact ``details``.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from operator import mul
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -88,14 +89,17 @@ def _inertia(gram: Sequence[Sequence[Fraction]]) -> Tuple[int, int, int]:
 @_check("surfaces")
 def check_surfaces() -> Tuple[bool, str]:
     """Displayed intersection numbers, then on each surface: each relation
-    pairs to zero, and the Gram matrix has one positive eigenvalue.
+    pairs to zero, and the Gram matrix has one positive eigenvalue; then on
+    each surface whose d0 restriction is zero, each of the four compact-type
+    relations of ``ct.CT_RELATIONS`` pairs to zero.
 
     Each surface's pairing table is built once and read by both the
-    displayed numbers and the relations (``RELATIONS[k]``, named by k).  The
-    relations and the Hodge index are checked only once every displayed
-    number matches.
+    displayed numbers and the relations (``RELATIONS[k]``, named by k, and
+    the compact-type ones by their index among the four).  The relations
+    and the Hodge index are checked only once every displayed number
+    matches.
     """
-    from . import surfaces
+    from . import ct, surfaces
 
     by_family = {s.family: s for s in surfaces.builtin_surfaces()}
     tables = {fam: surface.monomial_pairings() for fam, surface in by_family.items()}
@@ -104,23 +108,37 @@ def check_surfaces() -> Tuple[bool, str]:
         got = by_family[fam].pair_generators(a, b, tables[fam])
         if got != want:
             bad.append(f"family {fam}: {a}.{b} = {got}, expected {want}")
-    if not bad:
+
+    def cleared(relations):
         # each relation's coefficients as integers over one denominator
-        relations = [
+        return [
             (relation, *clear_denominators([[c.constant_value() for c in relation.values()]]))
-            for relation in RELATIONS
+            for relation in relations
         ]
-        for fam, (pairings, den) in tables.items():
-            for k, (relation, [ints], rden) in enumerate(relations):
-                value = sum(map(mul, ints, map(pairings.__getitem__, relation)))
-                if value:
-                    value = Fraction(value, den * rden)
-                    bad.append(f"family {fam}: relation {k} pairs to {value}, expected 0")
+
+    def pair(fam, relations, kind):
+        pairings, den = tables[fam]
+        for k, (relation, [ints], rden) in enumerate(relations):
+            value = sum(map(mul, ints, map(pairings.__getitem__, relation)))
+            if value:
+                value = Fraction(value, den * rden)
+                bad.append(f"family {fam}: {kind} {k} pairs to {value}, expected 0")
+
+    if not bad:
+        relations = cleared(RELATIONS)
+        for fam in tables:
+            pair(fam, relations, "relation")
             positive = _inertia(by_family[fam].gram)[0]
             if positive != 1:
                 bad.append(
                     f"family {fam}: Gram matrix has {positive} positive eigenvalues, expected 1"
                 )
+        # Delta_0 is effective, so a surface on which its class is numerically
+        # zero misses it and lies in compact type, where these relations hold.
+        compact = cleared(ct.CT_RELATIONS[len(chow.RELATIONS) :])
+        for fam, surface in by_family.items():
+            if not any(surface.restriction("d0")):
+                pair(fam, compact, "compact-type relation")
     n = len(surfaces.DISPLAYED_INTERSECTIONS)
     return not bad, "; ".join(bad) or f"all {n} displayed intersection numbers reproduced"
 
@@ -256,19 +274,33 @@ def check_ci_obstruction() -> Tuple[bool, str]:
 
     from . import cones
 
-    rng = random.Random(20250817)
     # Each weight is Fraction(randint(0, 12), randint(1, 6)), read from the
-    # 78 such Fractions built once.
-    weights = {(n, d): Fraction(n, d) for n in range(13) for d in range(1, 7)}
+    # 78 such Fractions built once.  randint(0, 12) draws 4-bit words until
+    # one is at most 12, and randint(1, 6) 3-bit words until one is at most
+    # 5, plus 1; the stream draws those words, in the same order, without
+    # randint's per-call work.
+    bits = random.Random(20250817).getrandbits
+    weights = [[Fraction(n, d) for d in range(1, 7)] for n in range(13)]
+
+    def stream():
+        while True:
+            n = bits(4)
+            while n > 12:
+                n = bits(4)
+            d = bits(3)
+            while d > 5:
+                d = bits(3)
+            yield weights[n][d]
+
+    draws, pattern = stream(), cones.EffectiveDivisorPattern
     for trial in range(1000):
-        a, b = (
-            cones.EffectiveDivisorPattern(
-                *[weights[rng.randint(0, 12), rng.randint(1, 6)] for _ in range(6)]
-            )
-            for _ in range(2)
-        )
+        w = list(islice(draws, 12))
+        a, b = pattern(*w[:6]), pattern(*w[6:])
         got = cones.ci_obstruction(a, b)
-        want = (a.psi1 * b.psi1 + a.psi2 * b.psi2) / 2
+        # (a_psi1 b_psi1 + a_psi2 b_psi2) / 2 as one Fraction
+        p, q, r, s = a.psi1, b.psi1, a.psi2, b.psi2
+        pq, rs = p.denominator * q.denominator, r.denominator * s.denominator
+        want = Fraction(p.numerator * q.numerator * rs + r.numerator * s.numerator * pq, 2 * pq * rs)
         if got != want or got.numerator < 0:
             return False, f"trial {trial}: {got} != {want}"
     # Proof of the sampled statement: the fused slot of a product reads only

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from dr2calc import checks, chow, cones, ct, m21, solver, surfaces
-from dr2calc.chow import D0, D11, D12, FUSED_SLOT, PSI1, TautClass2, dr2_class, mono
+from dr2calc.chow import D0, D11, D12, FUSED_SLOT, PSI1, PSI2, TautClass2, dr2_class, mono
 from dr2calc.linalg import InconsistentSystemError
 from dr2calc.polyq import D, PolyQ
 
@@ -151,6 +151,31 @@ def _d2sq_row_edited(monkeypatch):
     return {}
 
 
+def _negated_closed_form(monkeypatch):
+    monkeypatch.setattr(cones, "ci_obstruction", lambda a, b: -(a.psi1 * b.psi1 + a.psi2 * b.psi2) / 2)
+    return {}
+
+
+def _wrong_from_trial_one(monkeypatch):
+    # right on the first product, one too large on every later one
+    ci_obstruction, trials = cones.ci_obstruction, []
+
+    def wrong(a, b):
+        trials.append(None)
+        return ci_obstruction(a, b) + (len(trials) > 1)
+
+    monkeypatch.setattr(cones, "ci_obstruction", wrong)
+    return {}
+
+
+def _psi1_psi2_doubled_in_a_compact_type_relation(monkeypatch):
+    # the first compact-type relation's psi1*psi2 coefficient read as 2
+    n = len(chow.RELATIONS)
+    relation = {**ct.CT_RELATIONS[n], mono(PSI1, PSI2): PolyQ((2,))}
+    monkeypatch.setattr(ct, "CT_RELATIONS", ct.CT_RELATIONS[:n] + (relation,) + ct.CT_RELATIONS[n + 1 :])
+    return {}
+
+
 def _zero_strata_table(monkeypatch):
     return {"strata_table": {name: TautClass2.zero() for name in cones.REQUIRED_STRATA}}
 
@@ -272,6 +297,14 @@ FAILURES = [
         _d2sq_row_edited,
         "projection formula fails: pi_*(pi^*psi * d2) = DivisorM21(0), expected DivisorM21(psi: 1)",
     ),
+    ("ci-obstruction", _negated_closed_form, "trial 0: -393/80 != 393/80"),
+    ("ci-obstruction", _wrong_from_trial_one, "trial 1: 73/6 != 67/6"),
+    (
+        "surfaces",
+        _psi1_psi2_doubled_in_a_compact_type_relation,
+        "family 1: compact-type relation 0 pairs to 6, expected 0; "
+        "family 2: compact-type relation 0 pairs to 1, expected 0",
+    ),
 ]
 
 
@@ -360,6 +393,22 @@ def test_ci_obstruction_trials_are_pinned(monkeypatch):
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "5377c5ef7e49fba98cfa37cf2acb77998ff7da0eb8f8ff3384f4031ec0f38089"
     )
+
+
+def test_ci_obstruction_draws_are_randints(monkeypatch):
+    # The check draws its words with getrandbits; they are the weights
+    # Fraction(randint(0, 12), randint(1, 6)) of the same seed, in order.
+    pairs, ci_obstruction = [], cones.ci_obstruction
+
+    def record_pair(a, b):
+        pairs.append((a, b))
+        return ci_obstruction(a, b)
+
+    monkeypatch.setattr(cones, "ci_obstruction", record_pair)
+    assert checks.CHECKS["ci-obstruction"]().passed
+    rng = random.Random(20250817)
+    replay = [[F(rng.randint(0, 12), rng.randint(1, 6)) for _ in range(12)] for _ in range(1000)]
+    assert [[getattr(p, n) for p in pair for n in chow.GENERATORS] for pair in pairs] == replay
 
 
 def _descartes_inertia(a):

@@ -17,7 +17,7 @@ from dr2calc.cones import (
     nonextremality_check,
     nonpolynomiality_witness,
 )
-from dr2calc.polyq import D, PolyQ
+from dr2calc.polyq import D, ZERO, PolyQ
 
 F = Fraction
 
@@ -54,6 +54,28 @@ def test_pattern_refuses_non_rational_weights_naming_the_field(slot, value):
         match=re.escape(f"pattern coefficient {field} must be an int or Fraction, got {value!r}"),
     ):
         EffectiveDivisorPattern(*weights)
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        (1, 2, 0, 3, 12, 0),
+        (F(1, 2), F(2, 3), F(0), F(5, 4), F(7), F(12, 5)),
+        (0, F(3, 6), 4, F(0), 0, F(11, 3)),
+    ],
+    ids=["ints", "fractions", "mixed"],
+)
+def test_to_divisor_matches_the_public_constructor(weights):
+    psi1, psi2, d0, d2, d11, d12 = weights
+    divisor = EffectiveDivisorPattern(*weights).to_divisor()
+    public = DivisorM22([psi1, psi2, -d0, -d2, -d11, -d12])
+    assert divisor == public and hash(divisor) == hash(public)
+    for got, want, weight in zip(divisor.coeffs, public.coeffs, weights):
+        # the canonical form: the public constructor's int numerators and denominator
+        assert type(got) is PolyQ and all(type(n) is int for n in got.num) and type(got.den) is int
+        assert (got.num, got.den) == (want.num, want.den)
+        if not weight:
+            assert got is ZERO
 
 
 def test_ci_obstruction_examples():
