@@ -36,7 +36,7 @@ from math import gcd, lcm
 from typing import Dict, Mapping, Sequence, Tuple
 
 from .linalg import GatedMatrix
-from .polyq import PolyLike, PolyQ, PolyVector, _const, _echo, _poly, _require_type, as_poly, parse_rational
+from .polyq import ZERO, PolyLike, PolyQ, PolyVector, _const, _echo, _poly, _require_type, as_poly, parse_rational
 from .polyq import poly_numerators
 
 GENERATORS = ("psi1", "psi2", "d0", "d2", "d11", "d12")
@@ -320,35 +320,50 @@ def multiply_divisors(a: DivisorM22, b: DivisorM22) -> TautClass2:
     return _REDUCER.multiply(a.coeffs, b.coeffs)
 
 
+#: The nonzero slots of ``dr2_class`` in t = d^2: (c0, c1, c2, den) is the
+#: polynomial (c0 + c1 t + c2 t^2) / den, each the factor t - 1 times a
+#: polynomial in t.  Rows: psi1psi2, the fused slot, psi_i*d11, psi_i*d12
+#: and psi_i*d0.
+_DR2_TABLE = (
+    (0, -1, 1, 2),
+    (-2, 3, -1, 4),
+    (2, 1, -3, 20),
+    (6, -7, 1, 10),
+    (6, -7, 1, 120),
+)
+
+
 def dr2_class(d: PolyLike) -> TautClass2:
     """The class of the closed degree-d double-ramification locus.
 
     ``d`` may be an integer, a Fraction, or a polynomial (pass the variable
     ``polyq.D`` for the fully symbolic class).  Every slot carries the global
-    factor d^2 - 1, so the class vanishes at d = 1.
+    factor d^2 - 1, so the class vanishes at d = 1:
+
+        psi1psi2 = (d^2-1) d^2 / 2,   psi1^2+psi2^2 = (d^2-1)(2-d^2) / 4,
+        psi_i d11 = -(d^2-1)(3d^2+2) / 20,   psi_i d12 = (d^2-1)(d^2-6) / 10,
+        psi_i d0 = (d^2-1)(d^2-6) / 120,
+
+    and the six slots d2^2, d12 d2, d0 d2, d0 d11, d0 d12, d0^2 are zero.
+    Each nonzero slot is read off the integer table ``_DR2_TABLE`` in
+    t = d^2 = T / e: its numerator e^2 c0 + e c1 T + c2 T^2 over den e^2
+    goes to ``polyq._poly`` once, and the two slots of each psi_i pair share
+    one polynomial.
     """
-    d2 = as_poly(d) * as_poly(d)
-    f = d2 - 1
-    psi_d11 = -f * (3 * d2 + 2) / 20
-    psi_d12 = f * (d2 - 6) / 10
-    psi_d0 = f * (d2 - 6) / 120
-    return TautClass2(
-        (
-            f * d2 / 2,
-            f * (2 - d2) / 4,
-            psi_d11,
-            psi_d11,
-            psi_d12,
-            psi_d12,
-            psi_d0,
-            psi_d0,
-            PolyQ(),
-            PolyQ(),
-            PolyQ(),
-            PolyQ(),
-            PolyQ(),
-            PolyQ(),
-        )
+    t = as_poly(d) * as_poly(d)
+    # t * t is T^2 over e^2 as it stands: by Gauss's lemma the content of
+    # T^2 is that of T squared, prime to e^2, so ``_poly`` reduces nothing.
+    T, T2, e = t.num, (t * t).num, t.den
+    slots = []
+    for c0, c1, c2, den in _DR2_TABLE:
+        num = [c2 * y for y in T2] or [0]
+        for k, x in enumerate(T):
+            num[k] += e * c1 * x
+        num[0] += e * e * c0
+        slots.append(_poly(num, den * e * e))
+    p12, fused, psi_d11, psi_d12, psi_d0 = slots
+    return TautClass2._of(
+        (p12, fused, psi_d11, psi_d11, psi_d12, psi_d12, psi_d0, psi_d0) + (ZERO,) * 6
     )
 
 

@@ -62,7 +62,7 @@ from .chow import (
     dr2_class,
     mono,
 )
-from .polyq import D, PolyLike, PolyQ, PolyVector, _require_type, as_poly
+from .polyq import D, ZERO, PolyLike, PolyQ, PolyVector, _const, _require_type, as_poly
 
 CT_BASIS_NAMES = (
     "(psi1+psi2)d11",
@@ -142,15 +142,16 @@ def hain_class(d: PolyLike) -> CtClass:
     """Pull-back of the Jacobian zero section along [C,p1,p2] -> O(d p1 - d p2).
 
     Half the square of the divisor (d^2/2)((psi1-d2)+(psi2-d2)) + d^2 d2
-    - (d^2/2) d11; reduces to
+    - (d^2/2) d11, whose three d2 terms cancel: it is (d^2/2) u with the
+    constant divisor u = psi1 + psi2 - d11, so the class is (d^4/8) u^2.
+    u^2 takes the constant branch of ``QuotientReducer.multiply``, and each
+    of its slots is scaled by d^4/8 once.  It reduces to
     d^4 ( (1/4)(psi1+psi2)(d12-d11) - d2^2 - (7/10) d12*d2 ).
     """
-    half_d2 = as_poly(d) * as_poly(d) / 2
-    divisor = [PolyQ()] * 6  # the three d2 terms cancel
-    divisor[PSI1] = half_d2
-    divisor[PSI2] = half_d2
-    divisor[D11] = -half_d2
-    return _CT_REDUCER.multiply(divisor, divisor).scale(Fraction(1, 2))
+    t = as_poly(d) * as_poly(d)
+    one = _const(1)
+    u = [one, one, ZERO, ZERO, _const(-1), ZERO]  # (psi1, psi2, d0, d2, d11, d12)
+    return _CT_REDUCER.multiply(u, u).scale(t * t / 8)
 
 
 class DecoratedRows(NamedTuple):

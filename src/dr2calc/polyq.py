@@ -386,10 +386,14 @@ def interpolate_columns(
 ) -> List[PolyQ]:
     """For each column, the polynomial of degree < n through (xs[i], column[i]).
 
-    The point basis is built once per sample set.  Over one denominator,
-    xs[i] = X_i / q, and point i's Lagrange polynomial is the integer
-    polynomial prod_{j != i} (q*d - X_j) over the integer
-    w_i = prod_{j != i} (X_i - X_j); the n of them are brought over one
+    The point basis is built once per sample set, in O(n^2) integer
+    operations.  Over one denominator, xs[i] = X_i / q, and point i's
+    Lagrange polynomial is the integer polynomial
+    p_i = prod_{j != i} (q*d - X_j) over the integer
+    w_i = prod_{j != i} (X_i - X_j).  The product over all j, ``master``, is
+    built once, and each p_i is its quotient by (q*d - X_i), by synthetic
+    division from the top: p_i[k-1] = (master[k] + X_i p_i[k]) / q, exact
+    in integers since p_i is.  The n of them are brought over one
     denominator, the lcm of the w_i.  Each column is cleared of its own
     denominators and applied to that basis with integer multiply-adds; the
     integer coefficients and their denominator go to ``_poly`` as they are.
@@ -404,14 +408,19 @@ def interpolate_columns(
     if len(set(xs)) != n:
         raise ValueError("duplicate abscissae make interpolation ill-posed")
     [ints], q = clear_denominators([xs])
+    master = [1]
+    for y in ints:
+        master = [q * b - y * a for a, b in zip(master + [0], [0] + master)]
     basis, weights = [], []
     for i, x in enumerate(ints):
-        poly, w = [1], 1
+        poly, c, w = [], 0, 1
+        for m in master[:0:-1]:  # master[n], ..., master[1]
+            c = (m + x * c) // q
+            poly.append(c)
         for j, y in enumerate(ints):
             if j != i:
-                poly = [q * b - y * a for a, b in zip(poly + [0], [0] + poly)]
                 w *= x - y
-        basis.append(poly)
+        basis.append(poly[::-1])
         weights.append(w)
     den = lcm(*weights)
     basis = [[c * (den // w) for c in row] for row, w in zip(basis, weights)]

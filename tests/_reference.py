@@ -1,5 +1,6 @@
-"""Gauss-Jordan elimination over Fraction, the reference the tests hold the
-package's fraction-free kernel and its quotient-ring tables to."""
+"""References over Fraction that the tests hold the package's integer kernels
+to: Gauss-Jordan elimination, for the fraction-free kernel and the
+quotient-ring tables, and Lagrange interpolation, for ``interpolate_columns``."""
 
 from fractions import Fraction
 
@@ -29,3 +30,21 @@ def fraction_gauss_jordan(rows, column_order=None):
                 m[i] = [a - f * b for a, b in zip(m[i], prow)]
         pivots.append(col)
     return pivots, m
+
+
+def fraction_lagrange(xs, ys):
+    """The ascending Fraction coefficients of the polynomial of degree < n
+    through (xs[i], ys[i]): the sum of ys[i] times point i's Lagrange
+    polynomial, each expanded factor by factor over Fraction."""
+    xs = [Fraction(x) for x in xs]
+    out = [Fraction(0)] * len(xs)
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        basis = [Fraction(1)]
+        for j, xj in enumerate(xs):
+            if j != i:
+                # basis * (d - xj) / (xi - xj)
+                shifted = [Fraction(0)] + basis
+                scaled = [-xj * b for b in basis] + [Fraction(0)]
+                basis = [(a + b) / (xi - xj) for a, b in zip(shifted, scaled)]
+        out = [o + Fraction(yi) * b for o, b in zip(out, basis)]
+    return out

@@ -25,7 +25,7 @@ from dr2calc.chow import (
     reduce_to_basis,
     swap_markings,
 )
-from dr2calc.polyq import D, PolyQ
+from dr2calc.polyq import D, ZERO, PolyQ, as_poly
 
 F = Fraction
 MONO_INDEX = {m: k for k, m in enumerate(MONOMIALS)}
@@ -309,6 +309,34 @@ def test_dr2_class_values():
     ] + [F(0)] * 6
     assert [c.constant_value() for c in dr2_class(2).coeffs] == expected
     assert dr2_class(1).is_zero()
+
+
+def _dr2_class_by_polyq(d):
+    """The class formula as PolyQ arithmetic, slot by slot: the reference
+    for the integer table behind ``dr2_class``."""
+    d2 = as_poly(d) * as_poly(d)
+    f = d2 - 1
+    psi_d11 = -f * (3 * d2 + 2) / 20
+    psi_d12 = f * (d2 - 6) / 10
+    psi_d0 = f * (d2 - 6) / 120
+    return [f * d2 / 2, f * (2 - d2) / 4, psi_d11, psi_d11, psi_d12, psi_d12, psi_d0, psi_d0] + [
+        PolyQ()
+    ] * 6
+
+
+@pytest.mark.parametrize(
+    "d",
+    [D, D + 1, D / 3, 0, 1, -4, 7, 10**40, F(3, 2)],
+    ids=["D", "D+1", "D/3", "0", "1", "-4", "7", "10**40", "3/2"],
+)
+def test_dr2_class_matches_the_polyq_formula_slot_by_slot(d):
+    got = dr2_class(d)
+    assert type(got) is TautClass2
+    # The stored forms are equal, so each slot is as canonical as PolyQ
+    # arithmetic makes it; an empty slot is the shared zero polynomial.
+    for k, (slot, want) in enumerate(zip(got.coeffs, _dr2_class_by_polyq(d))):
+        assert (slot.num, slot.den) == (want.num, want.den), BASIS_NAMES[k]
+        assert slot.num or slot is ZERO, BASIS_NAMES[k]
 
 
 def test_swap_markings():

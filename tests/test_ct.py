@@ -33,7 +33,7 @@ from dr2calc.ct import (
     restrict_to_ct,
     verify_hac,
 )
-from dr2calc.polyq import D, PolyQ
+from dr2calc.polyq import D, PolyQ, as_poly
 
 F = Fraction
 
@@ -108,6 +108,21 @@ def test_hain_cross_route_oracle():
     divisor = DivisorM22((half_d2, half_d2, 0, 0, -half_d2, 0))
     full = multiply_divisors(divisor, divisor).scale(F(1, 2))
     assert restrict_to_ct(full) == hain_class(D)
+
+
+@pytest.mark.parametrize("d", [D, 0, 2, Fraction(-7, 5)], ids=["D", "0", "2", "-7/5"])
+def test_hain_class_is_half_the_square_of_the_polynomial_divisor(d):
+    # The product of the divisor as written, through the compact-type
+    # product table: the reference for (d^4/8) u^2.
+    half_d2 = as_poly(d) * as_poly(d) / 2
+    divisor = [PolyQ()] * 6
+    divisor[PSI1] = half_d2
+    divisor[PSI2] = half_d2
+    divisor[D11] = -half_d2
+    want = _CT_REDUCER.multiply(divisor, divisor).scale(Fraction(1, 2))
+    got = hain_class(d)
+    assert type(got) is CtClass
+    assert [(c.num, c.den) for c in got.coeffs] == [(c.num, c.den) for c in want.coeffs]
 
 
 def _random_entry(rng):

@@ -6,6 +6,7 @@ from itertools import zip_longest
 
 import pytest
 
+from _reference import fraction_lagrange
 from dr2calc import linalg
 from dr2calc.m21 import DivisorM21
 from dr2calc.polyq import (
@@ -367,6 +368,26 @@ def test_interpolate_columns_matches_newton_on_rational_points():
         assert got[-1] == PolyQ()
         assert [poly_interpolate(zip(xs, col)) for col in columns] == got
         assert all(type(c) is Fraction for p in got for c in p.coeffs)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_interpolate_columns_matches_the_fraction_lagrange_reference(n):
+    # Negative and fractional abscissae, so that the common denominator q of
+    # the xs is not 1 and the synthetic division of the basis divides by it.
+    rng = random.Random(4100 + n)
+    for _ in range(12):
+        xs = []
+        while len(xs) < n:
+            x = Fraction(rng.randint(-30, 30), rng.choice([1, 2, 3, 5, 6]))
+            if x not in xs:
+                xs.append(x)
+        if n > 1 and all(x.denominator == 1 for x in xs):
+            xs[-1] = Fraction(2 * rng.randint(-30, 30) + 1, 2)
+        columns = [[Fraction(rng.randint(-9, 9), rng.randint(1, 8)) for _ in xs] for _ in range(3)]
+        got = interpolate_columns(xs, columns)
+        assert [p.coeffs + (0,) * (n - len(p.coeffs)) for p in got] == [
+            tuple(fraction_lagrange(xs, col)) for col in columns
+        ]
 
 
 def test_interpolate_columns_single_point_and_no_columns():

@@ -76,6 +76,23 @@ def test_a_command_without_dataclass_records_loads_no_dataclasses(argv):
     assert ast.literal_eval(_run(code)) == []
 
 
+@pytest.mark.parametrize(
+    "argv", [["class", "--d", "2"], ["verify", "--only", "psi3", "--emit", "json"]], ids=" ".join
+)
+def test_a_json_report_loads_no_openssl(argv):
+    # The fixture checksums come from CPython's built-in SHA-256 module, so a
+    # report never imports hashlib's OpenSSL backend.
+    code = (
+        "import contextlib, io, sys\n"
+        "from dr2calc import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        f"    assert cli.main({argv!r}) == 0\n"
+        "assert '\"fixture_checksums\"' in out.getvalue()\n"
+        "print([m for m in ('_hashlib', 'hashlib') if m in sys.modules])\n"
+    )
+    assert ast.literal_eval(_run(code)) == []
+
+
 def test_a_submodule_resolves_after_a_bare_import():
     code = "import dr2calc\nprint(dr2calc.cones.__name__, dr2calc.cli.main.__module__)"
     assert _run(code).split() == ["dr2calc.cones", "dr2calc.cli"]

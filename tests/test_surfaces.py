@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import re
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -179,6 +180,22 @@ def test_fixture_checksums_shape():
     sums = fixture_checksums()
     assert len(sums) == 10
     assert all(len(v) == 64 for v in sums.values())
+
+
+def test_fixture_checksums_fall_back_to_hashlib(monkeypatch):
+    # With neither private built-in SHA-256 module importable, the digests
+    # come from hashlib, and they are the same.
+    want, real, calls = fixture_checksums(), hashlib.sha256, []
+
+    def sha256(blob):
+        calls.append(len(blob))
+        return real(blob)
+
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    monkeypatch.setattr(hashlib, "sha256", sha256)
+    assert fixture_checksums() == want
+    assert len(calls) == 10
 
 
 @pytest.mark.parametrize("vector_cls", [CtClass, DivisorM22], ids=lambda cls: cls.__name__)
